@@ -62,7 +62,7 @@ let take t (th : Rvm.Vmthread.t) =
   t.owner <- th.tid;
   t.acquisitions <- t.acquisitions + 1;
   let costs = t.vm.Rvm.Vm.machine.costs in
-  th.clock <- max th.clock t.free_since + costs.cyc_gil_acquire;
+  th.clock <- Int.max th.clock t.free_since + costs.cyc_gil_acquire;
   (* software transactions live across an acquisition can never commit (the
      scheme's lock-dirty check refuses them) and must not run as zombies
      while the holder mutates the store around the engine (GC) *)
@@ -104,7 +104,7 @@ let enqueue_waiter t (th : Rvm.Vmthread.t) =
 (* Timer-thread emulation for the pure-GIL scheme: has the 250 ms tick
    passed and is anyone waiting? *)
 let should_yield t (th : Rvm.Vmthread.t) =
-  th.clock >= t.next_timer && t.waiters <> []
+  th.clock >= t.next_timer && match t.waiters with [] -> false | _ -> true
 
 let bump_timer t (th : Rvm.Vmthread.t) =
   while t.next_timer <= th.clock do

@@ -98,7 +98,7 @@ let msb v =
    above, block [k = msb v - sub_bits] contributes [sub_count] sub-buckets
    selected by the [sub_bits] bits right under the msb. Monotone in [v]. *)
 let bucket_of v =
-  if v < sub_count then max 0 v
+  if v < sub_count then Int.max 0 v
   else begin
     let k = msb v - sub_bits in
     let i = (sub_count * k) + ((v lsr k) land (sub_count - 1)) + sub_count in
@@ -116,7 +116,7 @@ let bucket_le i =
   end
 
 let observe h v =
-  let v = max 0 v in
+  let v = Int.max 0 v in
   let b = bucket_of v in
   h.buckets.(b) <- h.buckets.(b) + 1;
   h.n <- h.n + 1;
