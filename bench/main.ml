@@ -26,18 +26,39 @@ let size () =
   | Some s -> Workloads.Size.of_string s
   | None -> Workloads.Size.S
 
-(* Host wall time per figure, collected into the results file's "host"
-   object. Host times (and the "jobs" count) live OUTSIDE the "figures"
-   member: "figures" is byte-identical across BENCH_JOBS settings, the
-   host section is what legitimately varies. *)
+(* Host wall time and process peak RSS per figure, collected into the
+   results file's "host" object. Host measurements (and the "jobs" count)
+   live OUTSIDE the "figures" member: "figures" is byte-identical across
+   BENCH_JOBS settings, the host section is what legitimately varies. *)
 let host_times : (string * J.t) list ref = ref []
+let host_rss : (string * J.t) list ref = ref []
+
+(* Process peak RSS in MB ([VmHWM] from /proc/self/status), or [None] where
+   that file is missing. *)
+let peak_rss_mb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | l when String.starts_with ~prefix:"VmHWM:" l ->
+            Scanf.sscanf_opt (String.sub l 6 (String.length l - 6)) " %d"
+              (fun kb -> kb / 1024)
+        | _ -> scan ()
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) scan
 
 let time key name f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  Format.fprintf fmt "@.[%s took %.1fs]@." name dt;
+  let rss = peak_rss_mb () in
+  Format.fprintf fmt "@.[%s took %.1fs, peak RSS %s]@." name dt
+    (match rss with Some mb -> Printf.sprintf "%d MB" mb | None -> "n/a");
   host_times := (key, J.Float dt) :: !host_times;
+  host_rss :=
+    (key, match rss with Some mb -> J.Int mb | None -> J.Null) :: !host_rss;
   r
 
 (* ---- JSON series for BENCH_results.json ---- *)
@@ -484,7 +505,10 @@ let figures () =
         ("load", load);
         ("shard", shard);
         ("clock", clock);
-        ("host", J.Obj (List.rev !host_times));
+        ( "host",
+          J.Obj
+            (List.rev !host_times
+            @ [ ("peak_rss_mb", J.Obj (List.rev !host_rss)) ]) );
         ("trajectory", trajectory);
       ]
   in

@@ -337,61 +337,6 @@ let create ?(io : Netsim.t option) cfg ~source =
     else None
   in
   let sites = Obs.Sites.create () in
-  (* Name the shared regions of Section 4.4 / 5.5 by cache line, walking the
-     live VM at report time (threads and arenas appear as the run goes). *)
-  Obs.Sites.set_line_resolver sites (fun line ->
-      let store = vm.Rvm.Vm.store in
-      let lof a = Store.line_of store a in
-      let heap = vm.Rvm.Vm.heap in
-      if line = lof vm.Rvm.Vm.g_gil then Some "GIL word"
-      else if line = lof vm.Rvm.Vm.g_gil_owner then Some "GIL owner word"
-      else if
-        match stm with
-        | Some s -> line = lof (Stm.clock_cell s)
-        | None -> false
-      then Some "stm.clock (commit-clock cell)"
-      else if
-        match stm with
-        | Some s -> line = lof (Stm.bumps_cell s)
-        | None -> false
-      then Some "stm.clock bumps stat cell"
-      else if
-        match stm with
-        | Some s -> line = lof (Stm.skipped_cell s)
-        | None -> false
-      then Some "stm.clock skipped stat cell"
-      else if line = lof vm.Rvm.Vm.g_current_thread then
-        Some "current-thread global"
-      else if line = lof vm.Rvm.Vm.g_live then Some "live-thread count"
-      else if line = lof heap.Rvm.Heap.g_free_head then
-        Some "global free-list head"
-      else if line = lof heap.Rvm.Heap.g_free_count then
-        Some "global free-list count"
-      else if line = lof heap.Rvm.Heap.g_malloc_ptr then
-        Some "global malloc bump pointer"
-      else if line = lof heap.Rvm.Heap.g_malloc_end then
-        Some "global malloc end pointer"
-      else if line = lof heap.Rvm.Heap.lazy_cursor then
-        Some "lazy-sweep cursor"
-      else if
-        vm.Rvm.Vm.n_caches > 0
-        && line >= lof vm.Rvm.Vm.cache_base
-        && line <= lof (vm.Rvm.Vm.cache_base + (2 * vm.Rvm.Vm.n_caches) - 1)
-      then Some "inline method caches"
-      else
-        let rec scan = function
-          | [] -> None
-          | (th : V.t) :: rest ->
-              if
-                line >= lof th.struct_base
-                && line <= lof (th.struct_base + V.struct_cells - 1)
-              then Some (Printf.sprintf "thread struct (tid %d)" th.tid)
-              else if
-                line >= lof th.stack_base && line <= lof (th.stack_limit - 1)
-              then Some (Printf.sprintf "thread stack (tid %d)" th.tid)
-              else scan rest
-        in
-        scan vm.Rvm.Vm.threads);
   let metrics = vm.Rvm.Vm.metrics in
   let main = session.Rvm.Session.main in
   let t =
@@ -1936,6 +1881,79 @@ let run_slice t ~stop (main : V.t) (th : V.t) =
   sched_sync t th;
   Obs.Metrics.observe t.m_slice_insns !slice
 
+type thread_lines = {
+  tl_tid : int;
+  tl_struct_lo : int;
+  tl_struct_hi : int;
+  tl_stack_lo : int;
+  tl_stack_hi : int;
+}
+
+(* Name the shared regions of Section 4.4 / 5.5 by cache line. The VM is
+   walked once, when a result is snapshotted (threads and arenas appear as
+   the run goes), and the names are kept as plain line numbers: a resolver
+   that walked the live VM would keep its HTM line tables, heap and thread
+   list alive for as long as any kept result does. First match wins, in the
+   order below; threads newest first. *)
+let line_resolver t =
+  let vm = t.vm in
+  let lof a = Store.line_of vm.Rvm.Vm.store a in
+  let heap = vm.Rvm.Vm.heap in
+  let named =
+    [ (vm.Rvm.Vm.g_gil, "GIL word"); (vm.Rvm.Vm.g_gil_owner, "GIL owner word") ]
+    @ (match t.stm with
+      | Some s ->
+          [
+            (Stm.clock_cell s, "stm.clock (commit-clock cell)");
+            (Stm.bumps_cell s, "stm.clock bumps stat cell");
+            (Stm.skipped_cell s, "stm.clock skipped stat cell");
+          ]
+      | None -> [])
+    @ [
+        (vm.Rvm.Vm.g_current_thread, "current-thread global");
+        (vm.Rvm.Vm.g_live, "live-thread count");
+        (heap.Rvm.Heap.g_free_head, "global free-list head");
+        (heap.Rvm.Heap.g_free_count, "global free-list count");
+        (heap.Rvm.Heap.g_malloc_ptr, "global malloc bump pointer");
+        (heap.Rvm.Heap.g_malloc_end, "global malloc end pointer");
+        (heap.Rvm.Heap.lazy_cursor, "lazy-sweep cursor");
+      ]
+    |> List.map (fun (a, name) -> (lof a, name))
+  in
+  let caches_lo, caches_hi =
+    if vm.Rvm.Vm.n_caches > 0 then
+      ( lof vm.Rvm.Vm.cache_base,
+        lof (vm.Rvm.Vm.cache_base + (2 * vm.Rvm.Vm.n_caches) - 1) )
+    else (1, 0)
+  in
+  let threads =
+    List.map
+      (fun (th : V.t) ->
+        {
+          tl_tid = th.tid;
+          tl_struct_lo = lof th.struct_base;
+          tl_struct_hi = lof (th.struct_base + V.struct_cells - 1);
+          tl_stack_lo = lof th.stack_base;
+          tl_stack_hi = lof (th.stack_limit - 1);
+        })
+      vm.Rvm.Vm.threads
+  in
+  fun line ->
+    match List.assoc_opt line named with
+    | Some _ as name -> name
+    | None ->
+        if line >= caches_lo && line <= caches_hi then
+          Some "inline method caches"
+        else
+          List.find_map
+            (fun th ->
+              if line >= th.tl_struct_lo && line <= th.tl_struct_hi then
+                Some (Printf.sprintf "thread struct (tid %d)" th.tl_tid)
+              else if line >= th.tl_stack_lo && line <= th.tl_stack_hi then
+                Some (Printf.sprintf "thread stack (tid %d)" th.tl_tid)
+              else None)
+            threads
+
 (* The result record is a pure read of the runner's current state, so a
    horizon-bounded [advance] can build it exactly when [run] would have. *)
 let snapshot t =
@@ -1961,6 +1979,7 @@ let snapshot t =
       t.m_clock_switches.Obs.Metrics.count <- Tm_clock.switches c
   | None -> ());
   let at_one, mean_len = Txlen.stats t.txlen in
+  Obs.Sites.set_line_resolver t.sites (line_resolver t);
   {
     wall_cycles = wall;
     total_insns = t.total_insns;

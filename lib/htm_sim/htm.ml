@@ -14,7 +14,9 @@
    construction). The arrays grow in lockstep with the store via its
    [set_on_grow] hook, which keeps the hot path free of bounds checks, hash
    lookups and allocation: a steady-state transactional access touches only
-   unboxed int arrays and the per-context scratch logs. *)
+   unboxed int arrays and the per-context scratch logs. The two mark tables
+   every engine keeps are clean whenever no transaction is live, so
+   [retire] can hand them to the next engine without a refill. *)
 
 exception Abort_now of Txn.abort_reason
 (** Raised when the *current* context's transaction dies mid-instruction
@@ -31,21 +33,26 @@ type 'a t = {
   machine : Machine.t;
   store : 'a Store.t;
   mode : mode;
-  (* flat per-line metadata, indexed by line id; always sized to cover the
-     store's full capacity (see [grow_line_tables]) *)
+  (* flat per-line metadata, indexed by line id; each array covers at least
+     the store's full capacity (see [grow_line_tables]), recycled ones may
+     cover more. [last_writers] and [versions] exist only for the engines
+     that read them and are empty otherwise. *)
   mutable readers : int array;  (** bitset of ctx ids with the line in a read set *)
   mutable writers : int array;  (** ctx id with the line in a write set, or -1 *)
-  mutable last_writers : int array;  (** for the coherence cost model, or -1 *)
-  mutable conflicts : int array;
-      (** per line: number of conflict aborts it caused (for the abort-cause
-          investigations of Section 5.6) *)
+  mutable last_writers : int array;
+      (** for the coherence cost model, or -1; [Coherent] engines only *)
+  conflicts : (int, int) Hashtbl.t;
+      (** line id -> number of conflict aborts it caused (for the
+          abort-cause investigations of Section 5.6); few lines ever
+          conflict, so it is sparse *)
   mutable versions : int array;
       (** per line: commit-clock stamp of the last committed write, the
           TL2-style versioned-lock table software transactions validate
-          against. Stamped only while a software transaction is live
-          ([sw_mask <> 0]); earlier writes are covered by the snapshot
-          rule (a version below the read version is always consistent). *)
-  mutable n_lines : int;  (** the tables cover line ids below this *)
+          against. Allocated by {!set_software_hooks}; stamped only while a
+          software transaction is live ([sw_mask <> 0]); earlier writes are
+          covered by the snapshot rule (a version below the read version is
+          always consistent). *)
+  mutable n_lines : int;  (** line ids below the store's capacity *)
   mutable commit_clock : int;
       (** global version clock: bumped by every committed write visible to
           software transactions (non-transactional writes and hardware
@@ -130,32 +137,39 @@ let[@inline] update_fast t =
 
 let grow_line_tables t cap_cells =
   let n = Store.line_of t.store (max 1 cap_cells - 1) + 1 in
-  if n > t.n_lines then begin
-    let grow a fill =
+  let grow a fill =
+    if Array.length a >= n then a
+    else begin
       let b = Array.make n fill in
-      Array.blit a 0 b 0 t.n_lines;
+      Array.blit a 0 b 0 (Array.length a);
       b
-    in
-    t.readers <- grow t.readers 0;
-    t.writers <- grow t.writers (-1);
-    t.last_writers <- grow t.last_writers (-1);
-    t.conflicts <- grow t.conflicts 0;
-    t.versions <- grow t.versions 0;
-    t.n_lines <- n
-  end
+    end
+  in
+  t.readers <- grow t.readers 0;
+  t.writers <- grow t.writers (-1);
+  if t.mode = Coherent then t.last_writers <- grow t.last_writers (-1);
+  if Array.length t.versions > 0 then t.versions <- grow t.versions 0;
+  t.n_lines <- n
 
-let create ?(mode = Htm_mode) ?(seed = 42) machine store =
+(* Mark tables handed from a retired engine to a new one: clean (readers 0,
+   writers -1) over their whole length. *)
+type line_tables = int array * int array
+
+let create ?(mode = Htm_mode) ?(seed = 42) ?recycled machine store =
   let n = max 1 (Machine.n_ctx machine) in
+  let readers, writers =
+    match recycled with Some tables -> tables | None -> ([||], [||])
+  in
   let t =
     {
       machine;
       store;
       mode;
       subscription = Subscription.Eager;
-      readers = [||];
-      writers = [||];
+      readers;
+      writers;
       last_writers = [||];
-      conflicts = [||];
+      conflicts = Hashtbl.create 16;
       versions = [||];
       n_lines = 0;
       commit_clock = 0;
@@ -231,12 +245,16 @@ let line_version t id = Array.unsafe_get t.versions id
 let clock_advance t = t.commit_clock <- t.commit_clock + 1
 
 let set_software_hooks t ~read ~write ~track_read ~abort =
+  if Array.length t.versions = 0 then t.versions <- Array.make t.n_lines 0;
   t.sw_read <- read;
   t.sw_write <- write;
   t.sw_track_read <- track_read;
   t.sw_abort <- abort
 
 let set_software_active t ctx v =
+  (* every [sw_mask <> 0] path stamps [versions] unchecked *)
+  if v && Array.length t.versions = 0 then
+    invalid_arg "Htm.set_software_active: no STM installed";
   if v then t.sw_mask <- t.sw_mask lor (1 lsl ctx)
   else t.sw_mask <- t.sw_mask land lnot (1 lsl ctx);
   update_fast t
@@ -345,6 +363,11 @@ let abort_txn ?(line = -1) t (txn : 'a Txn.t) reason =
 let pending_abort t ctx = t.txns.(ctx).pending_abort
 let clear_pending_abort t ctx = t.txns.(ctx).pending_abort <- None
 
+let note_conflict t id =
+  match Hashtbl.find t.conflicts id with
+  | c -> Hashtbl.replace t.conflicts id (c + 1)
+  | exception Not_found -> Hashtbl.add t.conflicts id 1
+
 (* Kill [ctx]'s own live transaction with a line attribution but without
    raising: the lazy-subscription commit-point check runs host-side in
    the runner (not inside a guest instruction), so there is no
@@ -352,8 +375,7 @@ let clear_pending_abort t ctx = t.txns.(ctx).pending_abort <- None
 let abort_at t ~ctx ~line reason =
   let txn = t.txns.(ctx) in
   if txn.active then begin
-    if line >= 0 then
-      Array.unsafe_set t.conflicts line (Array.unsafe_get t.conflicts line + 1);
+    if line >= 0 then note_conflict t line;
     abort_txn ~line t txn reason
   end
 
@@ -440,9 +462,6 @@ let tabort t ~ctx reason =
   if not txn.active then invalid_arg "Htm.tabort: no transaction";
   abort_txn t txn reason;
   raise (Abort_now reason)
-
-let[@inline] note_conflict t id =
-  Array.unsafe_set t.conflicts id (Array.unsafe_get t.conflicts id + 1)
 
 (* Abort every transaction other than [ctx]'s that has a mark on [l]. The
    reader bitset is re-read after each victim abort because [clear_marks]
@@ -715,19 +734,23 @@ let suspicion_level t ctx = t.suspicion.(ctx)
 (* The [n] lines responsible for the most conflict aborts. Ties break on the
    lower line id so the report is deterministic. *)
 let top_conflict_lines t n =
-  let all = ref [] in
-  for id = t.n_lines - 1 downto 0 do
-    let c = Array.unsafe_get t.conflicts id in
-    if c > 0 then all := (id, c) :: !all
-  done;
   let sorted =
-    List.sort
-      (fun (ida, a) (idb, b) ->
-        if a <> b then compare b a else compare ida idb)
-      !all
+    Hashtbl.fold (fun id c acc -> (id, c) :: acc) t.conflicts []
+    |> List.sort (fun (ida, a) (idb, b) ->
+           if a <> b then compare b a else compare ida idb)
   in
   let rec take k = function
     | [] -> []
     | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
   in
   take n sorted
+
+(* Clear what live transactions still mark, so the mark tables are clean,
+   and neuter the engine: its tables now belong to the next owner. *)
+let retire t =
+  Array.iter (fun (txn : 'a Txn.t) -> if txn.active then clear_marks t txn) t.txns;
+  let tables = (t.readers, t.writers) in
+  t.readers <- [||];
+  t.writers <- [||];
+  t.n_lines <- 0;
+  tables

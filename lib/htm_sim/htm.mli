@@ -22,9 +22,24 @@ type mode =
 
 type 'a t
 
-val create : ?mode:mode -> ?seed:int -> Machine.t -> 'a Store.t -> 'a t
+type line_tables
+(** The per-line read/write mark tables of a retired engine. *)
+
+val create :
+  ?mode:mode ->
+  ?seed:int ->
+  ?recycled:line_tables ->
+  Machine.t ->
+  'a Store.t ->
+  'a t
 (** The engine starts with the in-transaction fast paths set from
-    {!default_hot}. *)
+    {!default_hot}. [?recycled] are mark tables from {!retire}, reused (and
+    grown if the store needs more lines) instead of allocated afresh. *)
+
+val retire : 'a t -> line_tables
+(** Hand the mark tables back for a later [create ~recycled], cleared of
+    whatever live transactions still mark. The engine must not be used
+    afterwards. *)
 
 val default_hot : unit -> bool
 (** Process-wide default for the in-transaction fast paths: [false] when
@@ -170,9 +185,12 @@ val set_software_hooks :
     accesses from contexts flagged via {!set_software_active} are routed to
     them. [track_read] receives line ids from footprint-only touches;
     [abort] must roll the context's software transaction back and leave a
-    pending abort. *)
+    pending abort. The first call allocates the per-line version table. *)
 
 val set_software_active : 'a t -> int -> bool -> unit
+(** Flag (or unflag) the context as inside a software transaction.
+    @raise Invalid_argument when flagging before {!set_software_hooks}. *)
+
 val software_active : 'a t -> int -> bool
 val software_any_active : 'a t -> bool
 

@@ -1,18 +1,26 @@
-(** The simulated memory: a flat, growable array of cells addressed by
-    integers. One cell models 8 bytes; a cache line of [line_cells] cells.
-    [reserve] hands out address ranges like sbrk; callers build their own
-    allocators on top. *)
+(** The simulated memory: a growable array of cells addressed by integers.
+    One cell models 8 bytes; a cache line of [line_cells] cells. [reserve]
+    hands out address ranges like sbrk; callers build their own allocators
+    on top.
+
+    The backing is paged: every page that has never been written is one
+    shared all-dummy page, so an untouched reservation costs one page-table
+    slot and no cells. Addresses and line ids do not depend on the paging. *)
 
 type 'a t
 
-val create : ?recycled:'a array * int -> dummy:'a -> line_cells:int -> int -> 'a t
-(** [create ~dummy ~line_cells initial] makes a store whose unreserved cells
-    read as [dummy]. [?recycled] is a backing array from {!retire} — it is
-    reused (its dirty prefix re-filled with [dummy]) instead of allocating a
-    fresh array, provided it is at least [initial] cells long. *)
+val create :
+  ?recycled:'a array list -> dummy:'a -> line_cells:int -> int -> 'a t
+(** [create ~dummy ~line_cells initial] makes a store whose unwritten cells
+    read as [dummy], with a page table spanning at least [initial] cells.
+    [?recycled] are pages from {!retire}: first writes take them (re-filled
+    with [dummy]) before allocating fresh ones. *)
 
 val capacity : 'a t -> int
-(** Currently allocated backing capacity, in cells. *)
+(** The page table's span, in cells: addresses below it need no growth. *)
+
+val resident_cells : 'a t -> int
+(** Cells backed by pages of their own (pages that have been written). *)
 
 val brk : 'a t -> int
 (** First unreserved address. *)
@@ -22,7 +30,8 @@ val dummy : 'a t -> 'a
 
 val set_on_grow : 'a t -> (int -> unit) -> unit
 (** Install the capacity-growth hook and invoke it immediately with the
-    current capacity (in cells). Single consumer: the HTM engine uses it to
+    current capacity (in cells); it is called again with the new span each
+    time the page table grows. Single consumer: the HTM engine uses it to
     grow its flat per-line metadata tables in lockstep with the store, so
     its hot path never bounds-checks a line id. Installing a new hook
     replaces the previous one. *)
@@ -47,9 +56,9 @@ val get_unsafe : 'a t -> int -> 'a
 (** Unchecked read for the interpreter's hot path. *)
 
 val set_unsafe : 'a t -> int -> 'a -> unit
-(** Unchecked write for the interpreter's hot path. *)
+(** Unchecked write for the interpreter's hot path. The first write to a
+    page gives it an array of its own. *)
 
-val retire : 'a t -> 'a array * int
-(** Hand the backing array back for a later [create ~recycled] and neuter
-    the store (subsequent accesses raise). Returns [(cells, dirty)]: only
-    cells below [dirty] were ever written. *)
+val retire : 'a t -> 'a array list
+(** Hand every page the store owns back for a later [create ~recycled] and
+    neuter the store (subsequent checked accesses raise). *)

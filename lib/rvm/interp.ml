@@ -259,7 +259,14 @@ let ruby_mod_int a b =
   let r = a mod b in
   if r <> 0 && (r < 0) <> (b < 0) then r + b else r
 
-let rec int_pow base exp acc = if exp = 0 then acc else int_pow base (exp - 1) (acc * base)
+(* Exponentiation by squaring. Int arithmetic wraps modulo 2^63, a ring, so
+   this is the same product as [exp] successive multiplications, but takes
+   O(log exp) steps: a guest exponent of 10^17 must not stall the host. *)
+let rec int_pow base exp acc =
+  if exp = 0 then acc
+  else
+    int_pow (base * base) (exp lsr 1)
+      (if exp land 1 = 1 then acc * base else acc)
 
 (* Arithmetic fast paths; fall back to a dynamic send for objects. *)
 let arith vm th sym finsn =

@@ -83,41 +83,44 @@ and t = {
           [Defmethod]/[Defclass] invalidation *)
 }
 
-(* Domain-local cache of one retired store backing. A figure sweep boots a
-   fresh VM per experiment point, and the dominant host cost of a point is
-   allocating and faulting in the ~25 MB cell array; recycling one backing
-   per domain (points run sequentially within a domain) turns that into a
-   partial [Array.fill]. Purely a host-side optimisation: addresses come
-   from the bump pointer either way. *)
-let cells_pool : (Value.t array * int) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* Domain-local pool of a retired VM's store pages and HTM mark tables. A
+   figure sweep boots a fresh VM per experiment point; handing the previous
+   point's pages and tables to the next one (points run sequentially within
+   a domain) saves allocating them again, and with it the major-GC work
+   that allocating them while the guest runs would pace. Purely a host-side
+   optimisation: addresses come from the bump pointer either way. *)
+type pool = {
+  mutable pages : Value.t array list;
+  mutable lines : Htm.line_tables option;
+}
+
+let pool : pool Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { pages = []; lines = None })
 
 let release vm =
-  let pool = Domain.DLS.get cells_pool in
-  pool := Some (Store.retire vm.store)
+  let p = Domain.DLS.get pool in
+  p.pages <- Store.retire vm.store;
+  p.lines <- Some (Htm.retire vm.htm)
 
 let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine =
-  (* Pre-size the store past the boot arena (heap_slots * slot_cells cells)
-     plus headroom for stacks and one heap growth, so the backing array is
-     allocated once instead of going through the make_vect + blit doubling
-     chain on every experiment point. *)
+  (* span the boot arena (heap_slots * slot_cells cells) plus headroom for
+     stacks and one heap growth, so booting never grows the page table nor,
+     with it, the engine's line tables *)
   let initial_cells =
     if opts.Options.ephemeral_alloc then 1 lsl 16
     else (1 lsl 16) + (2 * opts.Options.heap_slots * Layout.slot_cells)
   in
-  let recycled =
-    let pool = Domain.DLS.get cells_pool in
-    let r = !pool in
-    pool := None;
-    r
-  in
+  let p = Domain.DLS.get pool in
+  let pages = p.pages and lines = p.lines in
+  p.pages <- [];
+  p.lines <- None;
   let store =
-    Store.create ?recycled ~dummy:Value.VNil
+    Store.create ~recycled:pages ~dummy:Value.VNil
       ~line_cells:machine.Machine.line_cells initial_cells
   in
   (* address 0 is reserved so 0 can mean "null" in free lists *)
   ignore (Store.reserve store 1);
-  let htm = Htm.create ~mode:htm_mode machine store in
+  let htm = Htm.create ~mode:htm_mode ?recycled:lines machine store in
   let classes = Klass.create_table () in
   let mk ?super name kind =
     let mtbl_base = Store.reserve_aligned store Klass.mtbl_cells in

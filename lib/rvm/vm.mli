@@ -78,10 +78,11 @@ val create :
   ?opts:Options.t -> ?htm_mode:Htm_sim.Htm.mode -> Htm_sim.Machine.t -> t
 
 val release : t -> unit
-(** Retire the VM's simulated store into a domain-local cache so the next
-    [create] on this domain reuses its backing array instead of allocating
-    a fresh multi-MB one. Call only when the VM is finished with: any later
-    access through it raises. Purely a host-side optimisation. *)
+(** Retire the VM's simulated store pages and HTM mark tables into a
+    domain-local pool so the next [create] on this domain reuses them
+    instead of allocating fresh ones. Call only when the VM is finished
+    with: any later access through it raises. Purely a host-side
+    optimisation. *)
 
 val register_prim : t -> string -> prim_fn -> int
 val defp : t -> Klass.t -> string -> prim_fn -> unit

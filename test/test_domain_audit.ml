@@ -19,19 +19,19 @@ let run_and_collect () =
   let tracer = Obs.Trace.create () in
   let o = Harness.Exp.run ~tracer (small_point ()) in
   let vm = Rvm.Vm.create machine in
-  let backing, _ = Htm_sim.Store.retire vm.Rvm.Vm.store in
+  let pages = Htm_sim.Store.retire vm.Rvm.Vm.store in
   ( o.Harness.Exp.result.Core.Runner.metrics,
     tracer,
     Rvm.Sym.current (),
     Rvm.Value.current_uid_state (),
-    backing )
+    pages )
 
 let test_no_aliasing () =
   let parent_syms_before = Rvm.Sym.current () in
   let parent_count_before = Rvm.Sym.count () in
   let child = Domain.spawn run_and_collect in
-  let p_metrics, p_tracer, p_syms, p_uids, p_backing = run_and_collect () in
-  let c_metrics, c_tracer, c_syms, c_uids, c_backing = Domain.join child in
+  let p_metrics, p_tracer, p_syms, p_uids, p_pages = run_and_collect () in
+  let c_metrics, c_tracer, c_syms, c_uids, c_pages = Domain.join child in
   (* interning contexts: each session owns its own; the child's never
      becomes the parent's active one *)
   Alcotest.(check bool) "Sym states do not alias" true (p_syms != c_syms);
@@ -50,10 +50,12 @@ let test_no_aliasing () =
   Alcotest.(check bool) "trace rings do not alias" true (p_tracer != c_tracer);
   Alcotest.(check bool) "both rings actually traced" true
     (Obs.Trace.total p_tracer > 0 && Obs.Trace.total c_tracer > 0);
-  (* the Store.retire recycle pool is per-domain: the child's retired
-     backing array is never the parent's *)
-  Alcotest.(check bool) "retired store backings do not alias" true
-    (p_backing != c_backing)
+  (* the Store.retire page pool is per-domain: no retired page is in both
+     domains' pools *)
+  Alcotest.(check bool) "both domains retired pages" true
+    (p_pages <> [] && c_pages <> []);
+  Alcotest.(check bool) "retired store pages do not alias" true
+    (List.for_all (fun p -> not (List.memq p c_pages)) p_pages)
 
 (* The same figure point must produce identical simulated results whether
    it ran on the parent or a throwaway domain — domain placement is

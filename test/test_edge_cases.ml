@@ -58,6 +58,18 @@ let test_integer_edge () =
   check "negative modulo like Ruby" "2\n-2\n0\n"
     "puts(-13 % 5)\nputs(13 % -5)\nputs(10 % 5)";
   check "power" "1\n1024\n" "puts 7 ** 0\nputs 2 ** 10";
+  let naive b e =
+    let r = ref 1 in
+    for _ = 1 to e do
+      r := !r * b
+    done;
+    !r
+  in
+  check "wrapped power is repeated multiplication"
+    (Printf.sprintf "%d\n%d\n" (naive 3 41) (naive (-7) 31))
+    "puts 3 ** 41\nx = 0 - 7\nputs x ** 31";
+  (* 2 ** (9 ** 18) wraps to 0; a step per multiplication would never end *)
+  check "huge exponent" "0\n" "a = 9 ** 9\nb = a * a\nputs 2 ** b";
   check "large values survive arithmetic" "true\n"
     "x = 1152921504606846976\nputs x + x != x";
   (try

@@ -222,6 +222,35 @@ let prop_counter_serializable =
       done;
       Store.get store cell = n_ctx * increments)
 
+(* Mark tables retired while transactions are still live come back clean:
+   a new engine reusing them sees no phantom reader or writer, so nothing
+   aborts. *)
+let test_recycled_tables_clean () =
+  let store, htm = mk () in
+  let a = Store.reserve_aligned store 64 in
+  let b = Store.reserve_aligned store 64 in
+  begin_ htm 0;
+  Htm.write htm ~ctx:0 a 1;
+  begin_ htm 1;
+  ignore (Htm.read htm ~ctx:1 b);
+  let tables = Htm.retire htm in
+  let store = Store.create ~dummy:0 ~line_cells:Machine.zec12.line_cells 4096 in
+  let htm = Htm.create ~recycled:tables Machine.zec12 store in
+  let a' = Store.reserve_aligned store 64 in
+  let b' = Store.reserve_aligned store 64 in
+  Alcotest.(check (pair int int)) "same layout" (a, b) (a', b');
+  (* a stale writer mark on [a] would make ctx 1's read abort ctx 0, and a
+     stale reader mark on [b] would make ctx 0's write abort ctx 1 *)
+  begin_ htm 0;
+  begin_ htm 1;
+  ignore (Htm.read htm ~ctx:1 a);
+  Htm.write htm ~ctx:0 b 2;
+  Alcotest.(check int) "no aborts" 0 (Stats.aborts (Htm.stats htm));
+  Alcotest.(check bool) "both windows live" true
+    (Htm.in_txn htm 0 && Htm.in_txn htm 1);
+  Htm.tend htm ~ctx:0;
+  Htm.tend htm ~ctx:1
+
 let suite =
   [
     Alcotest.test_case "write-write conflict (requester wins)" `Quick
@@ -237,6 +266,8 @@ let suite =
     Alcotest.test_case "SMT halves capacity" `Quick test_read_capacity_xeon_smt;
     Alcotest.test_case "Haswell learning predictor" `Quick test_learning_predictor;
     Alcotest.test_case "stats accounting" `Quick test_stats;
+    Alcotest.test_case "recycled mark tables are clean" `Quick
+      test_recycled_tables_clean;
     Alcotest.test_case "memo invalidation at txn boundaries" `Quick
       test_memo_invalidation;
     prop_counter_serializable;

@@ -416,6 +416,43 @@ end
 ths.each { |th| th.join }
 puts 0|}
 
+(* A kept outcome must not keep its VM alive: the abort-site line names
+   are snapshotted as plain data, so once the runner is gone the VM's HTM
+   engine (line tables, heap scratch, thread list) is collectable while the
+   outcome's report still names the same lines. *)
+let test_outcome_does_not_pin_vm () =
+  let engine = Weak.create 1 in
+  let wl = Harness.Figures.wl "while" in
+  let workload =
+    {
+      wl with
+      Workloads.Workload.setup =
+        (fun io vm ->
+          Weak.set engine 0 (Some vm.Rvm.Vm.htm);
+          wl.Workloads.Workload.setup io vm);
+    }
+  in
+  let report (o : Harness.Exp.outcome) =
+    Format.asprintf "%a"
+      (fun f -> Obs.Sites.report f)
+      o.Harness.Exp.result.Core.Runner.abort_sites
+  in
+  let run () =
+    let o =
+      Harness.Exp.run
+        (Harness.Exp.point ~workload ~machine:Htm_sim.Machine.zec12
+           ~scheme:Core.Scheme.Htm_dynamic ~threads:4
+           ~size:Workloads.Size.Test ())
+    in
+    (o, report o)
+  in
+  let o, before = (Sys.opaque_identity run) () in
+  Alcotest.(check bool) "run aborted" true
+    (Obs.Sites.total o.Harness.Exp.result.Core.Runner.abort_sites > 0);
+  Gc.full_major ();
+  Alcotest.(check bool) "VM's engine collected" false (Weak.check engine 0);
+  Alcotest.(check string) "report unchanged" before (report o)
+
 let test_contended_attribution () =
   let tracer = Obs.Trace.create () in
   let cfg =
@@ -479,6 +516,8 @@ let suite =
     Alcotest.test_case "stats merge + export" `Quick test_stats_merge;
     Alcotest.test_case "stats edge cases" `Quick test_stats_edge_cases;
     Alcotest.test_case "sites report" `Quick test_sites_report;
+    Alcotest.test_case "kept outcome does not pin its VM" `Quick
+      test_outcome_does_not_pin_vm;
     Alcotest.test_case "contended counter attribution" `Quick
       test_contended_attribution;
   ]
