@@ -85,16 +85,6 @@ let subscription_arg =
     & opt (some string) None
     & info [ "subscription" ] ~docv:"POLICY" ~doc)
 
-let hot_arg =
-  let doc =
-    "In-transaction access fast paths (line-membership memoization, undo \
-     coalescing, batched cost accounting): on or off. Observable results \
-     are byte-identical either way; off keeps the un-memoized baseline \
-     selectable for differential runs. Defaults to the BENCH_HOT \
-     environment variable, else on."
-  in
-  Arg.(value & opt (some string) None & info [ "hot" ] ~docv:"on|off" ~doc)
-
 let parse_clock = function
   | None -> None
   | Some s -> (
@@ -102,14 +92,6 @@ let parse_clock = function
       with Invalid_argument msg ->
         Format.eprintf "%s@." msg;
         exit 1)
-
-let parse_hot = function
-  | None -> None
-  | Some ("on" | "ON" | "1" | "yes") -> Some true
-  | Some ("off" | "OFF" | "0" | "no") -> Some false
-  | Some s ->
-      Format.eprintf "unknown --hot value %S (expected on or off)@." s;
-      exit 1
 
 let parse_subscription = function
   | None -> None
@@ -493,7 +475,7 @@ let run_cmd =
     Arg.(value & opt string "cg" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
   in
   let run workload machine scheme threads size yield_points no_removal lazy_sweep refcount quiet
-      clock subscription hot arrivals offered_load shards policy shared_session
+      clock subscription arrivals offered_load shards policy shared_session
       mix latency_json trace trace_out metrics_json abort_report profile_json =
     match Workloads.Workload.find workload with
     | None ->
@@ -506,7 +488,6 @@ let run_cmd =
         let size = Workloads.Size.of_string size in
         let clock = parse_clock clock in
         let subscription = parse_subscription subscription in
-        let hot = parse_hot hot in
         let arrivals = parse_arrivals arrivals offered_load in
         (match (arrivals, w.Workloads.Workload.kind) with
         | Netsim.Closed, _ | _, Workloads.Workload.Server -> ()
@@ -550,7 +531,7 @@ let run_cmd =
           let tracer = make_tracer ~trace ~trace_out in
           let o =
             Harness.Exp.run ?tracer
-              (Harness.Exp.point ?clock ?subscription ?hot ~yield_points ~opts
+              (Harness.Exp.point ?clock ?subscription ~yield_points ~opts
                  ~arrivals ~mix ~workload:w ~machine ~scheme ~threads ~size ())
           in
           print_outcome ~quiet o;
@@ -569,7 +550,7 @@ let run_cmd =
     Term.(
       const run $ workload_arg $ machine_arg $ scheme_arg $ threads_arg
       $ size_arg $ yield_arg $ baseline_opts_arg $ lazy_sweep_arg
-      $ refcount_arg $ quiet_arg $ clock_arg $ subscription_arg $ hot_arg
+      $ refcount_arg $ quiet_arg $ clock_arg $ subscription_arg
       $ arrivals_arg $ offered_load_arg $ shards_arg $ policy_arg
       $ session_arg $ mix_arg $ latency_json_arg $ trace_arg $ trace_out_arg
       $ metrics_json_arg $ abort_report_arg $ profile_json_arg)
@@ -580,21 +561,20 @@ let exec_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
   let run file machine scheme yield_points no_removal lazy_sweep refcount quiet
-      clock subscription hot trace trace_out metrics_json abort_report
+      clock subscription trace trace_out metrics_json abort_report
       profile_json =
     let machine, scheme, yield_points, opts =
       parse_common machine scheme yield_points no_removal lazy_sweep refcount
     in
     let clock = parse_clock clock in
     let subscription = parse_subscription subscription in
-    let hot = parse_hot hot in
     let ic = open_in file in
     let n = in_channel_length ic in
     let source = really_input_string ic n in
     close_in ic;
     let tracer = make_tracer ~trace ~trace_out in
     let cfg =
-      Core.Runner.config ?tracer ?clock ?subscription ?hot ~scheme
+      Core.Runner.config ?tracer ?clock ?subscription ~scheme
         ~yield_points ~opts machine
     in
     let r = Core.Runner.run_source cfg ~source in
@@ -608,7 +588,7 @@ let exec_cmd =
     Term.(
       const run $ file_arg $ machine_arg $ scheme_arg $ yield_arg
       $ baseline_opts_arg $ lazy_sweep_arg $ refcount_arg $ quiet_arg
-      $ clock_arg $ subscription_arg $ hot_arg $ trace_arg $ trace_out_arg
+      $ clock_arg $ subscription_arg $ trace_arg $ trace_out_arg
       $ metrics_json_arg $ abort_report_arg $ profile_json_arg)
 
 let fig_cmd =

@@ -75,16 +75,11 @@ type config = {
   subscription : Subscription.t;
       (** how hardware windows subscribe to the GIL/clock words (eager
           unless BENCH_SUB or --subscription says otherwise) *)
-  hot : bool;
-      (** in-transaction access fast paths (engine line memos + the
-          superblock executor's batched cost accounting); on unless
-          BENCH_HOT=off or [?hot] says otherwise. Both settings replay
-          every observable decision byte-identically *)
 }
 
 let config ?(scheme = Scheme.Htm_dynamic) ?(yield_points = Yield_points.Extended)
     ?(opts = Rvm.Options.default) ?txlen_params ?(max_insns = 400_000_000)
-    ?tracer ?sched ?interp ?clock ?subscription ?hot machine =
+    ?tracer ?sched ?interp ?clock ?subscription machine =
   let sched =
     match sched with Some s -> s | None -> default_sched_kind ()
   in
@@ -97,9 +92,8 @@ let config ?(scheme = Scheme.Htm_dynamic) ?(yield_points = Yield_points.Extended
   let subscription =
     match subscription with Some s -> s | None -> Subscription.default ()
   in
-  let hot = match hot with Some h -> h | None -> Htm.default_hot () in
   { machine; scheme; yield_points; opts; txlen_params; max_insns; tracer;
-    sched; interp; clock; subscription; hot }
+    sched; interp; clock; subscription }
 
 type breakdown = {
   mutable bd_txn_overhead : int;
@@ -216,12 +210,12 @@ type t = {
   sleepq : Sched.t;  (** sleeping / io-waiting threads, keyed by wake cycle *)
   accept_waiters : V.t Queue.t;
   mutable total_insns : int;
-  (* Pending batched accounting from the tier-3 fast window (see the
-     BENCH_HOT comment there): retired-instruction count and cycle
-     breakdowns accumulated in these fields instead of per component, and
-     flushed at window exit / component retirement. Live only inside one
-     thread's fast window; always zero outside it. Fields rather than
-     window-local refs so entering the window never allocates. *)
+  (* Pending batched accounting from the tier-3 fast window: retired
+     instruction count and cycle breakdowns accumulated in these fields
+     instead of per component, and flushed at window exit / component
+     retirement. Live only inside one thread's fast window; always zero
+     outside it. Fields rather than window-local refs so entering the
+     window never allocates. *)
   mutable fw_b_insns : int;
   mutable fw_b_held : int;
   mutable fw_b_other : int;
@@ -323,7 +317,6 @@ let create ?(io : Netsim.t option) cfg ~source =
           (Machine.lazy_sub_safe is false)"
          cfg.machine.Machine.name);
   Htm.set_subscription vm.Rvm.Vm.htm cfg.subscription;
-  Htm.set_hot vm.Rvm.Vm.htm cfg.hot;
   (* the software fallback engine: created (and its commit-clock cell
      reserved) only for the schemes that can use it, so every other
      scheme's store layout — and therefore its figures — is untouched *)
@@ -590,10 +583,10 @@ let charge_txn_overhead t (th : V.t) c =
   th.cyc_txn_overhead <- th.cyc_txn_overhead + c;
   t.breakdown.bd_txn_overhead <- t.breakdown.bd_txn_overhead + c
 
-(* Flush the tier-3 fast window's pending batched accounting (BENCH_HOT;
-   see the window) into the real accumulators. [th] must be the thread
-   whose window accumulated it — the batch never survives a window exit,
-   so the fields are zero whenever any other thread runs. *)
+(* Flush the tier-3 fast window's pending batched accounting into the
+   real accumulators. [th] must be the thread whose window accumulated
+   it — the batch never survives a window exit, so the fields are zero
+   whenever any other thread runs. *)
 let[@inline] flush_fw_acct t (th : V.t) =
   if t.fw_b_insns <> 0 then begin
     th.work <- th.work + t.fw_b_insns;
@@ -1612,7 +1605,6 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
     let horizon = t.horizon in
     let max_insns = t.cfg.max_insns in
     let cyc_mem = (costs t).cyc_mem in
-    let hot_acct = t.cfg.hot in
     let continue_ = ref true in
     while !continue_ do
       (* ---- tier-3 fast window ----------------------------------------
@@ -1663,7 +1655,6 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
                 if fw_held then t.fw_b_held <- t.fw_b_held + cost
                 else if not fw_in_txn then
                   t.fw_b_other <- t.fw_b_other + cost;
-                if not hot_acct then flush_fw_acct t th;
                 if r <> 0 then begin
                   flush_fw_acct t th;
                   let closed = window_close_for_retire t th in

@@ -71,14 +71,6 @@ type config = {
           windows when GC starts and requires
           [Machine.lazy_sub_safe = true] ({!create} rejects it
           otherwise). *)
-  hot : bool;
-      (** in-transaction access fast paths: the engine's per-context line
-          memos (plus undo-log write coalescing), the STM read memo, and
-          the superblock executor's batched cost accounting. Defaults to
-          [Htm.default_hot ()] ([true] unless [BENCH_HOT=off]). Both
-          settings replay every observable decision byte-identically; the
-          off setting keeps the un-memoized baseline selectable for
-          differential testing. *)
 }
 
 val config :
@@ -92,7 +84,6 @@ val config :
   ?interp:interp_kind ->
   ?clock:Tm_clock.scheme ->
   ?subscription:Htm_sim.Subscription.t ->
-  ?hot:bool ->
   Htm_sim.Machine.t ->
   config
 
@@ -174,8 +165,8 @@ type t = {
   accept_waiters : Rvm.Vmthread.t Queue.t;
   mutable total_insns : int;
   mutable fw_b_insns : int;
-      (** pending batched accounting from the tier-3 fast window (BENCH_HOT):
-          retired instructions not yet added to [total_insns]/[th.work];
+      (** pending batched accounting from the tier-3 fast window: retired
+          instructions not yet added to [total_insns]/[th.work];
           zero outside a fast window *)
   mutable fw_b_held : int;  (** GIL-held cycles pending flush *)
   mutable fw_b_other : int;  (** non-GIL non-txn cycles pending flush *)

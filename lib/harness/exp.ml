@@ -21,22 +21,19 @@ type point = {
       (** commit-clock scheme for the STM fallback (GV1 by default) *)
   subscription : Subscription.t;
       (** hardware-window subscription policy (eager by default) *)
-  hot : bool;
-      (** in-transaction access fast paths (on unless [BENCH_HOT=off]) *)
 }
 
 let point ?(yield_points = Core.Yield_points.Extended)
     ?(opts = Rvm.Options.default) ?(arrivals = Netsim.Closed) ?(mix = [])
-    ?clock ?subscription ?hot ~workload ~machine ~scheme ~threads ~size () =
+    ?clock ?subscription ~workload ~machine ~scheme ~threads ~size () =
   let clock =
     match clock with Some c -> c | None -> Tm_clock.default_scheme ()
   in
   let subscription =
     match subscription with Some s -> s | None -> Subscription.default ()
   in
-  let hot = match hot with Some h -> h | None -> Htm.default_hot () in
   { workload; machine; scheme; threads; size; yield_points; opts; arrivals;
-    mix; clock; subscription; hot }
+    mix; clock; subscription }
 
 (* The request-latency summary of one server run: offered vs achieved load,
    the loss accounting, and the latency quantiles from the runner's
@@ -69,8 +66,7 @@ type outcome = {
 let run ?tracer (p : point) : outcome =
   let cfg =
     Core.Runner.config ?tracer ~scheme:p.scheme ~yield_points:p.yield_points
-      ~opts:p.opts ~clock:p.clock ~subscription:p.subscription ~hot:p.hot
-      p.machine
+      ~opts:p.opts ~clock:p.clock ~subscription:p.subscription p.machine
   in
   let source = p.workload.source ~threads:p.threads ~size:p.size in
   match p.workload.kind with

@@ -21,10 +21,6 @@ type point = {
   subscription : Htm_sim.Subscription.t;
       (** hardware-window subscription policy; defaults to
           [Subscription.default ()] (eager unless [BENCH_SUB] is set) *)
-  hot : bool;
-      (** in-transaction access fast paths; defaults to
-          [Htm.default_hot ()] (on unless [BENCH_HOT=off]). Observable
-          results are byte-identical either way. *)
 }
 
 val point :
@@ -34,7 +30,6 @@ val point :
   ?mix:Netsim.mix ->
   ?clock:Tm_clock.scheme ->
   ?subscription:Htm_sim.Subscription.t ->
-  ?hot:bool ->
   workload:Workloads.Workload.t ->
   machine:Htm_sim.Machine.t ->
   scheme:Core.Scheme.kind ->

@@ -16,7 +16,12 @@
    lookups and allocation: a steady-state transactional access touches only
    unboxed int arrays and the per-context scratch logs. The two mark tables
    every engine keeps are clean whenever no transaction is live, so
-   [retire] can hand them to the next engine without a refill. *)
+   [retire] can hand them to the next engine without a refill.
+
+   A transaction undo-logs each address once: the line's writer word
+   records which of its cells the owning window has already logged, so a
+   repeated store to a cell costs the same membership check as the
+   hardware's per-line write-set lookup and nothing more. *)
 
 exception Abort_now of Txn.abort_reason
 (** Raised when the *current* context's transaction dies mid-instruction
@@ -38,7 +43,9 @@ type 'a t = {
      cover more. [last_writers] and [versions] exist only for the engines
      that read them and are empty otherwise. *)
   mutable readers : int array;  (** bitset of ctx ids with the line in a read set *)
-  mutable writers : int array;  (** ctx id with the line in a write set, or -1 *)
+  mutable writers : int array;
+      (** writer word: -1, or the context with the line in its write set
+          plus the cells that context has undo-logged (see [owner]) *)
   mutable last_writers : int array;
       (** for the coherence cost model, or -1; [Coherent] engines only *)
   conflicts : (int, int) Hashtbl.t;
@@ -96,41 +103,33 @@ type 'a t = {
           transaction is live anywhere and no coherence charges apply, so
           [read]/[write] reduce to counting the access and touching the
           store. Recomputed at every [active]/[sw_mask] transition. *)
-  mutable hot : bool;
-      (** in-transaction fast paths enabled (the [BENCH_HOT] knob): the
-          per-context line memo below may short-circuit re-accesses to
-          lines already in the context's own footprint. Off retains the
-          un-memoized path for differential testing. *)
-  (* Per-context access memo: the last line this context's *live hardware
-     transaction* touched, as an address range plus footprint membership.
-     While the transaction is live nothing can remove its own marks — any
-     conflict aborts it outright, and [clear_marks] runs only from
-     [abort_txn]/[tend] — so membership cached here stays true until the
-     transaction ends. Invalidated at [tbegin] and [finish_txn] (which
-     covers commit, every abort and therefore every conflict event that
-     touches the context). *)
-  memo_lo : int array;  (** first addr of the memoized line; [max_int] = empty *)
-  memo_hi : int array;  (** last addr of the memoized line; [-1] = empty *)
-  memo_id : int array;  (** memoized line id, or -1 *)
-  memo_w : int array;  (** 1 = the memoized line is in the context's write set *)
-  memo_undo : int array;
-      (** address of the newest undo-log entry this transaction pushed, or
-          -1: a memo-hit write to exactly this address skips the duplicate
-          [Txn.push_undo] (replay is newest-first, so the surviving older
-          entry still restores the pre-transaction value) *)
+  cell_mask : int;  (** [line_cells - 1]: an address's cell within its line *)
   mutable stamp_epoch : int;
       (** bumped whenever any line's version stamp changes (hardware
           commit stamping, committed writes, GV5 lazy stamps): the STM
           layer's read memo is valid only while this is unchanged *)
 }
 
-(* BENCH_HOT=off flips the process-wide default so the smoke script and CI
-   can regenerate every figure with the memoized fast paths disabled,
-   mirroring the BENCH_SCHED/BENCH_INTERP pattern. *)
-let default_hot () =
-  match Sys.getenv_opt "BENCH_HOT" with
-  | Some ("off" | "OFF" | "0" | "no") -> false
-  | _ -> true
+(* Writer words. A line's word is -1 while no transaction has it in its
+   write set. Otherwise the owning context sits in the low [owner_bits]
+   bits and, above them, bit [owner_bits + cell] is set once the owner's
+   live window has undo-logged that cell of the line. Every release of
+   ownership (commit, abort, [retire]) resets the word to -1, so the
+   logged cells never outlive their window. *)
+let owner_bits = 6
+let owner_mask = (1 lsl owner_bits) - 1
+
+(* Logged-cell bits stay below the sign bit, so an owned word is never
+   negative and -1 stays the only "no writer" value. *)
+let max_logged_cells = Sys.int_size - 1 - owner_bits
+
+(* Contexts are bits of the reader bitset and must decode from a writer
+   word: -1 decodes to [owner_mask], which this keeps out of the context
+   range, so [owner w = ctx] needs no separate "unowned" test. *)
+let max_contexts = min Sys.int_size owner_mask
+
+let[@inline] owner w = w land owner_mask
+let[@inline] logged_bit t addr = 1 lsl (owner_bits + (addr land t.cell_mask))
 
 let[@inline] update_fast t =
   t.fast <- t.mode <> Coherent && t.active = 0 && t.sw_mask = 0
@@ -157,6 +156,17 @@ type line_tables = int array * int array
 
 let create ?(mode = Htm_mode) ?(seed = 42) ?recycled machine store =
   let n = max 1 (Machine.n_ctx machine) in
+  if n > max_contexts then
+    invalid_arg
+      (Printf.sprintf "Htm.create: %d contexts exceed the %d-bit reader bitset"
+         n max_contexts);
+  let line_cells = Store.line_cells store in
+  if line_cells > max_logged_cells then
+    invalid_arg
+      (Printf.sprintf
+         "Htm.create: a %d-cell line exceeds the %d logged-cell bits of a \
+          writer word"
+         line_cells max_logged_cells);
   let readers, writers =
     match recycled with Some tables -> tables | None -> ([||], [||])
   in
@@ -188,12 +198,7 @@ let create ?(mode = Htm_mode) ?(seed = 42) ?recycled machine store =
       step_accesses = 0;
       cur_ctx = 0;
       fast = mode <> Coherent;
-      hot = default_hot ();
-      memo_lo = Array.make n max_int;
-      memo_hi = Array.make n (-1);
-      memo_id = Array.make n (-1);
-      memo_w = Array.make n 0;
-      memo_undo = Array.make n (-1);
+      cell_mask = line_cells - 1;
       stamp_epoch = 0;
     }
   in
@@ -210,26 +215,6 @@ let abort_line t ctx = t.txns.(ctx).abort_line
 let subscription t = t.subscription
 let set_subscription t s = t.subscription <- s
 
-let[@inline] memo_clear t ctx =
-  Array.unsafe_set t.memo_lo ctx max_int;
-  Array.unsafe_set t.memo_hi ctx (-1);
-  Array.unsafe_set t.memo_id ctx (-1);
-  Array.unsafe_set t.memo_w ctx 0;
-  Array.unsafe_set t.memo_undo ctx (-1)
-
-let hot t = t.hot
-
-let set_hot t v =
-  t.hot <- v;
-  (* drop every context's memo so flipping mid-run can never serve a stale
-     hit from the other setting *)
-  for ctx = 0 to Array.length t.txns - 1 do
-    memo_clear t ctx
-  done
-
-(* Test-only observer: the line id the context's memo currently holds
-   (-1 when empty), for pinning invalidation at txn boundaries. *)
-let memoized_line t ctx = t.memo_id.(ctx)
 let stamp_epoch t = t.stamp_epoch
 
 (* ---- software-transaction plumbing -------------------------------------- *)
@@ -324,18 +309,16 @@ let clear_marks t (txn : 'a Txn.t) =
     let id = Array.unsafe_get lines i in
     let r = Array.unsafe_get t.readers id in
     if r land mask <> r then Array.unsafe_set t.readers id (r land mask);
-    if Array.unsafe_get t.writers id = txn.ctx then
+    if owner (Array.unsafe_get t.writers id) = txn.ctx then
       Array.unsafe_set t.writers id (-1)
   done;
   txn.lines_len <- 0
 
 (* Covers every transaction end — commit, explicit abort, and each
-   conflict/capacity abort (all funnel through here) — so the access memo
-   can never outlive the transaction whose footprint it describes. *)
+   conflict/capacity abort (all funnel through here). *)
 let finish_txn t (txn : 'a Txn.t) =
   txn.active <- false;
   txn.undo_len <- 0;
-  memo_clear t txn.ctx;
   t.active <- t.active - 1;
   update_fast t
 
@@ -343,8 +326,8 @@ let finish_txn t (txn : 'a Txn.t) =
    thread's registers, leave the reason for its scheme. [line] is the cache
    line whose conflict killed the transaction (-1 for capacity / explicit
    aborts); attribution hooks read it from the rollback closure. The undo
-   log is replayed newest-first so the oldest entry's value — the state
-   before the transaction's first write to that address — lands last. *)
+   log holds one entry per written address: the state before the
+   transaction's first write to it. *)
 let abort_txn ?(line = -1) t (txn : 'a Txn.t) reason =
   for i = txn.undo_len - 1 downto 0 do
     Store.set_unsafe t.store
@@ -425,7 +408,6 @@ let tbegin t ~ctx ~rollback =
   txn.rollback <- rollback;
   txn.pending_abort <- None;
   txn.abort_line <- -1;
-  memo_clear t ctx;
   t.active <- t.active + 1;
   update_fast t;
   t.stats.begins <- t.stats.begins + 1;
@@ -450,7 +432,7 @@ let tend t ~ctx =
     let c = t.commit_clock in
     for i = 0 to txn.lines_len - 1 do
       let id = Array.unsafe_get txn.lines i in
-      if Array.unsafe_get t.writers id = txn.ctx then
+      if owner (Array.unsafe_get t.writers id) = txn.ctx then
         Array.unsafe_set t.versions id c
     done
   end;
@@ -468,9 +450,9 @@ let tabort t ~ctx reason =
    mutates it. *)
 let abort_conflicting t ~ctx ~id =
   let w = Array.unsafe_get t.writers id in
-  if w >= 0 && w <> ctx then begin
+  if w >= 0 && owner w <> ctx then begin
     note_conflict t id;
-    abort_txn ~line:id t t.txns.(w) Conflict
+    abort_txn ~line:id t t.txns.(owner w) Conflict
   end;
   if Array.unsafe_get t.readers id land lnot (1 lsl ctx) <> 0 then
     for i = 0 to Array.length t.txns - 1 do
@@ -497,9 +479,9 @@ let nontxn_read_at t ~ctx ~id addr =
   t.stats.non_txn_accesses <- t.stats.non_txn_accesses + 1;
   if t.active > 0 then begin
     let w = Array.unsafe_get t.writers id in
-    if w >= 0 && w <> ctx then begin
+    if w >= 0 && owner w <> ctx then begin
       note_conflict t id;
-      abort_txn ~line:id t t.txns.(w) Conflict
+      abort_txn ~line:id t t.txns.(owner w) Conflict
     end
   end;
   if t.mode = Coherent then charge_coherence t ~ctx ~id ~is_write:false;
@@ -545,54 +527,33 @@ let nontxn_write_lazy_stamp t ~ctx addr v =
   end;
   Store.set_unsafe t.store addr v
 
-(* Install [id] as [ctx]'s memoized line. Only reached after the access
-   machinery has put the line in the context's own footprint, so every
-   later access to the same line while the transaction stays live is a
-   statically-known no-op on the line tables (see the memo field docs). *)
-let[@inline] memo_install t ~ctx ~id =
-  let lc = t.machine.line_cells in
-  let lo = id * lc in
-  Array.unsafe_set t.memo_lo ctx lo;
-  Array.unsafe_set t.memo_hi ctx (lo + lc - 1);
-  Array.unsafe_set t.memo_id ctx id;
-  Array.unsafe_set t.memo_w ctx
-    (if Array.unsafe_get t.writers id = ctx then 1 else 0)
+(* A transactional read of a line: abort the line's writer (requester
+   wins) and enter the line in the read set. A line we already wrote is in
+   our store buffer, so reading it is free of coherence interaction. Shared
+   by guest reads and footprint-only touches. *)
+let[@inline] txn_read_line t (txn : 'a Txn.t) ~ctx ~id =
+  let w = Array.unsafe_get t.writers id in
+  if owner w <> ctx then begin
+    if w >= 0 then begin
+      note_conflict t id;
+      abort_txn ~line:id t t.txns.(owner w) Conflict
+    end;
+    let bit = 1 lsl ctx in
+    let r = Array.unsafe_get t.readers id in
+    if r land bit = 0 then begin
+      if txn.rs >= txn.rs_limit then tabort t ~ctx Overflow_read;
+      Array.unsafe_set t.readers id (r lor bit);
+      txn.rs <- txn.rs + 1;
+      Txn.push_line txn id
+    end
+  end
 
 let read_slow t ~ctx addr =
   let txn = t.txns.(ctx) in
   if txn.active then begin
     t.stats.txn_accesses <- t.stats.txn_accesses + 1;
-    if
-      t.hot
-      && addr >= Array.unsafe_get t.memo_lo ctx
-      && addr <= Array.unsafe_get t.memo_hi ctx
-    then
-      (* memo hit: the line is already in our footprint, so the baseline
-         body's writer/reader probes are statically no-ops — the access is
-         exactly the counter bump above plus the load *)
-      Store.get_unsafe t.store addr
-    else begin
-      let id = Store.line_of t.store addr in
-      (* A line we already wrote is in our store buffer; reading it is free
-         of coherence interaction. *)
-      if Array.unsafe_get t.writers id <> ctx then begin
-        let w = Array.unsafe_get t.writers id in
-        if w >= 0 then begin
-          note_conflict t id;
-          abort_txn ~line:id t t.txns.(w) Conflict
-        end;
-        let bit = 1 lsl ctx in
-        let r = Array.unsafe_get t.readers id in
-        if r land bit = 0 then begin
-          if txn.rs >= txn.rs_limit then tabort t ~ctx Overflow_read;
-          Array.unsafe_set t.readers id (r lor bit);
-          txn.rs <- txn.rs + 1;
-          Txn.push_line txn id
-        end
-      end;
-      if t.hot then memo_install t ~ctx ~id;
-      Store.get_unsafe t.store addr
-    end
+    txn_read_line t txn ~ctx ~id:(Store.line_of t.store addr);
+    Store.get_unsafe t.store addr
   end
   else if t.sw_mask land (1 lsl ctx) <> 0 then t.sw_read ctx addr
   else nontxn_read t ~ctx addr
@@ -612,50 +573,36 @@ let write_slow t ~ctx addr v =
   let txn = t.txns.(ctx) in
   if txn.active then begin
     t.stats.txn_accesses <- t.stats.txn_accesses + 1;
-    if
-      t.hot
-      && Array.unsafe_get t.memo_w ctx = 1
-      && addr >= Array.unsafe_get t.memo_lo ctx
-      && addr <= Array.unsafe_get t.memo_hi ctx
-    then begin
-      (* memo hit on a line already in our write set: the baseline body's
-         conflict probe, capacity check and predictor draw are statically
-         skipped ([writers.(id) = ctx]). Coalesce the undo entry when the
-         newest logged address is this one — replay is newest-first, so
-         the older surviving entry still restores the pre-transaction
-         value and rollback order is unchanged. *)
-      if addr <> Array.unsafe_get t.memo_undo ctx then begin
-        Txn.push_undo txn addr (Store.get_unsafe t.store addr);
-        Array.unsafe_set t.memo_undo ctx addr
-      end;
-      Store.set_unsafe t.store addr v
+    let id = Store.line_of t.store addr in
+    let w = Array.unsafe_get t.writers id in
+    let bit = logged_bit t addr in
+    if owner w = ctx then begin
+      (* the line is in our write set: only a cell's first write this
+         window pushes its old value *)
+      if w land bit = 0 then begin
+        Array.unsafe_set t.writers id (w lor bit);
+        Txn.push_undo txn addr (Store.get_unsafe t.store addr)
+      end
     end
     else begin
-      let id = Store.line_of t.store addr in
-      if Array.unsafe_get t.writers id <> ctx then begin
-        abort_conflicting t ~ctx ~id;
-        if txn.ws >= txn.ws_limit then tabort t ~ctx Overflow_write;
-        (* Haswell learning predictor: while suspicious after recent
-           capacity aborts, transactions that grow past half the budget are
-           killed eagerly with probability equal to the current suspicion
-           level (empirical behaviour from Figure 6a). *)
-        if
-          t.machine.learning
-          && t.suspicion.(ctx) > 0.001
-          && txn.ws >= txn.ws_limit / 2
-          && Prng.float t.prng < t.suspicion.(ctx)
-        then tabort t ~ctx Eager;
-        Array.unsafe_set t.writers id ctx;
-        txn.ws <- txn.ws + 1;
-        Txn.push_line txn id
-      end;
-      Txn.push_undo txn addr (Store.get_unsafe t.store addr);
-      if t.hot then begin
-        memo_install t ~ctx ~id;
-        Array.unsafe_set t.memo_undo ctx addr
-      end;
-      Store.set_unsafe t.store addr v
-    end
+      abort_conflicting t ~ctx ~id;
+      if txn.ws >= txn.ws_limit then tabort t ~ctx Overflow_write;
+      (* Haswell learning predictor: while suspicious after recent
+         capacity aborts, transactions that grow past half the budget are
+         killed eagerly with probability equal to the current suspicion
+         level (empirical behaviour from Figure 6a). *)
+      if
+        t.machine.learning
+        && t.suspicion.(ctx) > 0.001
+        && txn.ws >= txn.ws_limit / 2
+        && Prng.float t.prng < t.suspicion.(ctx)
+      then tabort t ~ctx Eager;
+      Array.unsafe_set t.writers id (ctx lor bit);
+      txn.ws <- txn.ws + 1;
+      Txn.push_line txn id;
+      Txn.push_undo txn addr (Store.get_unsafe t.store addr)
+    end;
+    Store.set_unsafe t.store addr v
   end
   else if t.sw_mask land (1 lsl ctx) <> 0 then t.sw_write ctx addr v
   else nontxn_write t ~ctx addr v
@@ -679,29 +626,13 @@ let touch_read_range t ~ctx base len =
     and last = Store.line_of t.store (base + len - 1) in
     for id = first to last do
       let txn = t.txns.(ctx) in
-      if txn.active then begin
-        if Array.unsafe_get t.writers id <> ctx then begin
-          let w = Array.unsafe_get t.writers id in
-          if w >= 0 then begin
-            note_conflict t id;
-            abort_txn ~line:id t t.txns.(w) Conflict
-          end;
-          let bit = 1 lsl ctx in
-          let r = Array.unsafe_get t.readers id in
-          if r land bit = 0 then begin
-            if txn.rs >= txn.rs_limit then tabort t ~ctx Overflow_read;
-            Array.unsafe_set t.readers id (r lor bit);
-            txn.rs <- txn.rs + 1;
-            Txn.push_line txn id
-          end
-        end
-      end
+      if txn.active then txn_read_line t txn ~ctx ~id
       else begin
         if t.active > 0 then begin
           let w = Array.unsafe_get t.writers id in
-          if w >= 0 && w <> ctx then begin
+          if w >= 0 && owner w <> ctx then begin
             note_conflict t id;
-            abort_txn ~line:id t t.txns.(w) Conflict
+            abort_txn ~line:id t t.txns.(owner w) Conflict
           end
         end;
         if t.sw_mask land (1 lsl ctx) <> 0 then t.sw_track_read ctx id

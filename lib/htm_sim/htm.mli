@@ -32,33 +32,17 @@ val create :
   Machine.t ->
   'a Store.t ->
   'a t
-(** The engine starts with the in-transaction fast paths set from
-    {!default_hot}. [?recycled] are mark tables from {!retire}, reused (and
-    grown if the store needs more lines) instead of allocated afresh. *)
+(** [?recycled] are mark tables from {!retire}, reused (and grown if the
+    store needs more lines) instead of allocated afresh.
+    @raise Invalid_argument when the machine has more contexts than the
+    per-line reader bitset holds, or the store's lines have more cells than
+    a writer word can mark as undo-logged (each address is logged once per
+    transaction). *)
 
 val retire : 'a t -> line_tables
 (** Hand the mark tables back for a later [create ~recycled], cleared of
     whatever live transactions still mark. The engine must not be used
     afterwards. *)
-
-val default_hot : unit -> bool
-(** Process-wide default for the in-transaction fast paths: [false] when
-    [BENCH_HOT] is [off]/[OFF]/[0]/[no], [true] otherwise. Mirrors the
-    [BENCH_SCHED]/[BENCH_INTERP] knob pattern. *)
-
-val hot : 'a t -> bool
-
-val set_hot : 'a t -> bool -> unit
-(** Enable/disable the per-context line memo that short-circuits
-    re-accesses to lines already in a live transaction's own footprint
-    (and the undo-log write coalescing that rides on it). Both settings
-    replay every observable decision byte-identically; [off] keeps the
-    un-memoized baseline selectable for differential testing. Clears all
-    memos, so it is safe to flip mid-run. *)
-
-val memoized_line : 'a t -> int -> int
-(** Test-only observer: the line id currently memoized for a context, or
-    [-1] when the memo is empty (no live transaction, or invalidated). *)
 
 val stamp_epoch : 'a t -> int
 (** Bumped whenever any line's version stamp changes (hardware commit

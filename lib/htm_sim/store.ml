@@ -67,6 +67,7 @@ let capacity t = Array.length t.pages lsl page_shift
 let brk t = t.brk
 let dummy t = t.dummy
 let resident_cells t = t.resident lsl page_shift
+let line_cells t = t.line_cells
 let line_of t addr = addr lsr t.line_shift
 
 let set_on_grow t f =

@@ -36,6 +36,9 @@ val set_on_grow : 'a t -> (int -> unit) -> unit
     its hot path never bounds-checks a line id. Installing a new hook
     replaces the previous one. *)
 
+val line_cells : 'a t -> int
+(** Cells per cache line. *)
+
 val line_of : 'a t -> int -> int
 (** Cache-line id of an address. *)
 

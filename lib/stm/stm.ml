@@ -319,8 +319,7 @@ let sw_read t ctx addr =
     (* read-your-own-write from the redo log *)
     Array.unsafe_get sx.w_vals (Array.unsafe_get sx.wt_idx i)
   else if
-    Htm.hot t.htm
-    && addr >= sx.memo_lo
+    addr >= sx.memo_lo
     && addr <= sx.memo_hi
     && sx.memo_gen = sx.gen
     && sx.memo_epoch = Htm.stamp_epoch t.htm
@@ -340,14 +339,12 @@ let sw_read t ctx addr =
       raise (Htm.Abort_now Txn.Validation)
     end;
     ignore (rset_add sx id);
-    if Htm.hot t.htm then begin
-      let lo = id * t.line_cells in
-      sx.memo_lo <- lo;
-      sx.memo_hi <- lo + t.line_cells - 1;
-      sx.memo_line <- id;
-      sx.memo_gen <- sx.gen;
-      sx.memo_epoch <- Htm.stamp_epoch t.htm
-    end;
+    let lo = id * t.line_cells in
+    sx.memo_lo <- lo;
+    sx.memo_hi <- lo + t.line_cells - 1;
+    sx.memo_line <- id;
+    sx.memo_gen <- sx.gen;
+    sx.memo_epoch <- Htm.stamp_epoch t.htm;
     v
   end
 

@@ -169,37 +169,4 @@ if [ -z "$cthr" ] || [ "$c1" != "$cthr" ]; then
 fi
 echo "smoke: figures identical across all three interpreter tiers (digest $dthr)"
 
-# the in-transaction fast paths (line memos, undo coalescing, batched fast
-# window accounting) are host-speed only: regenerate with BENCH_HOT=off and
-# every member must hash identically to the memoized default
-SHARDS=4 BENCH_HOT=off BENCH_SIZE=test BENCH_JOBS=4 dune exec bench/main.exe -- figures
-vhot=$(dune exec bench/main.exe -- validate BENCH_results.json)
-dhot=$(echo "$vhot" | sed -n 's/^figures digest: //p')
-hhot=$(echo "$vhot" | sed -n 's/^hybrid digest: //p')
-lhot=$(echo "$vhot" | sed -n 's/^load digest: //p')
-shot=$(echo "$vhot" | sed -n 's/^shard digest: //p')
-chot=$(echo "$vhot" | sed -n 's/^clock digest: //p')
-
-if [ -z "$dhot" ] || [ "$d1" != "$dhot" ]; then
-  echo "smoke: FAIL: figures differ between memoized ($d1) and BENCH_HOT=off ($dhot)" >&2
-  exit 1
-fi
-if [ -z "$hhot" ] || [ "$h1" != "$hhot" ]; then
-  echo "smoke: FAIL: hybrid panel differs between memoized ($h1) and BENCH_HOT=off ($hhot)" >&2
-  exit 1
-fi
-if [ -z "$lhot" ] || [ "$l1" != "$lhot" ]; then
-  echo "smoke: FAIL: load panels differ between memoized ($l1) and BENCH_HOT=off ($lhot)" >&2
-  exit 1
-fi
-if [ -z "$shot" ] || [ "$s1" != "$shot" ]; then
-  echo "smoke: FAIL: shard panels differ between memoized ($s1) and BENCH_HOT=off ($shot)" >&2
-  exit 1
-fi
-if [ -z "$chot" ] || [ "$c1" != "$chot" ]; then
-  echo "smoke: FAIL: clock panels differ between memoized ($c1) and BENCH_HOT=off ($chot)" >&2
-  exit 1
-fi
-echo "smoke: figures identical with in-txn fast paths on/off (digest $dhot)"
-
 echo "smoke: OK"

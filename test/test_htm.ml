@@ -141,48 +141,78 @@ let test_stats () =
   Alcotest.(check int) "commits" 1 s.Stats.commits;
   Alcotest.(check int) "ws max" 1 s.Stats.ws_max
 
-(* The in-transaction access memo must be installed only while its
-   transaction is live and dropped at every boundary: tbegin, commit,
-   explicit abort, and a conflict abort inflicted by another context. *)
-let test_memo_invalidation () =
+(* Undo-once: a window logs each address the first time it writes it, so a
+   cell written three times still rolls back to its pre-window value, and
+   so does a second cell of the same line written in between (each cell
+   has its own logged bit). *)
+let test_undo_once_rollback () =
   let store, htm = mk () in
-  Htm.set_hot htm true;
+  let a = Store.reserve_aligned store 64 in
+  Store.set store a 7;
+  Store.set store (a + 1) 8;
+  begin_ htm 0;
+  Htm.write htm ~ctx:0 a 1;
+  Htm.write htm ~ctx:0 (a + 1) 10;
+  Htm.write htm ~ctx:0 a 2;
+  Htm.write htm ~ctx:0 (a + 1) 20;
+  Htm.write htm ~ctx:0 a 3;
+  Alcotest.(check int) "reads the last write" 3 (Htm.read htm ~ctx:0 a);
+  (try Htm.tabort htm ~ctx:0 Txn.Explicit with Htm.Abort_now _ -> ());
+  Alcotest.(check int) "pre-window value" 7 (Store.get store a);
+  Alcotest.(check int) "same-line neighbour" 8 (Store.get store (a + 1))
+
+(* The logged-cell bits belong to one window: after a commit, the next
+   window on the same context must log the cell again, or its abort would
+   leave its own writes behind. *)
+let test_logged_cells_cleared_at_commit () =
+  let store, htm = mk () in
+  let a = Store.reserve_aligned store 64 in
+  Store.set store a 7;
+  begin_ htm 0;
+  Htm.write htm ~ctx:0 a 10;
+  Htm.tend htm ~ctx:0;
+  begin_ htm 0;
+  Htm.write htm ~ctx:0 a 20;
+  Htm.write htm ~ctx:0 a 30;
+  (try Htm.tabort htm ~ctx:0 Txn.Explicit with Htm.Abort_now _ -> ());
+  Alcotest.(check int) "first window's value" 10 (Store.get store a)
+
+(* A writer word carrying logged-cell bits still names its owner: another
+   context's read of the line aborts the writer with a conflict on it and
+   sees the rolled-back values. *)
+let test_owner_decodes_under_logged_cells () =
+  let store, htm = mk () in
   let a = Store.reserve_aligned store 64 in
   let line = Store.line_of store a in
-  Alcotest.(check int) "no memo outside txn" (-1) (Htm.memoized_line htm 0);
-  (* commit boundary *)
+  Store.set store (a + 5) 50;
   begin_ htm 0;
-  Alcotest.(check int) "empty at tbegin" (-1) (Htm.memoized_line htm 0);
   Htm.write htm ~ctx:0 a 1;
-  Alcotest.(check int) "installed after write" line (Htm.memoized_line htm 0);
-  ignore (Htm.read htm ~ctx:0 a);
-  Alcotest.(check int) "still installed after read" line
-    (Htm.memoized_line htm 0);
-  Htm.tend htm ~ctx:0;
-  Alcotest.(check int) "cleared at commit" (-1) (Htm.memoized_line htm 0);
-  (* explicit abort boundary *)
-  begin_ htm 0;
-  Htm.write htm ~ctx:0 a 2;
-  Alcotest.(check int) "installed again" line (Htm.memoized_line htm 0);
-  (try Htm.tabort htm ~ctx:0 Txn.Explicit with Htm.Abort_now _ -> ());
-  Htm.clear_pending_abort htm 0;
-  Alcotest.(check int) "cleared at explicit abort" (-1)
-    (Htm.memoized_line htm 0);
-  (* conflict boundary: ctx 1's write kills ctx 0's transaction and memo *)
-  begin_ htm 0;
-  Htm.write htm ~ctx:0 a 3;
-  Alcotest.(check int) "installed before conflict" line
-    (Htm.memoized_line htm 0);
+  Htm.write htm ~ctx:0 (a + 5) 2;
+  Htm.write htm ~ctx:0 (a + 5) 3;
   begin_ htm 1;
-  Htm.write htm ~ctx:1 a 4;
-  Alcotest.(check bool) "victim aborted" false (Htm.in_txn htm 0);
-  Alcotest.(check int) "cleared at conflict abort" (-1)
-    (Htm.memoized_line htm 0);
-  Alcotest.(check int) "requester's own memo live" line
-    (Htm.memoized_line htm 1);
-  Htm.tend htm ~ctx:1;
-  Alcotest.(check int) "requester cleared at commit" (-1)
-    (Htm.memoized_line htm 1)
+  Alcotest.(check int) "reader sees the old value" 50
+    (Htm.read htm ~ctx:1 (a + 5));
+  Alcotest.(check bool) "writer aborted" false (Htm.in_txn htm 0);
+  Alcotest.(check bool)
+    "conflict" true
+    (Htm.pending_abort htm 0 = Some Txn.Conflict);
+  Alcotest.(check int) "on the written line" line (Htm.abort_line htm 0);
+  Alcotest.(check bool) "reader alive" true (Htm.in_txn htm 1)
+
+(* The writer word packs the owning context and one logged bit per cell of
+   the line, and contexts are bits of the reader bitset: [create] refuses
+   machines that do not fit. *)
+let test_create_rejects_unpackable () =
+  let rejects name machine =
+    let store =
+      Store.create ~dummy:0 ~line_cells:machine.Machine.line_cells 4096
+    in
+    match Htm.create machine store with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "512-byte lines" { Machine.zec12 with Machine.line_cells = 64 };
+  rejects "64 contexts" { Machine.zec12 with Machine.n_cores = 64 }
 
 (* Serializability on a shared counter: counters incremented under
    transactions with conflict-driven retries end with the exact total. *)
@@ -224,13 +254,15 @@ let prop_counter_serializable =
 
 (* Mark tables retired while transactions are still live come back clean:
    a new engine reusing them sees no phantom reader or writer, so nothing
-   aborts. *)
+   aborts, and no logged-cell bit makes a new window skip an undo entry. *)
 let test_recycled_tables_clean () =
   let store, htm = mk () in
   let a = Store.reserve_aligned store 64 in
   let b = Store.reserve_aligned store 64 in
   begin_ htm 0;
   Htm.write htm ~ctx:0 a 1;
+  Htm.write htm ~ctx:0 (a + 1) 1;
+  Htm.write htm ~ctx:0 a 2;
   begin_ htm 1;
   ignore (Htm.read htm ~ctx:1 b);
   let tables = Htm.retire htm in
@@ -249,7 +281,13 @@ let test_recycled_tables_clean () =
   Alcotest.(check bool) "both windows live" true
     (Htm.in_txn htm 0 && Htm.in_txn htm 1);
   Htm.tend htm ~ctx:0;
-  Htm.tend htm ~ctx:1
+  Htm.tend htm ~ctx:1;
+  Store.set store (a' + 1) 7;
+  begin_ htm 0;
+  Htm.write htm ~ctx:0 (a' + 1) 8;
+  (try Htm.tabort htm ~ctx:0 Txn.Explicit with Htm.Abort_now _ -> ());
+  Alcotest.(check int) "a cell logged before retire is logged again" 7
+    (Store.get store (a' + 1))
 
 let suite =
   [
@@ -268,7 +306,13 @@ let suite =
     Alcotest.test_case "stats accounting" `Quick test_stats;
     Alcotest.test_case "recycled mark tables are clean" `Quick
       test_recycled_tables_clean;
-    Alcotest.test_case "memo invalidation at txn boundaries" `Quick
-      test_memo_invalidation;
+    Alcotest.test_case "undo once: rollback to pre-window value" `Quick
+      test_undo_once_rollback;
+    Alcotest.test_case "undo once: logged cells cleared at commit" `Quick
+      test_logged_cells_cleared_at_commit;
+    Alcotest.test_case "undo once: owner decodes under logged cells" `Quick
+      test_owner_decodes_under_logged_cells;
+    Alcotest.test_case "create rejects unpackable machines" `Quick
+      test_create_rejects_unpackable;
     prop_counter_serializable;
   ]

@@ -922,12 +922,12 @@ let suite =
    differential never reaches. The reference tier defines the expected
    instruction count; the threaded run gets a finite budget a bit above it
    so a divergence fails fast instead of spinning to the global budget. *)
-let run_pressure ~interp ~scheme ~threads ~machine ?max_insns ?hot
+let run_pressure ~interp ~scheme ~threads ~machine ?max_insns
     (w : Workloads.Workload.t) =
   let cfg =
     match max_insns with
-    | None -> Core.Runner.config ~scheme ~interp ?hot machine
-    | Some m -> Core.Runner.config ~scheme ~interp ~max_insns:m ?hot machine
+    | None -> Core.Runner.config ~scheme ~interp machine
+    | Some m -> Core.Runner.config ~scheme ~interp ~max_insns:m machine
   in
   let source = w.Workloads.Workload.source ~threads ~size:Workloads.Size.Test in
   match w.Workloads.Workload.kind with
@@ -971,16 +971,9 @@ let test_tier_capacity_pressure () =
               and cmp =
                 run_pressure ~interp:Core.Runner.Interp_compiled ~scheme
                   ~threads ~machine ~max_insns:budget w
-              (* the un-memoized baseline (BENCH_HOT=off) on the fastest
-                 tier: every stat and abort count must match the reference
-                 run, which itself executes with the session default *)
-              and cold =
-                run_pressure ~interp:Core.Runner.Interp_compiled ~scheme
-                  ~threads ~machine ~max_insns:budget ~hot:false w
               in
               assert_same_tier (name ^ " (threaded)") thr ref_;
-              assert_same_tier (name ^ " (compiled)") cmp ref_;
-              assert_same_tier (name ^ " (compiled, hot=off)") cold ref_)
+              assert_same_tier (name ^ " (compiled)") cmp ref_)
             [ 1; 2; 4; 6; 8; 12 ])
         [ Core.Scheme.Gil_only; Core.Scheme.Htm_dynamic; Core.Scheme.Hybrid ])
     [ "bt"; "cg"; "ft"; "is"; "lu"; "mg"; "sp"; "webrick" ]
