@@ -2,8 +2,8 @@
 
    Part 1 regenerates every table and figure of the paper's evaluation
    (Figures 4-9 plus the Section 5.4/5.6 ablations) on the simulator, prints
-   the same series the paper plots, and dumps them all to BENCH_results.json
-   — the canonical machine-readable perf artifact future PRs diff against.
+   the same series the paper plots, dumps them all to BENCH_results.json and
+   prints one digest per simulated-data member.
 
    Part 2 runs Bechamel micro-benchmarks of the simulator itself (host-side
    performance), one Test.make per experiment family, and asserts that the
@@ -125,9 +125,9 @@ let pair_series_json ~variant pairs =
            ])
        pairs)
 
-(* FNV-1a over the serialized "figures" member. The smoke script runs the
-   sweep under BENCH_JOBS=1 and BENCH_JOBS=4 and compares these digests:
-   equality is the determinism acceptance check. *)
+(* FNV-1a over a serialized results member. The smoke script runs the
+   sweep under several host settings and oracles and compares these
+   digests: equality is the determinism acceptance check. *)
 let fnv64 s =
   let h = ref 0xcbf29ce484222325L in
   String.iter
@@ -139,44 +139,19 @@ let fnv64 s =
     s;
   Printf.sprintf "%016Lx" !h
 
-(* ---- benchmark trajectory: host-performance history across PRs ----
-   An append-only log of timestamped host measurements (wall seconds per
-   figure panel, calibrated interpreter throughput, worker count, tier).
-   Entries survive regeneration — each figures run appends one — so the
-   results file doubles as the perf trajectory future PRs diff against.
-   The log sits OUTSIDE the "figures"/"hybrid" members and never affects
-   their digests. *)
-
-let prior_trajectory () =
-  match
-    (try
-       let ic = open_in results_file in
-       let n = in_channel_length ic in
-       let text = really_input_string ic n in
-       close_in ic;
-       Some (J.of_string text)
-     with Sys_error _ | J.Parse_error _ -> None)
-  with
-  | Some doc -> (
-      match J.member "trajectory" doc with
-      | Some (J.List entries) -> entries
-      | _ -> [])
-  | None -> []
-
-(* Calibrated interpreted-instruction throughput of the selected tier: a
-   fixed intern-range loop, run once to warm the caches and once timed. *)
-let interp_insns_per_sec () =
-  let cfg =
-    Core.Runner.config ~scheme:Core.Scheme.Gil_only Htm_sim.Machine.zec12
-  in
-  let source =
-    "x = 0\ni = 0\nwhile i < 300000\n  x = (x + i) % 256\n  i += 1\nend\nputs x"
-  in
-  ignore (Core.Runner.run_source cfg ~source);
-  let t0 = Unix.gettimeofday () in
-  let r = Core.Runner.run_source cfg ~source in
-  let dt = Unix.gettimeofday () -. t0 in
-  if dt > 0.0 then float_of_int r.Core.Runner.total_insns /. dt else 0.0
+(* The five simulated-data digests on one line, "digests: figures=<hex>
+   hybrid=<hex> …", so a smoke leg compares a single string and a mismatch
+   names its member. Host times and the jobs count sit outside these
+   members and may legitimately differ. *)
+let digests_line doc =
+  String.concat " "
+    ("digests:"
+    :: List.filter_map
+         (fun m ->
+           Option.map
+             (fun j -> Printf.sprintf "%s=%s" m (fnv64 (J.to_string j)))
+             (J.member m doc))
+         [ "figures"; "hybrid"; "load"; "shard"; "clock" ])
 
 (* The in-transaction read+write pair micro (the transactional counterpart
    of the non-transactional 16.8 -> 10.2 ns fast-flag micro), on the two
@@ -235,108 +210,6 @@ let intxn_pair_measure () =
     best_fresh := min !best_fresh (measure fresh)
   done;
   (!best_owned, !best_fresh)
-
-(* The shard tier's headline number for the trajectory: aggregate served
-   req/s of the HTM-dynamic WEBrick cell at the largest shard count,
-   paired with its single-shard baseline. *)
-let shard_trajectory panels =
-  match
-    List.find_opt
-      (fun (p : Harness.Figures.shard_panel) ->
-        p.Harness.Figures.sp_workload = "webrick")
-      panels
-  with
-  | None -> []
-  | Some p ->
-      let rps shards =
-        Option.map
-          (fun (sp : Harness.Figures.shard_point) ->
-            sp.Harness.Figures.sp_result.Harness.Shard.r_aggregate_rps)
-          (Harness.Figures.shard_cell p "HTM-dynamic" shards)
-      in
-      let shards = List.fold_left max 1 Harness.Figures.shard_counts in
-      let entry name v =
-        match v with Some r -> [ (name, J.Float r) ] | None -> []
-      in
-      (("shard_count", J.Int shards) :: entry "shard_rps" (rps shards))
-      @ entry "shard_rps_single" (rps 1)
-
-(* Per-pass clock-scheme results for the trajectory: one compact row per
-   grid cell of the STM-fallback-heavy compute panel — which scheme ran,
-   how often the commit-clock cell was actually written, and how much of
-   the hybrid's window traffic went to each fallback. *)
-let clock_trajectory panels =
-  match
-    List.find_opt
-      (fun (p : Harness.Figures.clock_panel) ->
-        p.Harness.Figures.cl_workload = "is")
-      panels
-  with
-  | None -> []
-  | Some p ->
-      let row (cp : Harness.Figures.clock_point) =
-        let windows =
-          max 1
-            (cp.Harness.Figures.cp_fb_gil + cp.Harness.Figures.cp_fb_stm
-           + cp.Harness.Figures.cp_htm_commits)
-        in
-        J.Obj
-          [
-            ("scheme", J.Str cp.Harness.Figures.cp_clock);
-            ("subscription", J.Str cp.Harness.Figures.cp_subscription);
-            ("outcome", J.Str cp.Harness.Figures.cp_outcome);
-            ("bumps", J.Int cp.Harness.Figures.cp_bumps);
-            ("skipped", J.Int cp.Harness.Figures.cp_skipped);
-            ( "fallback_stm_rate",
-              J.Float
-                (float_of_int cp.Harness.Figures.cp_fb_stm
-                /. float_of_int windows) );
-            ( "fallback_gil_rate",
-              J.Float
-                (float_of_int cp.Harness.Figures.cp_fb_gil
-                /. float_of_int windows) );
-          ]
-      in
-      [ ("clock", J.List (List.map row p.Harness.Figures.cl_points)) ]
-
-let trajectory_entry ~size ~shard_fields =
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let total =
-    List.fold_left
-      (fun acc (_, j) -> match j with J.Float s -> acc +. s | _ -> acc)
-      0.0 !host_times
-  in
-  J.Obj
-    ([
-      ("timestamp", J.Str stamp);
-      ( "interp",
-        J.Str
-          (match Core.Runner.default_interp_kind () with
-          | Core.Runner.Interp_compiled -> "compiled"
-          | Core.Runner.Interp_threaded -> "threaded"
-          | Core.Runner.Interp_ref -> "ref") );
-      ( "sched",
-        J.Str
-          (match Core.Runner.default_sched_kind () with
-          | Core.Runner.Sched_heap -> "heap"
-          | Core.Runner.Sched_ref -> "ref") );
-      ("size", J.Str (Workloads.Size.to_string size));
-      ("jobs", J.Int (Harness.Pool.default_jobs ()));
-      ("host_wall_s", J.Float total);
-      ("panels", J.Obj (List.rev !host_times));
-      ("interp_insns_per_sec", J.Float (interp_insns_per_sec ()));
-    ]
-    @ (let owned_ns, fresh_ns = intxn_pair_measure () in
-       [
-         ("intxn_pair_ns_owned", J.Float owned_ns);
-         ("intxn_pair_ns_fresh", J.Float fresh_ns);
-       ])
-    @ shard_fields)
 
 let figures () =
   let size = size () in
@@ -490,15 +363,6 @@ let figures () =
         Harness.Figures.fig_clock ~size fmt)
   in
   let clock = J.List (List.map Harness.Figures.clock_json clock_panels) in
-  let trajectory =
-    J.List
-      (prior_trajectory ()
-      @ [
-          trajectory_entry ~size
-            ~shard_fields:
-              (shard_trajectory shard_panels @ clock_trajectory clock_panels);
-        ])
-  in
   let doc =
     J.Obj
       [
@@ -514,16 +378,10 @@ let figures () =
           J.Obj
             (List.rev !host_times
             @ [ ("peak_rss_mb", J.Obj (List.rev !host_rss)) ]) );
-        ("trajectory", trajectory);
       ]
   in
   J.to_file results_file doc;
-  Format.fprintf fmt "@.figures digest: %s@."
-    (fnv64 (J.to_string (J.Obj (List.rev !figs))));
-  Format.fprintf fmt "hybrid digest: %s@." (fnv64 (J.to_string hybrid));
-  Format.fprintf fmt "load digest: %s@." (fnv64 (J.to_string load));
-  Format.fprintf fmt "shard digest: %s@." (fnv64 (J.to_string shard));
-  Format.fprintf fmt "clock digest: %s@." (fnv64 (J.to_string clock));
+  Format.fprintf fmt "@.%s@." (digests_line doc);
   Format.fprintf fmt "@.results -> %s@." results_file
 
 (* ---- validate: parse-check a results file (used by the smoke script) ---- *)
@@ -547,26 +405,8 @@ let validate path =
   | doc -> (
       match J.member "figures" doc with
       | Some (J.Obj figs) when figs <> [] ->
-          Format.fprintf fmt "%s: ok (%d figure series)@." path
-            (List.length figs);
-          (* digest of the simulated data only — host times and the jobs
-             count sit outside "figures" and may legitimately differ *)
-          Format.fprintf fmt "figures digest: %s@."
-            (fnv64 (J.to_string (J.Obj figs)));
-          (match J.member "hybrid" doc with
-          | Some h -> Format.fprintf fmt "hybrid digest: %s@." (fnv64 (J.to_string h))
-          | None -> ());
-          (match J.member "load" doc with
-          | Some l -> Format.fprintf fmt "load digest: %s@." (fnv64 (J.to_string l))
-          | None -> ());
-          (match J.member "shard" doc with
-          | Some s ->
-              Format.fprintf fmt "shard digest: %s@." (fnv64 (J.to_string s))
-          | None -> ());
-          (match J.member "clock" doc with
-          | Some c ->
-              Format.fprintf fmt "clock digest: %s@." (fnv64 (J.to_string c))
-          | None -> ())
+          Format.fprintf fmt "%s: ok (%d figure series)@.%s@." path
+            (List.length figs) (digests_line doc)
       | _ ->
           Format.eprintf "%s: parsed, but no \"figures\" object@." path;
           exit 1)
@@ -667,12 +507,6 @@ let micro_tests =
     Test.make ~name:"interp:ref-switch"
       (Staged.stage
          (run_guest ~interp:Core.Runner.Interp_ref Core.Scheme.Htm_dynamic
-            mt_source));
-    (* Tier-3 tentpole: hot superblocks compiled to chained closures, with
-       deoptimization back to the threaded tier at yields and guard misses *)
-    Test.make ~name:"interp:compiled"
-      (Staged.stage
-         (run_guest ~interp:Core.Runner.Interp_compiled Core.Scheme.Htm_dynamic
             mt_source));
   ]
 
@@ -977,41 +811,6 @@ let threaded_step_alloc_check () =
     exit 1
   end
 
-(* Acceptance gate for the compiled (tier-3) superblocks: compilation itself
-   allocates (one closure per fused instruction plus the entry record), but
-   it happens once per hot head; the difference method below runs the same
-   guest at two lengths so the one-time compile allocation cancels and only
-   the marginal per-instruction cost remains, which must stay at the
-   threaded tier's zero budget. *)
-let compiled_step_alloc_check () =
-  Format.fprintf fmt
-    "@.=== steady-state allocation per compiled-tier instruction ===@.";
-  let loop_source n =
-    Printf.sprintf
-      "x = 0\ni = 0\nwhile i < %d\n  x = (x + i) %% 256\n  i += 1\nend\nputs x"
-      n
-  in
-  let measure n =
-    let cfg =
-      Core.Runner.config ~scheme:Core.Scheme.Gil_only
-        ~interp:Core.Runner.Interp_compiled Htm_sim.Machine.zec12
-    in
-    let w0 = Gc.minor_words () in
-    let r = Core.Runner.run_source cfg ~source:(loop_source n) in
-    (Gc.minor_words () -. w0, float_of_int r.Core.Runner.total_insns)
-  in
-  ignore (measure 1_000);
-  (* warm: intern table, dcode cache *)
-  let w_short, i_short = measure 1_000 in
-  let w_long, i_long = measure 50_000 in
-  let per_insn = (w_long -. w_short) /. (i_long -. i_short) in
-  Format.fprintf fmt "%.5f minor words per instruction (budget 0.01)@."
-    per_insn;
-  if per_insn > 0.01 then begin
-    Format.eprintf "FAIL: compiled superblock loop allocates in steady state@.";
-    exit 1
-  end
-
 (* Acceptance gate for the scheduler round trip at one instruction per
    slice: twelve threads of the same int loop under HTM-dynamic on zEC12
    keep every context's clock within an instruction of the others, so the
@@ -1119,7 +918,6 @@ let gates () =
   stm_alloc_check ();
   step_alloc_check ();
   threaded_step_alloc_check ();
-  compiled_step_alloc_check ();
   slice_alloc_check ();
   intxn_pair_check ()
 
@@ -1132,7 +930,6 @@ let micro () =
   stm_alloc_check ();
   step_alloc_check ();
   threaded_step_alloc_check ();
-  compiled_step_alloc_check ();
   slice_alloc_check ();
   intxn_pair_check ()
 
@@ -1145,9 +942,6 @@ let () =
   | "validate" ->
       let path = if Array.length Sys.argv > 2 then Sys.argv.(2) else results_file in
       validate path
-  | "insns" ->
-      (* quick throughput probe of the selected tier, for perf work *)
-      Format.fprintf fmt "interp insns/sec: %.3e@." (interp_insns_per_sec ())
   | _ ->
       figures ();
       micro ());

@@ -213,18 +213,9 @@ let abort_report_arg =
   let doc =
     "Print the abort-site attribution report (the Section 5.6 abort-cause \
      investigation): top aborting bytecode sites and conflicting cache \
-     lines, plus a jit section (compile churn and deoptimization causes) \
-     when the compiled tier ran."
+     lines."
   in
   Arg.(value & flag & info [ "abort-report" ] ~doc)
-
-let profile_json_arg =
-  let doc =
-    "Write the hot (uid,pc) superblock head table to $(docv) as JSON — one \
-     record per head with rank, execution count and compiled-or-not, \
-     most-executed first — so compile-threshold tuning is data-driven."
-  in
-  Arg.(value & opt (some string) None & info [ "profile-json" ] ~docv:"FILE" ~doc)
 
 (* A sink is allocated only when some trace output was requested, so the
    default run keeps the instrumentation at one branch per site. *)
@@ -267,58 +258,8 @@ let write_json_or_die path doc =
     Format.eprintf "htm-gil: cannot write %s: %s@." path msg;
     exit 1
 
-(* The jit section of --abort-report: compile churn and deoptimization
-   causes, then the hottest superblock heads. Prints nothing when the
-   compiled tier never engaged (counters all zero, empty profile). *)
-let jit_report ppf (r : Core.Runner.result) =
-  let prefixed p name =
-    String.length name >= String.length p
-    && String.sub name 0 (String.length p) = p
-  in
-  let counters =
-    List.filter_map
-      (fun (name, m) ->
-        match m with
-        | Obs.Metrics.Counter c
-          when prefixed "compile." name || prefixed "deopt." name ->
-            Some (name, c.Obs.Metrics.count)
-        | _ -> None)
-      (Obs.Metrics.sorted r.Core.Runner.metrics)
-  in
-  if
-    List.exists (fun (_, v) -> v > 0) counters
-    || r.Core.Runner.jit_profile <> []
-  then begin
-    Format.fprintf ppf "@.-- jit: compiled superblocks --@.";
-    List.iter (fun (n, v) -> Format.fprintf ppf "  %-18s %8d@." n v) counters;
-    let rec take n = function
-      | x :: tl when n > 0 -> x :: take (n - 1) tl
-      | _ -> []
-    in
-    List.iteri
-      (fun i (uid, pc, count, compiled) ->
-        Format.fprintf ppf "  #%-2d uid=%-4d pc=%-5d count=%-8d %s@." (i + 1)
-          uid pc count
-          (if compiled then "compiled" else "interpreted"))
-      (take 10 r.Core.Runner.jit_profile)
-  end
-
-let profile_document (r : Core.Runner.result) =
-  Obs.Json.List
-    (List.mapi
-       (fun i (uid, pc, count, compiled) ->
-         Obs.Json.Obj
-           [
-             ("rank", Obs.Json.Int (i + 1));
-             ("uid", Obs.Json.Int uid);
-             ("pc", Obs.Json.Int pc);
-             ("count", Obs.Json.Int count);
-             ("compiled", Obs.Json.Bool compiled);
-           ])
-       r.Core.Runner.jit_profile)
-
 let emit_observability ~trace ~trace_out ~metrics_json ~abort_report
-    ~profile_json (r : Core.Runner.result) =
+    (r : Core.Runner.result) =
   (match (r.trace, trace_out) with
   | Some tr, Some path ->
       write_json_or_die path (Obs.Trace.to_chrome tr);
@@ -333,11 +274,6 @@ let emit_observability ~trace ~trace_out ~metrics_json ~abort_report
       write_json_or_die path (metrics_document r);
       Format.eprintf "metrics -> %s@." path
   | None -> ());
-  (match profile_json with
-  | Some path ->
-      write_json_or_die path (profile_document r);
-      Format.eprintf "profile -> %s@." path
-  | None -> ());
   if abort_report then begin
     Obs.Sites.report Format.std_formatter r.abort_sites;
     (* Lock-word attribution: which of the two fallback-published words
@@ -351,8 +287,7 @@ let emit_observability ~trace ~trace_out ~metrics_json ~abort_report
       Format.printf
         "@.-- lock-word kills: %d on the GIL word, %d on the commit-clock \
          cell --@."
-        kg kc;
-    jit_report Format.std_formatter r
+        kg kc
   end
 
 let parse_common machine scheme yield_points no_removal lazy_sweep refcount =
@@ -476,7 +411,7 @@ let run_cmd =
   in
   let run workload machine scheme threads size yield_points no_removal lazy_sweep refcount quiet
       clock subscription arrivals offered_load shards policy shared_session
-      mix latency_json trace trace_out metrics_json abort_report profile_json =
+      mix latency_json trace trace_out metrics_json abort_report =
     match Workloads.Workload.find workload with
     | None ->
         Format.eprintf "unknown workload %s@." workload;
@@ -543,7 +478,7 @@ let run_cmd =
               Format.eprintf "--latency-json only applies to server workloads@."
           | None, _ -> ());
           emit_observability ~trace ~trace_out ~metrics_json ~abort_report
-            ~profile_json o.Harness.Exp.result
+            o.Harness.Exp.result
         end
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one workload under one scheme")
@@ -553,7 +488,7 @@ let run_cmd =
       $ refcount_arg $ quiet_arg $ clock_arg $ subscription_arg
       $ arrivals_arg $ offered_load_arg $ shards_arg $ policy_arg
       $ session_arg $ mix_arg $ latency_json_arg $ trace_arg $ trace_out_arg
-      $ metrics_json_arg $ abort_report_arg $ profile_json_arg)
+      $ metrics_json_arg $ abort_report_arg)
 
 let exec_cmd =
   let file_arg =
@@ -561,8 +496,7 @@ let exec_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
   let run file machine scheme yield_points no_removal lazy_sweep refcount quiet
-      clock subscription trace trace_out metrics_json abort_report
-      profile_json =
+      clock subscription trace trace_out metrics_json abort_report =
     let machine, scheme, yield_points, opts =
       parse_common machine scheme yield_points no_removal lazy_sweep refcount
     in
@@ -581,15 +515,14 @@ let exec_cmd =
     if not quiet then print_string r.Core.Runner.output;
     Format.printf "@.wall=%d cycles, %d instructions, %a@." r.wall_cycles
       r.total_insns Htm_sim.Stats.pp r.htm_stats;
-    emit_observability ~trace ~trace_out ~metrics_json ~abort_report
-      ~profile_json r
+    emit_observability ~trace ~trace_out ~metrics_json ~abort_report r
   in
   Cmd.v (Cmd.info "exec" ~doc:"Execute a MiniRuby file on the simulated VM")
     Term.(
       const run $ file_arg $ machine_arg $ scheme_arg $ yield_arg
       $ baseline_opts_arg $ lazy_sweep_arg $ refcount_arg $ quiet_arg
       $ clock_arg $ subscription_arg $ trace_arg $ trace_out_arg
-      $ metrics_json_arg $ abort_report_arg $ profile_json_arg)
+      $ metrics_json_arg $ abort_report_arg)
 
 let fig_cmd =
   let which_arg =

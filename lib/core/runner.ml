@@ -36,25 +36,34 @@ let[@inline] htm_pending htm ctx =
 
 type sched_kind = Sched_heap | Sched_ref
 
+(* The value of environment switch [var], trimmed and lowercased; [""]
+   when unset. *)
+let env_switch var =
+  match Sys.getenv_opt var with
+  | Some s -> String.lowercase_ascii (String.trim s)
+  | None -> ""
+
 (* BENCH_SCHED=ref flips the process-wide default so the smoke script and
    CI can regenerate figures under the reference scheduler without touching
-   every config call site. *)
+   every config call site. An unknown value is an error: falling back to
+   the default would let a typo compare the default against itself. *)
 let default_sched_kind () =
-  match Sys.getenv_opt "BENCH_SCHED" with
-  | Some ("ref" | "REF" | "scan") -> Sched_ref
-  | _ -> Sched_heap
+  match env_switch "BENCH_SCHED" with
+  | "" | "heap" -> Sched_heap
+  | "ref" | "scan" -> Sched_ref
+  | s -> invalid_arg (Printf.sprintf "BENCH_SCHED=%S (expected heap or ref)" s)
 
-type interp_kind = Interp_compiled | Interp_threaded | Interp_ref
+type interp_kind = Interp_threaded | Interp_ref
 
-(* Same pattern for the interpreter tier: BENCH_INTERP=ref (or =threaded)
-   regenerates everything under the reference switch loop (or the threaded
-   tier without superblock compilation) so the smoke script and CI can
-   compare figure digests across tiers. The compiled tier is the default. *)
+(* Same pattern for the interpreter tier: BENCH_INTERP=ref regenerates
+   everything under the reference switch loop so the smoke script and CI
+   can compare figure digests across tiers. *)
 let default_interp_kind () =
-  match Sys.getenv_opt "BENCH_INTERP" with
-  | Some ("ref" | "REF" | "switch") -> Interp_ref
-  | Some ("threaded" | "THREADED") -> Interp_threaded
-  | _ -> Interp_compiled
+  match env_switch "BENCH_INTERP" with
+  | "" | "threaded" -> Interp_threaded
+  | "ref" | "switch" -> Interp_ref
+  | s ->
+      invalid_arg (Printf.sprintf "BENCH_INTERP=%S (expected threaded or ref)" s)
 
 type config = {
   machine : Machine.t;
@@ -121,9 +130,6 @@ type result = {
   request_throughput : float;  (** requests/sec where netsim is used *)
   metrics : Obs.Metrics.t;  (** the VM's registry, runner histograms included *)
   abort_sites : Obs.Sites.t;  (** abort-site attribution for this run *)
-  jit_profile : (int * int * int * bool) list;
-      (** hot superblock heads as [(uid, pc, count, compiled)], most-executed
-          first — empty unless the compiled tier ran *)
   trace : Obs.Trace.t option;  (** the sink passed in the config, if any *)
 }
 
@@ -210,15 +216,6 @@ type t = {
   sleepq : Sched.t;  (** sleeping / io-waiting threads, keyed by wake cycle *)
   accept_waiters : V.t Queue.t;
   mutable total_insns : int;
-  (* Pending batched accounting from the tier-3 fast window: retired
-     instruction count and cycle breakdowns accumulated in these fields
-     instead of per component, and flushed at window exit / component
-     retirement. Live only inside one thread's fast window; always zero
-     outside it. Fields rather than window-local refs so entering the
-     window never allocates. *)
-  mutable fw_b_insns : int;
-  mutable fw_b_held : int;
-  mutable fw_b_other : int;
   prng : Prng.t;  (** scheduling-only randomness (retry backoff) *)
   breakdown : breakdown;
   mutable stop : unit -> bool;
@@ -250,10 +247,6 @@ type t = {
       (** clock-cell writes avoided (mirrors [Tm_clock.skipped]) *)
   m_clock_switches : Obs.Metrics.counter;
       (** GV6 regime switches (mirrors [Tm_clock.switches]) *)
-  m_deopt_rollback : Obs.Metrics.counter;
-      (** compiled-tier components re-routed through [Interp.step_d]
-          because the thread's registers left the superblock (window
-          rollback, call/return, branch out) *)
   m_slice_insns : Obs.Metrics.histogram;
       (** instructions executed per run-ahead slice *)
   g_runnable_peak : Obs.Metrics.gauge;
@@ -374,9 +367,6 @@ let create ?(io : Netsim.t option) cfg ~source =
     sleepq = Sched.create ~dummy:main;
     accept_waiters = Queue.create ();
     total_insns = 0;
-    fw_b_insns = 0;
-    fw_b_held = 0;
-    fw_b_other = 0;
     prng = Prng.create 20140215;
     breakdown =
       {
@@ -406,7 +396,6 @@ let create ?(io : Netsim.t option) cfg ~source =
     m_clock_bumps = Obs.Metrics.counter metrics "clock.bumps";
     m_clock_skipped = Obs.Metrics.counter metrics "clock.skipped";
     m_clock_switches = Obs.Metrics.counter metrics "clock.switches";
-    m_deopt_rollback = Obs.Metrics.counter metrics "deopt.rollback";
     m_slice_insns = Obs.Metrics.histogram metrics "sched.slice_insns";
     g_runnable_peak = Obs.Metrics.gauge metrics "sched.runnable_peak";
     g_accept_queue_peak = Obs.Metrics.gauge metrics "net.accept_queue_peak";
@@ -582,26 +571,6 @@ let charge_txn_overhead t (th : V.t) c =
   th.clock <- th.clock + c;
   th.cyc_txn_overhead <- th.cyc_txn_overhead + c;
   t.breakdown.bd_txn_overhead <- t.breakdown.bd_txn_overhead + c
-
-(* Flush the tier-3 fast window's pending batched accounting into the
-   real accumulators. [th] must be the thread whose window accumulated
-   it — the batch never survives a window exit, so the fields are zero
-   whenever any other thread runs. *)
-let[@inline] flush_fw_acct t (th : V.t) =
-  if t.fw_b_insns <> 0 then begin
-    th.work <- th.work + t.fw_b_insns;
-    t.total_insns <- t.total_insns + t.fw_b_insns;
-    t.fw_b_insns <- 0
-  end;
-  if t.fw_b_held <> 0 then begin
-    th.cyc_gil_held <- th.cyc_gil_held + t.fw_b_held;
-    t.breakdown.bd_gil_held <- t.breakdown.bd_gil_held + t.fw_b_held;
-    t.fw_b_held <- 0
-  end;
-  if t.fw_b_other <> 0 then begin
-    t.breakdown.bd_other <- t.breakdown.bd_other + t.fw_b_other;
-    t.fw_b_other <- 0
-  end
 
 (* The rollback closure run by the engine whenever this thread's transaction
    dies (self-abort or victim of a conflict). The abort site — the bytecode
@@ -1537,7 +1506,7 @@ let deliver_io t (th : V.t) =
    stage 3 and the decoded form is refetched after it.
 
    Returns the number of component steps attempted, for slice accounting. *)
-let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
+let step_thread_d t ~stop (main : V.t) (th : V.t) =
   let vm = t.vm in
   let scheme = t.cfg.scheme in
   step_prologue t th;
@@ -1545,167 +1514,16 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
   else begin
     let d = ref (Rvm.Vm.dcode vm th.code) in
     let steps = ref 0 in
-    let head = th.pc in
-    let fuse0 = Array.unsafe_get (!d).Rvm.Compiler.Dcode.fuse head in
     (* components left in the current superblock, counting this one *)
-    let budget = ref (Int.max 1 fuse0) in
-    (* Tier 3: when this pc heads a superblock, look up its compiled
-       entry (guarded by physical identity of the code, like the dcode
-       cache); on a miss, bump the head's profile counter and compile
-       once it crosses the threshold. Profiling and compilation are pure
-       host-side work — no simulated access happens before stage 3. *)
-    let entry =
-      if compiled && fuse0 >= 2 then begin
-        let e = Rvm.Vm.jit_entry vm th.code head in
-        if e.Rvm.Compiler.Jit.e_src == th.code then e
-        else if Rvm.Vm.jit_hot vm !d head >= Rvm.Compiler.jit_threshold
-        then begin
-          let e = Rvm.Interp.compile_block vm !d ~head in
-          Rvm.Vm.jit_store vm e;
-          e
-        end
-        else Rvm.Compiler.jit_dummy
-      end
-      else Rvm.Compiler.jit_dummy
+    let budget =
+      ref (Int.max 1 (Array.unsafe_get (!d).Rvm.Compiler.Dcode.fuse th.pc))
     in
-    let e_head = entry.Rvm.Compiler.Jit.e_head in
-    let e_len = entry.Rvm.Compiler.Jit.e_len in
-    let e_comps = entry.Rvm.Compiler.Jit.e_comps in
-    let e_src = entry.Rvm.Compiler.Jit.e_src in
-    let have_entry = e_head >= 0 in
-    (* Loop-invariant bindings for the fast window below. [fw_yield] is
-       the byte table stage 3 would consult ([fw_stage3] false means
-       stage 3 is a no-op for this scheme and the table is never read);
-       both are derived from the entry's own code, so they stay valid
-       whenever the window's [th.code == e_src] guard holds. *)
-    let fw_stage3 =
-      match scheme with
-      | Scheme.Fine_grained | Scheme.Free_parallel -> false
-      | _ -> true
-    in
-    let fw_yield =
-      match scheme with
-      | Scheme.Gil_only -> (!d).Rvm.Compiler.Dcode.yield_orig
-      | _ -> (
-          match t.cfg.yield_points with
-          | Yield_points.Original -> (!d).Rvm.Compiler.Dcode.yield_orig
-          | Yield_points.Extended -> (!d).Rvm.Compiler.Dcode.yield_ext)
-    in
-    let fw_skip =
-      (* schemes whose stage 3 consumes the skip-yield flag *)
-      match scheme with
-      | Scheme.Htm_fixed _ | Scheme.Htm_dynamic | Scheme.Hybrid
-      | Scheme.Stm_only -> true
-      | Scheme.Gil_only | Scheme.Fine_grained | Scheme.Free_parallel ->
-          false
-    in
-    let fw_cost = (!d).Rvm.Compiler.Dcode.cost in
     let uses_htm = Scheme.uses_htm scheme
     and uses_stm = Scheme.uses_stm scheme in
     let horizon = t.horizon in
     let max_insns = t.cfg.max_insns in
-    let cyc_mem = (costs t).cyc_mem in
     let continue_ = ref true in
     while !continue_ do
-      (* ---- tier-3 fast window ----------------------------------------
-         Run consecutive compiled, yield-free components in a stripped
-         loop. Between yield points nothing can move this thread in or
-         out of a transaction or the GIL except the component itself
-         aborting or blocking — both leave through an exception handler —
-         so [Gil.held_by] and the in-transaction test are hoisted to the
-         window entry. Every observable effect (the simulated access
-         sequence, per-component cost and clock accounting, wake/spawn
-         draining, every bail decision the generic body makes, IO
-         delivery) is replayed per component exactly as below; only
-         host-side bookkeeping that provably cannot change inside the
-         window is elided. *)
-      (if have_entry && th.code == e_src then begin
-         let p0 = th.pc - e_head in
-         if
-           p0 >= 0 && p0 < e_len
-           && not
-                (fw_stage3 && Bytes.unsafe_get fw_yield th.pc = '\001')
-           && not (fw_skip && t.skip_yield.(th.tid))
-         then begin
-           let fw_held = Gil.held_by t.gil th in
-           let fw_in_txn =
-             Htm.in_txn vm.Rvm.Vm.htm th.ctx
-             || (match t.stm with
-                | Some s -> Stm.in_txn s th.ctx
-                | None -> false)
-           in
-           let fast = ref true in
-           while !fast do
-             let cpc = th.pc in
-             incr steps;
-             let cost_class = Array.unsafe_get fw_cost cpc in
-             let pre_fp = th.fp and pre_sp = th.sp
-             and pre_pc = th.pc and pre_code = th.code in
-             (try
-                let r = (Array.unsafe_get e_comps (cpc - e_head)) th in
-                let extra = Htm.step_extra_cycles vm.Rvm.Vm.htm
-                and accesses = Htm.step_accesses vm.Rvm.Vm.htm in
-                Htm.reset_step_cost vm.Rvm.Vm.htm;
-                let cost =
-                  Array.unsafe_get t.cost_tbl cost_class
-                  + (accesses * cyc_mem) + extra
-                in
-                th.clock <- th.clock + cost;
-                t.fw_b_insns <- t.fw_b_insns + 1;
-                if fw_held then t.fw_b_held <- t.fw_b_held + cost
-                else if not fw_in_txn then
-                  t.fw_b_other <- t.fw_b_other + cost;
-                if r <> 0 then begin
-                  flush_fw_acct t th;
-                  let closed = window_close_for_retire t th in
-                  if closed then on_thread_done t th
-                  else th.status <- V.Runnable
-                end
-              with
-             | Htm.Abort_now _ -> Htm.reset_step_cost vm.Rvm.Vm.htm
-             | V.Block reason ->
-                 Htm.reset_step_cost vm.Rvm.Vm.htm;
-                 th.fp <- pre_fp;
-                 th.sp <- pre_sp;
-                 th.pc <- pre_pc;
-                 th.code <- pre_code;
-                 on_block t th reason);
-             if vm.Rvm.Vm.pending_wakes != [] then drain_wakes t th;
-             if vm.Rvm.Vm.spawned != [] then drain_spawned t;
-             decr budget;
-             if
-               !budget <= 0
-               || (not (runnable th))
-               || th.ctx < 0
-               || t.outside.(th.tid)
-               || th.code != e_src
-               || th.pc <> cpc + 1
-               || (uses_htm && htm_pending vm.Rvm.Vm.htm th.ctx)
-               || (uses_stm && stm_pending t th)
-               || finished main
-               || t.total_insns + t.fw_b_insns >= max_insns
-               || th.clock > horizon
-               || stop ()
-               || Sched.preempts t.sched ~key:th.clock ~tid:th.tid
-             then begin
-               fast := false;
-               continue_ := false
-             end
-             else begin
-               deliver_io t th;
-               (* next component still fast-eligible? *)
-               let p = th.pc - e_head in
-               if
-                 p >= e_len
-                 || (fw_stage3 && Bytes.unsafe_get fw_yield th.pc = '\001')
-                 || (fw_skip && t.skip_yield.(th.tid))
-               then fast := false
-             end
-           done;
-           flush_fw_acct t th
-         end
-       end);
-      if !continue_ then begin
       let dd = !d in
       let cpc = th.pc in
       incr steps;
@@ -1752,25 +1570,7 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
              | None -> false)
         in
         (try
-           (* compiled components only run while the registers sit
-              exactly on the entry's straight line in its own code;
-              anywhere else — stage-3 rollback moved the pc, a call
-              switched the method — this component deoptimizes to
-              [step_d], which re-derives everything from the live
-              registers. Both paths execute the identical simulated
-              access sequence. *)
-           let r =
-             let p = th.pc - e_head in
-             if
-               have_entry && th.code == e_src && p >= 0 && p < e_len
-             then (Array.unsafe_get e_comps p) th
-             else begin
-               if have_entry then Obs.Metrics.incr t.m_deopt_rollback;
-               match Rvm.Interp.step_d vm th d4 with
-               | Rvm.Interp.Continue -> 0
-               | Rvm.Interp.Done _ -> 1
-             end
-           in
+           let r = Rvm.Interp.step_d vm th d4 in
            let extra = Htm.step_extra_cycles vm.Rvm.Vm.htm
            and accesses = Htm.step_accesses vm.Rvm.Vm.htm in
            Htm.reset_step_cost vm.Rvm.Vm.htm;
@@ -1788,11 +1588,12 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
            else if not in_txn_before then
              t.breakdown.bd_other <- t.breakdown.bd_other + cost;
            t.total_insns <- t.total_insns + 1;
-           if r <> 0 then begin
-             let closed = window_close_for_retire t th in
-             if closed then on_thread_done t th
-             else th.status <- V.Runnable
-           end
+           match r with
+           | Rvm.Interp.Continue -> ()
+           | Rvm.Interp.Done _ ->
+               let closed = window_close_for_retire t th in
+               if closed then on_thread_done t th
+               else th.status <- V.Runnable
          with
         | Htm.Abort_now _ -> Htm.reset_step_cost vm.Rvm.Vm.htm
         | V.Block reason ->
@@ -1811,26 +1612,23 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
            [cpc + 1], and a failed software commit records its abort
            without moving control at all — either way the retry policy
            (stage 1) must run before another instruction executes *)
-        if !continue_ then begin
-          decr budget;
-          if
-            !budget <= 0
-            || (not (runnable th))
-            || th.ctx < 0
-            || t.outside.(th.tid)
-            || th.code != (!d).Rvm.Compiler.Dcode.src
-            || th.pc <> cpc + 1
-            || (uses_htm && htm_pending vm.Rvm.Vm.htm th.ctx)
-            || (uses_stm && stm_pending t th)
-            || finished main
-            || t.total_insns >= max_insns
-            || th.clock > horizon
-            || stop ()
-            || Sched.preempts t.sched ~key:th.clock ~tid:th.tid
-          then continue_ := false
-          else deliver_io t th
-        end
-      end
+        decr budget;
+        if
+          !budget <= 0
+          || (not (runnable th))
+          || th.ctx < 0
+          || t.outside.(th.tid)
+          || th.code != (!d).Rvm.Compiler.Dcode.src
+          || th.pc <> cpc + 1
+          || (uses_htm && htm_pending vm.Rvm.Vm.htm th.ctx)
+          || (uses_stm && stm_pending t th)
+          || finished main
+          || t.total_insns >= max_insns
+          || th.clock > horizon
+          || stop ()
+          || Sched.preempts t.sched ~key:th.clock ~tid:th.tid
+        then continue_ := false
+        else deliver_io t th
       end
     done;
     !steps
@@ -1845,14 +1643,13 @@ let step_thread_d t ~compiled ~stop (main : V.t) (th : V.t) =
 let run_slice t ~stop (main : V.t) (th : V.t) =
   t.running_tid <- th.tid;
   Obs.Metrics.gauge_max t.g_runnable_peak (Sched.size t.sched + 1);
-  let compiled = t.cfg.interp = Interp_compiled in
-  let threaded = compiled || t.cfg.interp = Interp_threaded in
+  let threaded = t.cfg.interp = Interp_threaded in
   let slice = ref 0 in
   let continue_ = ref true in
   while !continue_ do
     deliver_io t th;
     if threaded then
-      slice := !slice + Int.max 1 (step_thread_d t ~compiled ~stop main th)
+      slice := !slice + Int.max 1 (step_thread_d t ~stop main th)
     else begin
       step_thread t th;
       incr slice
@@ -1989,7 +1786,6 @@ let snapshot t =
     request_throughput = (match t.io with Some io -> Netsim.throughput io | None -> 0.0);
     metrics = vm.Rvm.Vm.metrics;
     abort_sites = t.sites;
-    jit_profile = Rvm.Vm.jit_profile vm;
     trace = t.tracer;
   }
 
@@ -2056,10 +1852,8 @@ let advance ?(stop = fun () -> false) t ~until =
                deliver_io t th;
                let n =
                  match t.cfg.interp with
-                 | Interp_compiled ->
-                     Int.max 1 (step_thread_d t ~compiled:true ~stop main th)
                  | Interp_threaded ->
-                     Int.max 1 (step_thread_d t ~compiled:false ~stop main th)
+                     Int.max 1 (step_thread_d t ~stop main th)
                  | Interp_ref ->
                      step_thread t th;
                      1

@@ -17,34 +17,24 @@ type sched_kind =
           specification the heap scheduler is differentially tested against *)
 
 val default_sched_kind : unit -> sched_kind
-(** [Sched_heap], unless the [BENCH_SCHED] environment variable is set to
-    ["ref"]/["REF"]/["scan"]. *)
+(** [BENCH_SCHED], case-insensitive: unset, blank or ["heap"] gives
+    [Sched_heap]; ["ref"] or ["scan"] gives [Sched_ref].
+    @raise Invalid_argument on any other value. *)
 
 type interp_kind =
-  | Interp_compiled
-      (** tier 3 (the default): the threaded tier plus hot superblocks
-          compiled into chained OCaml closures ([Interp.compile_block])
-          once their head's execution count crosses
-          [Compiler.jit_threshold]. Compiled components deoptimize back to
-          [Interp.step_d] whenever the registers leave the straight line
-          (window rollback, call/return — counted as [deopt.rollback]); a
-          compiled send whose inline-cache guard misses runs the generic
-          resolver and counts [deopt.guard]; [Defmethod]/[Defclass] flush
-          every compiled entry ([deopt.invalidate]). Simulated semantics —
-          access sequence, yield placement, txlen, abort attribution —
-          identical to [Interp_threaded], host wall time lower *)
   | Interp_threaded
       (** pre-decoded threaded dispatch with superinstruction fusion and
-          specialized monomorphic send paths; simulated semantics identical
-          to [Interp_ref], host wall time much lower *)
+          specialized monomorphic send paths (the default); simulated
+          semantics identical to [Interp_ref], host wall time much lower *)
   | Interp_ref
       (** the original switch-style loop over the tagged bytecode variants,
-          retained as the executable specification the other tiers are
+          retained as the executable specification the threaded tier is
           differentially tested against *)
 
 val default_interp_kind : unit -> interp_kind
-(** [Interp_compiled], unless the [BENCH_INTERP] environment variable is
-    set to ["ref"]/["REF"]/["switch"] or ["threaded"]/["THREADED"]. *)
+(** [BENCH_INTERP], case-insensitive: unset, blank or ["threaded"] gives
+    [Interp_threaded]; ["ref"] or ["switch"] gives [Interp_ref].
+    @raise Invalid_argument on any other value. *)
 
 type config = {
   machine : Htm_sim.Machine.t;
@@ -115,10 +105,6 @@ type result = {
       (** the VM's registry: interpreter counters, GC pause / txn / GIL-wait
           histograms added by the runner *)
   abort_sites : Obs.Sites.t;  (** abort-site attribution for this run *)
-  jit_profile : (int * int * int * bool) list;
-      (** hot superblock heads as [(uid, pc, count, compiled)], most-executed
-          first — empty unless the compiled tier ran (see
-          {!Rvm.Vm.jit_profile}) *)
   trace : Obs.Trace.t option;  (** the sink passed in the config, if any *)
 }
 
@@ -164,12 +150,6 @@ type t = {
   sleepq : Sched.t;  (** sleeping / io-waiting threads, keyed by wake cycle *)
   accept_waiters : Rvm.Vmthread.t Queue.t;
   mutable total_insns : int;
-  mutable fw_b_insns : int;
-      (** pending batched accounting from the tier-3 fast window: retired
-          instructions not yet added to [total_insns]/[th.work];
-          zero outside a fast window *)
-  mutable fw_b_held : int;  (** GIL-held cycles pending flush *)
-  mutable fw_b_other : int;  (** non-GIL non-txn cycles pending flush *)
   prng : Htm_sim.Prng.t;
   breakdown : breakdown;
   mutable stop : unit -> bool;
@@ -199,9 +179,6 @@ type t = {
       (** clock-cell writes avoided (mirrors [Tm_clock.skipped]) *)
   m_clock_switches : Obs.Metrics.counter;
       (** GV6 regime switches (mirrors [Tm_clock.switches]) *)
-  m_deopt_rollback : Obs.Metrics.counter;
-      (** compiled-tier components re-routed through [Interp.step_d]
-          because the registers left the superblock *)
   m_slice_insns : Obs.Metrics.histogram;
       (** instructions executed per run-ahead slice *)
   g_runnable_peak : Obs.Metrics.gauge;

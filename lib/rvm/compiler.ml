@@ -840,53 +840,3 @@ let dcode_dummy =
       nlocals = 0;
       insns = [||];
     }
-
-(* ---- tier-3: compiled superblocks --------------------------------------
-
-   The third interpreter tier compiles a hot Dcode superblock (a
-   [scan_fuse] run) into one OCaml closure per fused component, emitted by
-   [Interp.compile_block] against this representation. Each closure is
-   specialized on its decoded operands — the literal, the local's frame
-   offset, the send site's symbol/argc/cache slot — but is built from the
-   SAME interpreter helpers as [Interp.step_d], so the simulated access
-   sequence (every [Htm.read]/[Htm.write], in order) is byte-identical to
-   the threaded tier; compilation elides host-side dispatch and operand
-   fetches only. Entries are cached per VM keyed like [Vm.dcode]
-   ([code.uid] rows, [src] physical-identity guard, flushed on
-   [Defmethod]/[Defclass]) and the runner deoptimizes back to
-   [Interp.step_d] whenever the registers no longer match the component
-   (window rollback, call/return, invalidation). *)
-
-module Jit = struct
-  (* A compiled component: executes exactly one instruction for a thread
-     whose registers sit at this component's pc. Returns [comp_continue]
-     or [comp_done], mirroring [Interp.step_result] without the payload
-     (the runner reads the retiring thread's [result] register). *)
-  type comp = Vmthread.t -> int
-
-  let comp_continue = 0
-  let comp_done = 1
-
-  type entry = {
-    e_src : Value.code;  (** physical-identity guard, like [Dcode.src] *)
-    e_head : int;  (** pc of the superblock head *)
-    e_len : int;  (** component count ([Dcode.fuse] at the head) *)
-    e_comps : comp array;  (** component [i] runs pc = [e_head + i] *)
-  }
-end
-
-(* Head executions of a superblock before the runner compiles it. Low
-   enough that steady-state loops compile almost immediately, high enough
-   that boot-time straight-line code never pays the emitter; tune against
-   the [--profile-json] hot-site dump. *)
-let jit_threshold = 64
-
-(* Cache hole: [e_head] is negative and [e_src] never physically equals a
-   live code, so lookups skip an option. *)
-let jit_dummy =
-  {
-    Jit.e_src = dcode_dummy.Dcode.src;
-    Jit.e_head = -1;
-    Jit.e_len = 0;
-    Jit.e_comps = [||];
-  }

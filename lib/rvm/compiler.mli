@@ -108,34 +108,3 @@ val decode : Value.code -> Dcode.t
 
 val dcode_dummy : Dcode.t
 (** Cache hole value; never physically equal to a live [code]. *)
-
-(** Tier-3 compiled superblocks: a hot {!Dcode} fuse run compiled into one
-    OCaml closure per component ([Interp.compile_block]), cached per VM
-    keyed like [Vm.dcode] and dispatched by the runner's superblock
-    executor. Closures are specialized on their decoded operands but built
-    from the same interpreter helpers as [Interp.step_d], so the simulated
-    access sequence stays byte-identical to the threaded tier. *)
-module Jit : sig
-  type comp = Vmthread.t -> int
-  (** Execute one instruction for a thread positioned at the component's
-      pc; returns {!comp_continue} or {!comp_done} (mirroring
-      [Interp.step_result] — the thread's [result] register carries the
-      retired value). *)
-
-  val comp_continue : int
-  val comp_done : int
-
-  type entry = {
-    e_src : Value.code;  (** physical-identity guard, like [Dcode.src] *)
-    e_head : int;  (** pc of the superblock head *)
-    e_len : int;  (** component count ([Dcode.fuse] at the head) *)
-    e_comps : comp array;  (** component [i] runs pc = [e_head + i] *)
-  }
-end
-
-val jit_threshold : int
-(** Head executions of a superblock before the runner compiles it. *)
-
-val jit_dummy : Jit.entry
-(** Cache hole value; [e_head] is negative and [e_src] never physically
-    equals a live [code]. *)

@@ -1209,383 +1209,3 @@ let step_d vm (th : Vmthread.t) (d : Compiler.Dcode.t) : step_result =
         ~block:site.ss_block ~slot:site.ss_cache;
       Continue
   | _ (* generic *) -> step vm th
-
-(* ---- tier-3: compiled superblock components ------------------------------ *)
-
-(* [compile_block] turns one peephole-fused superblock of [d] into chained
-   OCaml closures: one per component, specialized on its decoded operands —
-   the pushed literal, the local's frame offset, the symbol, the send
-   site's symbol/argc/block/cache slot — captured when the emitter runs.
-   Every closure body is the corresponding [step_d] arm built from the SAME
-   helpers ([push]/[pop]/[peek], [arith], [compare_fast], [equality],
-   [dispatch_slot]), so the simulated access sequence — every [Htm.read]
-   and [Htm.write], in order — and therefore yield decisions, txlen tables,
-   abort attribution and all four figure digests are byte-identical to the
-   threaded tier: compilation elides the dispatch match, the [th.pc] fetch
-   and the operand array loads, nothing else.
-
-   Cells resolved through side-effecting tables ([Vm.gvar_cell],
-   [Vm.const_cell], [Vm.cvar_cell]) are looked up at RUN time exactly like
-   [step_d]: resolving them at compile time could create the cell earlier
-   than the threaded tier would, shifting every later [Store.reserve] and
-   with it the line-conflict pattern of the figures.
-
-   Closures return [Jit.comp_continue] (0) or [Jit.comp_done] (1); a
-   retiring thread's value sits in its [result] register, so the payload
-   of [Done] is not needed. The runner only invokes a component when the
-   thread's registers sit exactly at its pc in the entry's own [src] code
-   (deoptimizing to [step_d] otherwise), which is what makes the captured
-   [pc] and operands safe. *)
-
-let compile_comp vm (d : Compiler.Dcode.t) pc : Compiler.Jit.comp =
-  let htm = vm.Vm.htm in
-  match Array.get d.Compiler.Dcode.ops pc with
-  | 1 (* nop *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        th.pc <- pc + 1;
-        0
-  | 2 (* push *) ->
-      let v = Array.get d.vals pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        push vm th v;
-        th.pc <- pc + 1;
-        0
-  | 3 (* pushself *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        push vm th (frame_self vm th th.fp);
-        th.pc <- pc + 1;
-        0
-  | 4 (* pop *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        th.sp <- th.sp - 1;
-        th.pc <- pc + 1;
-        0
-  | 5 (* dup *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        push vm th (peek vm th 0);
-        th.pc <- pc + 1;
-        0
-  | 6 (* dup2 *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let a = peek vm th 1 and b = peek vm th 0 in
-        push vm th a;
-        push vm th b;
-        th.pc <- pc + 1;
-        0
-  | 7 (* getlocal depth 0: frame offset precomputed *) ->
-      let off = Vmthread.frame_hdr + Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        push vm th (rd vm th (th.fp + off));
-        th.pc <- pc + 1;
-        0
-  | 8 (* getlocal *) ->
-      let off = Vmthread.frame_hdr + Array.get d.opa pc
-      and depth = Array.get d.opb pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let fp = local_base vm th th.fp depth in
-        push vm th (rd vm th (fp + off));
-        th.pc <- pc + 1;
-        0
-  | 9 (* setlocal depth 0 *) ->
-      let off = Vmthread.frame_hdr + Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let v = pop vm th in
-        wr vm th (th.fp + off) v;
-        th.pc <- pc + 1;
-        0
-  | 10 (* setlocal *) ->
-      let off = Vmthread.frame_hdr + Array.get d.opa pc
-      and depth = Array.get d.opb pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let fp = local_base vm th th.fp depth in
-        let v = pop vm th in
-        wr vm th (fp + off) v;
-        th.pc <- pc + 1;
-        0
-  | 11 (* getivar *) ->
-      let sym = Array.get d.opa pc and slot = Array.get d.opb pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let self = frame_self vm th th.fp in
-        (match self with
-        | VRef a ->
-            let k = Vm.class_of vm self in
-            let guard =
-              match vm.Vm.opts.ivar_guard with
-              | Options.Class_equality -> k.id
-              | Options.Table_equality -> k.ivar_tbl_id
-            in
-            let cache = Vm.cache_addr vm slot in
-            let idx =
-              match (rd vm th cache, rd vm th (cache + 1)) with
-              | VInt g, VInt i when g = guard -> Some i
-              | _ -> (
-                  match Klass.ivar_index k sym with
-                  | Some i ->
-                      wr vm th cache (vint guard);
-                      wr vm th (cache + 1) (vint i);
-                      Some i
-                  | None -> None)
-            in
-            (match idx with
-            | Some i -> push vm th (rd vm th (a + i))
-            | None -> push vm th VNil)
-        | _ -> guest_error "instance variable access on %s" (type_name self));
-        th.pc <- pc + 1;
-        0
-  | 12 (* setivar *) ->
-      let sym = Array.get d.opa pc and slot = Array.get d.opb pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let self = frame_self vm th th.fp in
-        (match self with
-        | VRef a ->
-            let k = Vm.class_of vm self in
-            let idx =
-              match Klass.ivar_index ~create:true k sym with
-              | Some i -> i
-              | None -> assert false
-            in
-            let guard =
-              match vm.Vm.opts.ivar_guard with
-              | Options.Class_equality -> k.id
-              | Options.Table_equality -> k.ivar_tbl_id
-            in
-            let cache = Vm.cache_addr vm slot in
-            wr vm th cache (vint guard);
-            wr vm th (cache + 1) (vint idx);
-            let v = pop vm th in
-            wr vm th (a + idx) v
-        | _ ->
-            guest_error "instance variable assignment on %s" (type_name self));
-        th.pc <- pc + 1;
-        0
-  | 13 (* getcvar *) ->
-      let sym = Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let k = Vm.class_of vm (frame_self vm th th.fp) in
-        push vm th (rd vm th (Vm.cvar_cell vm k.id sym));
-        th.pc <- pc + 1;
-        0
-  | 14 (* setcvar *) ->
-      let sym = Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let k = Vm.class_of vm (frame_self vm th th.fp) in
-        let v = pop vm th in
-        wr vm th (Vm.cvar_cell vm k.id sym) v;
-        th.pc <- pc + 1;
-        0
-  | 15 (* getglobal *) ->
-      let sym = Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        push vm th (rd vm th (Vm.gvar_cell vm sym));
-        th.pc <- pc + 1;
-        0
-  | 16 (* setglobal *) ->
-      let sym = Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let v = pop vm th in
-        wr vm th (Vm.gvar_cell vm sym) v;
-        th.pc <- pc + 1;
-        0
-  | 17 (* getconst *) ->
-      let sym = Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let v = rd vm th (Vm.const_cell vm sym) in
-        if v = VNil then
-          guest_error "uninitialized constant %s" (Sym.name sym);
-        push vm th v;
-        th.pc <- pc + 1;
-        0
-  | 18 (* setconst *) ->
-      let sym = Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let v = pop vm th in
-        wr vm th (Vm.const_cell vm sym) v;
-        th.pc <- pc + 1;
-        0
-  | 19 (* jump *) ->
-      let target = Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        th.pc <- target;
-        0
-  | 20 (* branchif *) ->
-      let target = Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let v = pop vm th in
-        th.pc <- (if truthy v then target else pc + 1);
-        0
-  | 21 (* branchunless *) ->
-      let target = Array.get d.opa pc in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let v = pop vm th in
-        th.pc <- (if truthy v then pc + 1 else target);
-        0
-  | 22 (* leave *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let ret = pop vm th in
-        let flags = frame_flags vm th th.fp in
-        let ret =
-          if flags land Vmthread.flag_constructor <> 0 then
-            frame_self vm th th.fp
-          else ret
-        in
-        (match leave_from vm th th.fp ret with Some _ -> 1 | None -> 0)
-  | 23 (* opt_plus *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let a = peek vm th 1 in
-        if is_string vm a then
-          dispatch_slot vm th ~sym:Sym.s_plus ~argc:1 ~block:None ~slot:(-1)
-        else arith vm th Sym.s_plus Opt_plus;
-        0
-  | 24 (* opt_minus *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        ignore (peek vm th 1);
-        arith vm th Sym.s_minus Opt_minus;
-        0
-  | 25 (* opt_mult *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        ignore (peek vm th 1);
-        arith vm th Sym.s_mult Opt_mult;
-        0
-  | 26 (* opt_div *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        ignore (peek vm th 1);
-        arith vm th Sym.s_div Opt_div;
-        0
-  | 27 (* opt_mod *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        ignore (peek vm th 1);
-        arith vm th Sym.s_mod Opt_mod;
-        0
-  | 28 (* opt_pow *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        ignore (peek vm th 1);
-        arith vm th Sym.s_pow Opt_pow;
-        0
-  | 29 (* opt_eq *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        equality vm th ~negate:false;
-        0
-  | 30 (* opt_neq *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let b = peek vm th 0 and a = peek vm th 1 in
-        (match (a, b) with
-        | VRef _, _ when not (is_string vm a) ->
-            th.sp <- th.sp - 2;
-            push vm th (if a = b then VFalse else VTrue);
-            th.pc <- pc + 1
-        | _ -> equality vm th ~negate:true);
-        0
-  | 31 (* opt_lt *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        compare_fast vm th Opt_lt;
-        0
-  | 32 (* opt_le *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        compare_fast vm th Opt_le;
-        0
-  | 33 (* opt_gt *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        compare_fast vm th Opt_gt;
-        0
-  | 34 (* opt_ge *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        compare_fast vm th Opt_ge;
-        0
-  | 35 (* opt_aref *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        (match opt_aref vm th with Done _ -> 1 | Continue -> 0)
-  | 36 (* opt_aset *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        (match opt_aset vm th with Done _ -> 1 | Continue -> 0)
-  | 37 (* opt_ltlt *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        (match opt_ltlt vm th with Done _ -> 1 | Continue -> 0)
-  | 38 (* opt_not *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let v = pop vm th in
-        push vm th (if truthy v then VFalse else VTrue);
-        th.pc <- pc + 1;
-        0
-  | 39 (* opt_neg *) ->
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let v = pop vm th in
-        (match v with
-        | VInt i -> push vm th (vint (-i))
-        | VFloat f ->
-            box vm th (VFloat (-.f));
-            push vm th (VFloat (-.f))
-        | _ -> guest_error "cannot negate %s" (type_name v));
-        th.pc <- pc + 1;
-        0
-  | 40 (* send: monomorphic specialization on the site's fill-once cache.
-          [dispatch_slot] itself is the guard — a quick-guard hit runs the
-          cached target with no resolver work — and a registered miss
-          (megamorphic site or stale cache) is this tier's inline-guard
-          deoptimization: the generic resolver runs, identically to the
-          threaded tier, and the event counts as [deopt.guard]. *) ->
-      let site = Array.get d.sites pc in
-      let sym = site.ss_sym
-      and argc = site.ss_argc
-      and block = site.ss_block
-      and slot = site.ss_cache in
-      let misses = vm.Vm.m_cache_misses and guard = vm.Vm.m_deopt_guard in
-      fun (th : Vmthread.t) ->
-        Htm.set_cur_ctx htm th.ctx;
-        let m0 = misses.Obs.Metrics.count in
-        dispatch_slot vm th ~sym ~argc ~block ~slot;
-        if misses.Obs.Metrics.count <> m0 then Obs.Metrics.incr guard;
-        0
-  | _ (* generic: never fused ([scan_fuse] requires non-generic
-         components), kept as a defensive route to the reference loop *) ->
-      fun (th : Vmthread.t) ->
-        (match step vm th with Done _ -> 1 | Continue -> 0)
-
-let compile_block vm (d : Compiler.Dcode.t) ~head : Compiler.Jit.entry =
-  let len = Array.get d.Compiler.Dcode.fuse head in
-  let comps = Array.init len (fun i -> compile_comp vm d (head + i)) in
-  Obs.Metrics.incr vm.Vm.m_jit_blocks;
-  {
-    Compiler.Jit.e_src = d.Compiler.Dcode.src;
-    e_head = head;
-    e_len = len;
-    e_comps = comps;
-  }

@@ -30,15 +30,6 @@ val step_d : Vm.t -> Vmthread.t -> Compiler.Dcode.t -> step_result
     the instruction on wake-up);
     @raise Value.Guest_error on a guest-level error. *)
 
-val compile_block : Vm.t -> Compiler.Dcode.t -> head:int -> Compiler.Jit.entry
-(** Compile the superblock headed at [head] (a pc with [Dcode.fuse] >= 2)
-    into one closure per component, specialized on the decoded operands.
-    Closures call [step_d]'s own helpers, so the simulated access sequence,
-    yield decisions and abort attribution are byte-identical to the
-    threaded tier; each call counts one [compile.blocks]. The caller stores
-    the entry ([Vm.jit_store]) and must only dispatch into it while
-    [th.code == e_src] and the thread sits exactly at a component pc. *)
-
 val dispatch :
   Vm.t ->
   Vmthread.t ->

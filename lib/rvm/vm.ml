@@ -66,21 +66,6 @@ and t = {
      physical identity of their source code object and the whole table is
      flushed on method (re)definition *)
   mutable dcodes : Compiler.Dcode.t array;
-  (* tier-3 compiled-superblock cache and hot-head profile, keyed like
-     [dcodes]: [uid] rows sized to the method, per-pc cells. [jentries]
-     holds [Compiler.jit_dummy] holes and is flushed with [dcodes];
-     [jhot] counts head executions (host-side profile only — it never
-     influences simulated state) and survives invalidation so a still-hot
-     site recompiles on its next execution *)
-  mutable jentries : Compiler.Jit.entry array array;
-  mutable jhot : int array array;
-  m_jit_blocks : Obs.Metrics.counter;  (** "compile.blocks" *)
-  m_deopt_guard : Obs.Metrics.counter;
-      (** "deopt.guard": a compiled send whose inline-cache guard missed
-          (megamorphic site) and took the generic resolver path *)
-  m_deopt_invalidate : Obs.Metrics.counter;
-      (** "deopt.invalidate": compiled entries dropped by
-          [Defmethod]/[Defclass] invalidation *)
 }
 
 (* Domain-local pool of a retired VM's store pages and HTM mark tables. A
@@ -200,11 +185,6 @@ let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine =
       m_cache_hits = Obs.Metrics.counter metrics "interp.method_cache_hits";
       m_cache_misses = Obs.Metrics.counter metrics "interp.method_cache_misses";
       dcodes = Array.make 64 Compiler.dcode_dummy;
-      jentries = Array.make 64 [||];
-      jhot = Array.make 64 [||];
-      m_jit_blocks = Obs.Metrics.counter metrics "compile.blocks";
-      m_deopt_guard = Obs.Metrics.counter metrics "deopt.guard";
-      m_deopt_invalidate = Obs.Metrics.counter metrics "deopt.invalidate";
     }
   in
   vm
@@ -407,108 +387,10 @@ let dcode vm (code : Value.code) =
   end
   else dcode_fill vm code
 
-(* ---- the compiled-superblock cache -------------------------------------- *)
-
-(* Grow an [array array] row table so row [u] exists, reusing the dcodes
-   doubling discipline. *)
-let grow_rows rows u hole =
-  let n = ref (max 64 (Array.length rows)) in
-  while u >= !n do
-    n := 2 * !n
-  done;
-  let bigger = Array.make !n hole in
-  Array.blit rows 0 bigger 0 (Array.length rows);
-  bigger
-
-(* The compiled entry whose superblock starts at [pc] of [code], or
-   [Compiler.jit_dummy]. Hit path: two bounds checks and two loads; the
-   caller guards on the physical identity of [e_src] like [dcode] does. *)
-let jit_entry vm (code : Value.code) pc =
-  let u = code.Value.uid in
-  let a = vm.jentries in
-  if u < Array.length a then begin
-    let row = Array.unsafe_get a u in
-    if pc < Array.length row then Array.unsafe_get row pc
-    else Compiler.jit_dummy
-  end
-  else Compiler.jit_dummy
-
-(* Bump the head-execution profile counter for [pc] of [d] and return the
-   new count. Host-side profile only: counts never influence simulated
-   state, they just decide when the emitter runs. *)
-let jit_hot vm (d : Compiler.Dcode.t) pc =
-  let u = d.Compiler.Dcode.src.Value.uid in
-  if u >= Array.length vm.jhot then vm.jhot <- grow_rows vm.jhot u [||];
-  let row = vm.jhot.(u) in
-  let row =
-    if pc < Array.length row then row
-    else begin
-      let r = Array.make (Array.length d.Compiler.Dcode.ops) 0 in
-      Array.blit row 0 r 0 (Array.length row);
-      vm.jhot.(u) <- r;
-      r
-    end
-  in
-  let c = Array.unsafe_get row pc + 1 in
-  Array.unsafe_set row pc c;
-  c
-
-let jit_store vm (e : Compiler.Jit.entry) =
-  let u = e.Compiler.Jit.e_src.Value.uid in
-  if u >= Array.length vm.jentries then
-    vm.jentries <- grow_rows vm.jentries u [||];
-  let row = vm.jentries.(u) in
-  let row =
-    if e.Compiler.Jit.e_head < Array.length row then row
-    else begin
-      let n = Array.length e.Compiler.Jit.e_src.Value.insns in
-      let r = Array.make (max 1 n) Compiler.jit_dummy in
-      Array.blit row 0 r 0 (Array.length row);
-      vm.jentries.(u) <- r;
-      r
-    end
-  in
-  row.(e.Compiler.Jit.e_head) <- e
-
-(* The hot-site profile, for [--profile-json] and the abort report's jit
-   section: every (uid, pc) head that executed at least once, with its
-   count and whether a live compiled entry covers it. *)
-let jit_profile vm =
-  let acc = ref [] in
-  Array.iteri
-    (fun u row ->
-      Array.iteri
-        (fun pc c ->
-          if c > 0 then begin
-            let compiled =
-              u < Array.length vm.jentries
-              && pc < Array.length vm.jentries.(u)
-              && vm.jentries.(u).(pc).Compiler.Jit.e_head >= 0
-            in
-            acc := (u, pc, c, compiled) :: !acc
-          end)
-        row)
-    vm.jhot;
-  List.sort (fun (_, _, a, _) (_, _, b, _) -> compare b a) !acc
-
 (* Method (re)definition invalidation: defining a method can shadow a
    monomorphic assumption baked into a cached translation, so drop every
-   entry (definitions are rare and re-decoding is O(method size)). The
-   compiled-superblock cache drops with it — its closures captured
-   operands of the stale translation — and each dropped entry counts as a
-   [deopt.invalidate]; hot sites recompile from the surviving profile on
-   their next execution. *)
+   entry (definitions are rare and re-decoding is O(method size)). *)
 let dcode_invalidate vm =
-  Array.fill vm.dcodes 0 (Array.length vm.dcodes) Compiler.dcode_dummy;
-  Array.iter
-    (fun row ->
-      Array.iteri
-        (fun i e ->
-          if e.Compiler.Jit.e_head >= 0 then begin
-            Obs.Metrics.incr vm.m_deopt_invalidate;
-            row.(i) <- Compiler.jit_dummy
-          end)
-        row)
-    vm.jentries
+  Array.fill vm.dcodes 0 (Array.length vm.dcodes) Compiler.dcode_dummy
 
 let output vm = Buffer.contents vm.out

@@ -61,17 +61,6 @@ and t = {
       (** pre-decoded code cache indexed by [code.uid]; holes hold
           {!Compiler.dcode_dummy} and entries are guarded by physical
           identity of [src], so stale uids can never alias *)
-  mutable jentries : Compiler.Jit.entry array array;
-      (** tier-3 compiled-superblock cache, [uid] rows of per-pc entries
-          with {!Compiler.jit_dummy} holes; flushed with [dcodes] *)
-  mutable jhot : int array array;
-      (** per-(uid, pc) superblock-head execution counts (host-side
-          profile; survives invalidation) *)
-  m_jit_blocks : Obs.Metrics.counter;  (** "compile.blocks" *)
-  m_deopt_guard : Obs.Metrics.counter;
-      (** "deopt.guard": compiled sends whose inline-cache guard missed *)
-  m_deopt_invalidate : Obs.Metrics.counter;
-      (** "deopt.invalidate": compiled entries dropped by invalidation *)
 }
 
 val create :
@@ -119,26 +108,8 @@ val dcode : t -> Value.code -> Compiler.Dcode.t
     one bounds check + one physical-equality guard when cached. *)
 
 val dcode_invalidate : t -> unit
-(** Drop every cached translation — decoded forms AND compiled
-    superblocks. Called on method (re)definition — [Defmethod]/[Defclass]
-    — so fused send sites and compiled closures can never keep executing
-    against a stale method table. Translations rebuild lazily; compiled
-    entries recompile once their (surviving) profile counter crosses the
-    threshold again, each dropped entry counting one [deopt.invalidate]. *)
-
-val jit_entry : t -> Value.code -> int -> Compiler.Jit.entry
-(** The compiled superblock headed at [pc] of [code], or
-    {!Compiler.jit_dummy}; the caller guards on physical identity of
-    [e_src] like {!dcode} does. *)
-
-val jit_hot : t -> Compiler.Dcode.t -> int -> int
-(** Bump and return the head-execution profile counter for [pc]. Purely a
-    host-side profile: never influences simulated state. *)
-
-val jit_store : t -> Compiler.Jit.entry -> unit
-
-val jit_profile : t -> (int * int * int * bool) list
-(** Hot superblock heads as [(uid, pc, count, compiled)], most-executed
-    first — the [--profile-json] table. *)
+(** Drop every cached translation. Called on method (re)definition —
+    [Defmethod]/[Defclass] — so fused send sites can never keep executing
+    against a stale method table. Translations rebuild lazily. *)
 
 val output : t -> string

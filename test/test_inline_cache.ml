@@ -116,65 +116,10 @@ a.x = 5
 b.x = 6
 puts "#{a.x} #{b.x}"|}
 
-(* Compiled-tier guard deoptimization: a hot block whose send site keeps
-   missing the fill-once inline cache (one site, alternating receiver
-   classes) must count [deopt.guard] samples while staying semantically
-   identical to the reference interpreter — megamorphic dispatch falls
-   back to the full lookup, never to a stale target. *)
-let test_compiled_guard_deopt () =
-  let src =
-    {|class A
-  def tag
-    1
-  end
-end
-class B
-  def tag
-    2
-  end
-end
-objs = []
-i = 0
-while i < 200
-  if i % 2 == 0
-    objs << A.new
-  else
-    objs << B.new
-  end
-  i += 1
-end
-s = 0
-objs.each { |o| s += o.tag }
-puts s|}
-  in
-  let run interp =
-    let cfg =
-      Core.Runner.config ~scheme:Core.Scheme.Gil_only ~interp
-        Htm_sim.Machine.zec12
-    in
-    Core.Runner.run_source cfg ~source:src
-  in
-  let c = run Core.Runner.Interp_compiled in
-  let r = run Core.Runner.Interp_ref in
-  Alcotest.(check string) "sum across receivers" "300\n" c.Core.Runner.output;
-  Alcotest.(check string) "ref tier agrees" r.Core.Runner.output
-    c.Core.Runner.output;
-  Alcotest.(check int) "same instruction stream" r.Core.Runner.total_insns
-    c.Core.Runner.total_insns;
-  let count name =
-    (Obs.Metrics.counter c.Core.Runner.metrics name).Obs.Metrics.count
-  in
-  Alcotest.(check bool) "hot blocks compiled" true (count "compile.blocks" > 0);
-  Alcotest.(check bool)
-    "cache misses sampled as guard deopts" true
-    (count "deopt.guard" > 0)
-
 let suite =
   [
     Alcotest.test_case "polymorphic site, all cache policies" `Quick
       test_polymorphic_site;
-    Alcotest.test_case "compiled tier: guard deopt at megamorphic site" `Quick
-      test_compiled_guard_deopt;
     Alcotest.test_case "inherited ivar guards" `Quick test_inherited_ivar_guard;
     Alcotest.test_case "diverged subclass layouts" `Quick
       test_subclass_with_own_ivars;

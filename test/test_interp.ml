@@ -694,10 +694,13 @@ let run_tier ~interp ~scheme ?(threads = 1) source =
   let cfg = Core.Runner.config ~scheme ~interp Htm_sim.Machine.zec12 in
   Core.Runner.run_source cfg ~source
 
-(* Single-VM guest corpus under every scheme the figures use. *)
+(* Single-VM guest corpus under every scheme the figures use, with each
+   program's expected output. *)
 let tier_corpus =
   [
-    ("loop", "i = 0\ns = 0\nwhile i < 200\n  s += i\n  i += 1\nend\nputs s");
+    ( "loop",
+      "i = 0\ns = 0\nwhile i < 200\n  s += i\n  i += 1\nend\nputs s",
+      "19900\n" );
     ( "methods+ivars",
       {|class Acc
   def initialize
@@ -719,7 +722,8 @@ while i < 50
   a.add(i * 3)
   i += 1
 end
-puts a.mean|} );
+puts a.mean|},
+      "73\n" );
     ( "strings+hash",
       {|h = {}
 i = 0
@@ -728,7 +732,8 @@ while i < 40
   i += 1
 end
 puts h.size
-puts h["k3"]|} );
+puts h["k3"]|},
+      "7\n38\n" );
     ( "threads+mutex",
       {|m = Mutex.new
 total = 0
@@ -745,7 +750,8 @@ while t < 4
   t += 1
 end
 ts.each { |th| th.join }
-puts total|} );
+puts total|},
+      "400\n" );
     ( "defmethod-invalidation",
       {|def f
   1
@@ -754,12 +760,87 @@ puts f
 def f
   2
 end
-puts f|} );
+puts f|},
+      "1\n2\n" );
+    (* a hot loop, a redefinition, then a hot loop again: the second loop
+       must dispatch to the new method, not a cached translation *)
+    ( "redefine-method-hot",
+      {|def f(v)
+  v + 1
+end
+s = 0
+i = 0
+while i < 200
+  s = f(s)
+  i += 1
+end
+def f(v)
+  v + 2
+end
+j = 0
+while j < 200
+  s = f(s)
+  j += 1
+end
+puts s|},
+      "600\n" );
+    ( "reopen-class-hot",
+      {|class C
+  def g
+    1
+  end
+end
+c = C.new
+s = 0
+i = 0
+while i < 200
+  s += c.g
+  i += 1
+end
+class C
+  def g
+    2
+  end
+end
+j = 0
+while j < 200
+  s += c.g
+  j += 1
+end
+puts s|},
+      "600\n" );
+    (* one send site, alternating receiver classes: every call misses the
+       fill-once inline cache and must take the full lookup *)
+    ( "megamorphic-site",
+      {|class A
+  def tag
+    1
+  end
+end
+class B
+  def tag
+    2
+  end
+end
+objs = []
+i = 0
+while i < 200
+  if i % 2 == 0
+    objs << A.new
+  else
+    objs << B.new
+  end
+  i += 1
+end
+s = 0
+objs.each { |o| s += o.tag }
+puts s|},
+      "300\n" );
   ]
 
 let test_tier_corpus () =
   List.iter
-    (fun (name, source) ->
+    (fun (name, source, expected) ->
       List.iter
         (fun scheme ->
           let nm =
@@ -767,11 +848,10 @@ let test_tier_corpus () =
           in
           let thr =
             run_tier ~interp:Core.Runner.Interp_threaded ~scheme source
-          and cmp =
-            run_tier ~interp:Core.Runner.Interp_compiled ~scheme source
           and ref_ = run_tier ~interp:Core.Runner.Interp_ref ~scheme source in
-          assert_same_tier (nm ^ " (threaded)") thr ref_;
-          assert_same_tier (nm ^ " (compiled)") cmp ref_)
+          Alcotest.(check string) (nm ^ ": expected output") expected
+            ref_.output;
+          assert_same_tier (nm ^ " (threaded)") thr ref_)
         [
           Core.Scheme.Gil_only; Core.Scheme.Htm_dynamic; Core.Scheme.Hybrid;
           Core.Scheme.Fine_grained;
@@ -804,14 +884,10 @@ let test_tier_workloads () =
               let thr =
                 run_workload ~interp:Core.Runner.Interp_threaded ~scheme w
                   ~threads
-              and cmp =
-                run_workload ~interp:Core.Runner.Interp_compiled ~scheme w
-                  ~threads
               and ref_ =
                 run_workload ~interp:Core.Runner.Interp_ref ~scheme w ~threads
               in
-              assert_same_tier (name ^ " (threaded)") thr ref_;
-              assert_same_tier (name ^ " (compiled)") cmp ref_)
+              assert_same_tier (name ^ " (threaded)") thr ref_)
             [ 1; 2; 4 ])
         [ Core.Scheme.Gil_only; Core.Scheme.Htm_dynamic; Core.Scheme.Hybrid ])
     workloads
@@ -821,9 +897,7 @@ let test_tier_workloads () =
 let test_tier_env_default () =
   let w = Option.get (Workloads.Workload.find "webrick") in
   let run v =
-    Unix.putenv "BENCH_INTERP" v;
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "BENCH_INTERP" "")
+    Tutil.with_env "BENCH_INTERP" v
       (fun () ->
         let o =
           Harness.Exp.run
@@ -833,10 +907,35 @@ let test_tier_env_default () =
         in
         o.Harness.Exp.result)
   in
-  let dflt = run "" and thr = run "threaded" and ref_ = run "ref" in
+  let dflt = run "" and ref_ = run "ref" in
   Alcotest.(check bool) "served requests" true (dflt.requests_completed > 0);
-  assert_same_tier "webrick/htm-dynamic/3c (env default=compiled)" dflt ref_;
-  assert_same_tier "webrick/htm-dynamic/3c (env threaded)" thr ref_
+  assert_same_tier "webrick/htm-dynamic/3c (env default)" dflt ref_
+
+(* BENCH_INTERP names one of the two tiers or is unset; anything else must
+   fail rather than quietly select the default. *)
+let test_interp_env_parse () =
+  let kind v =
+    Tutil.with_env "BENCH_INTERP" v Core.Runner.default_interp_kind
+  in
+  List.iter
+    (fun (v, expect) ->
+      Alcotest.(check bool) (Printf.sprintf "BENCH_INTERP=%S" v) true
+        (kind v = expect))
+    [
+      ("", Core.Runner.Interp_threaded);
+      (" ", Core.Runner.Interp_threaded);
+      ("threaded", Core.Runner.Interp_threaded);
+      ("THREADED", Core.Runner.Interp_threaded);
+      ("ref", Core.Runner.Interp_ref);
+      ("Ref", Core.Runner.Interp_ref);
+      ("switch", Core.Runner.Interp_ref);
+    ];
+  List.iter
+    (fun v ->
+      match kind v with
+      | _ -> Alcotest.failf "BENCH_INTERP=%S accepted" v
+      | exception Invalid_argument _ -> ())
+    [ "rf"; "compiled"; "threaded,ref" ]
 
 (* ---- randomized-program fuzz across tiers ----------------------------- *)
 
@@ -896,9 +995,8 @@ let test_tier_fuzz =
   Tutil.qtest "random programs agree across tiers" ~count:60
     (QCheck.make ~print:(fun s -> s) gen_program)
     (fun source ->
-      let ref_ = outcome ~interp:Core.Runner.Interp_ref source in
-      outcome ~interp:Core.Runner.Interp_threaded source = ref_
-      && outcome ~interp:Core.Runner.Interp_compiled source = ref_)
+      outcome ~interp:Core.Runner.Interp_threaded source
+      = outcome ~interp:Core.Runner.Interp_ref source)
 
 let suite =
   suite
@@ -913,6 +1011,8 @@ let suite =
         test_tier_workloads;
       Alcotest.test_case "tier differential: BENCH_INTERP env" `Quick
         test_tier_env_default;
+      Alcotest.test_case "BENCH_INTERP rejects unknown values" `Quick
+        test_interp_env_parse;
       test_tier_fuzz;
     ]
 
@@ -968,112 +1068,15 @@ let test_tier_capacity_pressure () =
               let thr =
                 run_pressure ~interp:Core.Runner.Interp_threaded ~scheme
                   ~threads ~machine ~max_insns:budget w
-              and cmp =
-                run_pressure ~interp:Core.Runner.Interp_compiled ~scheme
-                  ~threads ~machine ~max_insns:budget w
               in
-              assert_same_tier (name ^ " (threaded)") thr ref_;
-              assert_same_tier (name ^ " (compiled)") cmp ref_)
+              assert_same_tier (name ^ " (threaded)") thr ref_)
             [ 1; 2; 4; 6; 8; 12 ])
         [ Core.Scheme.Gil_only; Core.Scheme.Htm_dynamic; Core.Scheme.Hybrid ])
     [ "bt"; "cg"; "ft"; "is"; "lu"; "mg"; "sp"; "webrick" ]
-
-(* ---- compiled-tier deoptimization on method/class redefinition ----
-   A hot loop compiles (the profile counter crosses the threshold), then a
-   mid-run [Defmethod]/[Defclass] flushes every compiled superblock — each
-   drop counting one [deopt.invalidate] — and the second hot loop must
-   recompile against the new method table. Stale dispatch would show up as
-   a wrong sum; the tier differential also pins the instruction stream to
-   the reference interpreter's. *)
-
-let jit_counter (r : Core.Runner.result) name =
-  (Obs.Metrics.counter r.Core.Runner.metrics name).Obs.Metrics.count
-
-let defmethod_deopt_src =
-  {|def f(v)
-  v + 1
-end
-s = 0
-i = 0
-while i < 200
-  s = f(s)
-  i += 1
-end
-def f(v)
-  v + 2
-end
-j = 0
-while j < 200
-  s = f(s)
-  j += 1
-end
-puts s|}
-
-let defclass_deopt_src =
-  {|class C
-  def g
-    1
-  end
-end
-c = C.new
-s = 0
-i = 0
-while i < 200
-  s += c.g
-  i += 1
-end
-class C
-  def g
-    2
-  end
-end
-j = 0
-while j < 200
-  s += c.g
-  j += 1
-end
-puts s|}
-
-let test_compiled_deopt_recompile () =
-  List.iter
-    (fun (name, src, expected) ->
-      let run interp =
-        let cfg =
-          Core.Runner.config ~scheme:Core.Scheme.Gil_only ~interp
-            Htm_sim.Machine.zec12
-        in
-        Core.Runner.run_source cfg ~source:src
-      in
-      let c = run Core.Runner.Interp_compiled in
-      let r = run Core.Runner.Interp_ref in
-      Alcotest.(check string) (name ^ ": output") expected c.Core.Runner.output;
-      assert_same_tier (name ^ " (compiled vs ref)") c r;
-      Alcotest.(check bool)
-        (name ^ ": compiled before and after the flush")
-        true
-        (jit_counter c "compile.blocks" >= 2);
-      Alcotest.(check bool)
-        (name ^ ": redefinition dropped compiled blocks")
-        true
-        (jit_counter c "deopt.invalidate" >= 1);
-      Alcotest.(check bool)
-        (name ^ ": hot head recompiled after the flush")
-        true
-        (List.exists
-           (fun (_, _, _, compiled) -> compiled)
-           c.Core.Runner.jit_profile))
-    [
-      ("defmethod deopt", defmethod_deopt_src, "600
-");
-      ("defclass deopt", defclass_deopt_src, "600
-");
-    ]
 
 let suite =
   suite
   @ [
       Alcotest.test_case "tier differential: capacity pressure" `Quick
         test_tier_capacity_pressure;
-      Alcotest.test_case "compiled tier: defmethod/defclass deopt" `Quick
-        test_compiled_deopt_recompile;
     ]

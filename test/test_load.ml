@@ -15,10 +15,6 @@ let panel_text () =
   in
   J.to_string (Harness.Figures.load_json p)
 
-let with_env key value f =
-  Unix.putenv key value;
-  Fun.protect ~finally:(fun () -> Unix.putenv key "") f
-
 let test_jobs_stability () =
   Harness.Pool.set_global_jobs 1;
   let one = panel_text () in
@@ -30,10 +26,10 @@ let test_jobs_stability () =
 
 let test_tier_stability () =
   let base = panel_text () in
-  let ref_sched = with_env "BENCH_SCHED" "ref" panel_text in
+  let ref_sched = Tutil.with_env "BENCH_SCHED" "ref" panel_text in
   Alcotest.(check bool) "reference scheduler serialises identically" true
     (base = ref_sched);
-  let ref_interp = with_env "BENCH_INTERP" "ref" panel_text in
+  let ref_interp = Tutil.with_env "BENCH_INTERP" "ref" panel_text in
   Alcotest.(check bool) "reference interpreter serialises identically" true
     (base = ref_interp)
 

@@ -169,9 +169,8 @@ let test_diff_compute () =
 let test_diff_server () =
   let w = Option.get (Workloads.Workload.find "webrick") in
   let run kind =
-    Unix.putenv "BENCH_SCHED" (match kind with `Heap -> "heap" | `Ref -> "ref");
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "BENCH_SCHED" "")
+    Tutil.with_env "BENCH_SCHED"
+      (match kind with `Heap -> "heap" | `Ref -> "ref")
       (fun () ->
         let o =
           Harness.Exp.run
@@ -185,6 +184,30 @@ let test_diff_server () =
   Alcotest.(check bool) "served requests" true (heap.requests_completed > 0);
   assert_same_run "webrick/htm-dynamic/3c" heap ref_
 
+(* BENCH_SCHED names one of the two schedulers or is unset; anything else
+   must fail rather than quietly select the default. *)
+let test_env_parse () =
+  let kind v = Tutil.with_env "BENCH_SCHED" v Core.Runner.default_sched_kind in
+  List.iter
+    (fun (v, expect) ->
+      Alcotest.(check bool) (Printf.sprintf "BENCH_SCHED=%S" v) true
+        (kind v = expect))
+    [
+      ("", Core.Runner.Sched_heap);
+      (" ", Core.Runner.Sched_heap);
+      ("heap", Core.Runner.Sched_heap);
+      ("HEAP", Core.Runner.Sched_heap);
+      ("ref", Core.Runner.Sched_ref);
+      ("REF", Core.Runner.Sched_ref);
+      ("scan", Core.Runner.Sched_ref);
+    ];
+  List.iter
+    (fun v ->
+      match kind v with
+      | _ -> Alcotest.failf "BENCH_SCHED=%S accepted" v
+      | exception Invalid_argument _ -> ())
+    [ "rf"; "heap-ref"; "linear" ]
+
 let suite =
   [
     Alcotest.test_case "pop order" `Quick test_pop_order;
@@ -193,4 +216,6 @@ let suite =
     test_randomized_vs_model;
     Alcotest.test_case "heap = ref scan (compute)" `Quick test_diff_compute;
     Alcotest.test_case "heap = ref scan (server)" `Quick test_diff_server;
+    Alcotest.test_case "BENCH_SCHED rejects unknown values" `Quick
+      test_env_parse;
   ]

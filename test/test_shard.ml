@@ -3,10 +3,6 @@
    identical across the SHARDS placement knob, worker counts, and both
    scheduler/interpreter tiers — and sharding must actually scale. *)
 
-let with_env key value f =
-  Unix.putenv key value;
-  Fun.protect ~finally:(fun () -> Unix.putenv key "") f
-
 (* ---- Runner.advance vs Runner.run: pause/resume is invisible ---------- *)
 
 let load_point () =
@@ -118,12 +114,6 @@ let result_fields (r : Core.Runner.result) =
     ("request_throughput", Printf.sprintf "%h" r.request_throughput);
     ("metrics", String.concat "\n" metrics);
     ("abort_sites", Obs.Json.to_string (Obs.Sites.to_json r.abort_sites));
-    ( "jit_profile",
-      String.concat ";"
-        (List.map
-           (fun (uid, pc, count, compiled) ->
-             Printf.sprintf "%d/%d/%d/%b" uid pc count compiled)
-           r.jit_profile) );
     ("trace", string_of_bool (Option.is_some r.trace));
   ]
 
@@ -193,9 +183,9 @@ let test_tier_stability () =
   let cfg = shard_cfg ~shards:2 ~policy:Harness.Shard.Least_in_flight () in
   let go () = fingerprint (Harness.Shard.run ~jobs:2 cfg) in
   let base = go () in
-  let ref_sched = with_env "BENCH_SCHED" "ref" go in
+  let ref_sched = Tutil.with_env "BENCH_SCHED" "ref" go in
   Alcotest.(check string) "reference scheduler identical" base ref_sched;
-  let ref_interp = with_env "BENCH_INTERP" "ref" go in
+  let ref_interp = Tutil.with_env "BENCH_INTERP" "ref" go in
   Alcotest.(check string) "reference interpreter identical" base ref_interp
 
 let test_round_robin_split () =

@@ -24,5 +24,14 @@ let all_schemes =
     Core.Scheme.Free_parallel;
   ]
 
+(* Run [f] with environment variable [key] set to [value], then restore
+   the previous value (blank when it was unset, which every switch reads as
+   unset), so a suite run under an oracle such as BENCH_INTERP=ref keeps
+   that oracle after the test. *)
+let with_env key value f =
+  let old = Option.value (Sys.getenv_opt key) ~default:"" in
+  Unix.putenv key value;
+  Fun.protect ~finally:(fun () -> Unix.putenv key old) f
+
 let qtest name ?(count = 100) arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
