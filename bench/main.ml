@@ -776,9 +776,9 @@ let step_alloc_check () =
   end
 
 (* Acceptance gate for the pre-decoded threaded tier: the decoded form puts
-   every operand in a dense int array and the superblock executor charges
-   costs from a table, so the marginal interpreted instruction must be
-   exactly allocation-free in steady state. The guest keeps every value
+   every operand in a dense int array and the step executor charges costs
+   from a table, so the marginal interpreted instruction must be exactly
+   allocation-free in steady state. The guest keeps every value
    inside the small-int intern range — boxing a large [VInt] is a guest
    allocation, not a dispatch-loop one — and the tiny budget only absorbs
    the boxed floats [Gc.minor_words] itself returns. *)

@@ -294,9 +294,10 @@ let parse_common machine scheme yield_points no_removal lazy_sweep refcount =
   let machine = Htm_sim.Machine.by_name machine in
   let scheme = Core.Scheme.of_string scheme in
   let yield_points =
-    match yield_points with
-    | "original" -> Core.Yield_points.Original
-    | _ -> Core.Yield_points.Extended
+    try Core.Yield_points.of_string yield_points
+    with Invalid_argument msg ->
+      Format.eprintf "%s@." msg;
+      exit 1
   in
   let opts = if no_removal then Rvm.Options.cruby_baseline else Rvm.Options.default in
   let opts = { opts with Rvm.Options.lazy_sweep; refcount_writes = refcount } in

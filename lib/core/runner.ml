@@ -2,19 +2,21 @@
 
    Each guest thread is pinned to one hardware context with its own cycle
    clock. The runner always steps the runnable thread with the smallest
-   (clock, tid), one bytecode at a time, which yields a deterministic,
-   sequentially-consistent interleaving in which transactions genuinely
-   overlap in virtual time.
+   clock, ties going to the larger tid, one bytecode at a time, which
+   yields a deterministic, sequentially-consistent interleaving in which
+   transactions genuinely overlap in virtual time.
 
    Two schedulers realise that order. [Sched_heap] (the default) keeps the
    runnable threads in an indexed binary min-heap and lets the chosen
-   thread *run ahead*: it executes instructions in a tight inner loop until
-   its clock passes the heap's smallest key or it blocks, so scheduling
-   work is O(1) per instruction instead of a linear rescan. [Sched_ref]
-   retains the per-instruction linear scan as an executable specification;
-   both produce the same (clock, tid)-minimal pick at every step, so their
-   interleavings — and the figures — are identical (asserted by the
-   differential test suite and the smoke script's digest comparison).
+   thread *run ahead*: it steps in a tight loop until its clock passes the
+   heap's smallest key or it blocks, so scheduling work is O(1) per
+   instruction instead of a linear rescan. [Sched_ref] retains the
+   per-instruction linear scan as an executable specification; both
+   produce the same pick at every step, so their interleavings — and the
+   figures — are identical (asserted by the differential test suite and
+   the smoke script's digest comparison). Either way every instruction
+   goes through the one executor, [step_thread]; the interpreter tier only
+   selects its opcode handler.
 
    The scheme logic (GIL yield protocol, TLE transaction begin/end/yield of
    Figures 1-2, dynamic length adjustment of Figure 3) lives here because it
@@ -207,8 +209,7 @@ type t = {
           allocates one *)
   mutable park_clock : int array;
   cost_tbl : int array;
-      (** base cycles per [Rvm.Compiler.Dcode] cost class — the threaded
-          tier's table form of [Rvm.Bytecode.base_cost] *)
+      (** base cycles per [Rvm.Compiler.Dcode] cost class on this machine *)
   (* wait queues *)
   mutex_waiters : (int, V.t Queue.t) Hashtbl.t;
   cond_waiters : (int, (V.t * int) Queue.t) Hashtbl.t;
@@ -218,7 +219,6 @@ type t = {
   mutable total_insns : int;
   prng : Prng.t;  (** scheduling-only randomness (retry backoff) *)
   breakdown : breakdown;
-  mutable stop : unit -> bool;
   mutable horizon : int;
       (** virtual-time horizon for {!advance}: no step whose start clock
           exceeds it begins; [max_int] for a plain {!run} *)
@@ -348,19 +348,7 @@ let create ?(io : Netsim.t option) cfg ~source =
     hw_rollback = Array.make max_threads no_rollback;
     sw_rollback = Array.make max_threads no_rollback;
     park_clock = Array.make max_threads 0;
-    cost_tbl =
-      (let c = cfg.machine.costs in
-       let tbl =
-         [|
-           c.cyc_insn;
-           c.cyc_insn + c.cyc_send;
-           c.cyc_insn + (10 * c.cyc_send);
-           c.cyc_insn + c.cyc_alloc;
-           4 * c.cyc_insn;
-         |]
-       in
-       assert (Array.length tbl = Rvm.Compiler.Dcode.n_cost_classes);
-       tbl);
+    cost_tbl = Rvm.Compiler.cost_table cfg.machine.costs;
     mutex_waiters = Hashtbl.create 16;
     cond_waiters = Hashtbl.create 16;
     join_waiters = Hashtbl.create 16;
@@ -377,7 +365,6 @@ let create ?(io : Netsim.t option) cfg ~source =
         bd_gil_wait = 0;
         bd_other = 0;
       };
-    stop = (fun () -> false);
     horizon = max_int;
     tracer = cfg.tracer;
     sites;
@@ -1353,11 +1340,10 @@ let[@inline] stm_pending t (th : V.t) =
       match Stm.pending_abort s th.ctx with None -> false | Some _ -> true)
   | None -> false
 
-(* Stages 1-2 of the step protocol, shared by both step functions: note
-   the context switch, run the retry policy for an outstanding abort, and
-   enter a window if outside one. The caller goes on to stage 3 only if
-   the thread is still runnable. *)
-let step_prologue t (th : V.t) =
+(* Stages 1-2 of the step protocol: note the context switch, run the retry
+   policy for an outstanding abort, and enter a window if outside one. The
+   caller goes on to stage 3 only if the thread is still runnable. *)
+let[@inline] step_prologue t (th : V.t) =
   let scheme = t.cfg.scheme in
   if th.tid <> t.last_tid then begin
     if t.last_tid >= 0 && tracing t then
@@ -1385,21 +1371,35 @@ let step_prologue t (th : V.t) =
         else ignore (window_begin t th)
     | Scheme.Fine_grained | Scheme.Free_parallel -> t.outside.(th.tid) <- false
 
-(* Execute one scheduling step for [th]. *)
-let step_thread t (th : V.t) =
+(* Execute one scheduling step for [th]: at most one instruction, under
+   either tier. The yield decision and the charged base cost come from the
+   instruction at the pre-yield pc, even when a failed software commit
+   inside [transaction_yield] rolled the registers back to an older pc; so
+   the cost class is latched before stage 3, and the threaded tier's
+   decoded form is refetched after it. Inlined, as are [step_prologue] and
+   [Rvm.Vm.dcode]: all three run once per instruction. *)
+let[@inline] step_thread t (th : V.t) =
   let vm = t.vm in
-  let scheme = t.cfg.scheme in
   step_prologue t th;
   if runnable th then begin
-    let insn = th.code.insns.(th.pc) in
+    let d = Rvm.Vm.dcode vm th.code in
+    let pc = th.pc in
+    let cost_class = Array.unsafe_get d.Rvm.Compiler.Dcode.cost pc in
     (* 3. yield point *)
-    (match scheme with
+    (match t.cfg.scheme with
     | Scheme.Gil_only ->
-        if Yield_points.original_point insn then gil_yield_point t th
+        if Bytes.unsafe_get d.yield_orig pc = '\001' then gil_yield_point t th
     | Scheme.Htm_fixed _ | Scheme.Htm_dynamic | Scheme.Hybrid
     | Scheme.Stm_only -> (
         if t.skip_yield.(th.tid) then t.skip_yield.(th.tid) <- false
-        else if Yield_points.is_yield_point t.cfg.yield_points insn then
+        else if
+          Bytes.unsafe_get
+            (match t.cfg.yield_points with
+            | Yield_points.Original -> d.yield_orig
+            | Yield_points.Extended -> d.yield_ext)
+            pc
+          = '\001'
+        then
           (* a software window's yield-counter read can fail validation:
              the rollback has already run, so just stop this step and let
              the retry policy pick the thread up again *)
@@ -1415,12 +1415,18 @@ let step_thread t (th : V.t) =
            | None -> false)
       in
       (try
-         let r = Rvm.Interp.step vm th in
+         let r =
+           match t.cfg.interp with
+           | Interp_threaded ->
+               Rvm.Interp.step_d vm th
+                 (if th.code == d.src then d else Rvm.Vm.dcode vm th.code)
+           | Interp_ref -> Rvm.Interp.step vm th
+         in
          let extra = Htm.step_extra_cycles vm.Rvm.Vm.htm
          and accesses = Htm.step_accesses vm.Rvm.Vm.htm in
          Htm.reset_step_cost vm.Rvm.Vm.htm;
          let cost =
-           Rvm.Bytecode.base_cost (costs t) insn
+           Array.unsafe_get t.cost_tbl cost_class
            + (accesses * (costs t).cyc_mem)
            + extra
          in
@@ -1466,8 +1472,7 @@ let step_thread t (th : V.t) =
   end
 
 (* Deliver connections that are due so blocked acceptors wake even while
-   other threads keep the cores busy. Runs before every instruction, same
-   as the reference scheduler's pre-step check. *)
+   other threads keep the cores busy. Runs before every instruction. *)
 let deliver_io t (th : V.t) =
   match t.io with
   | Some io when not (Queue.is_empty t.accept_waiters) -> (
@@ -1479,183 +1484,26 @@ let deliver_io t (th : V.t) =
       | _ -> ())
   | _ -> ()
 
-(* [step_thread] for the threaded interpreter tier. The same four-stage
-   protocol, driven by the pre-decoded form ([Rvm.Compiler.decode], cached
-   per VM), plus superblock execution: at a peephole-fused head, up to
-   [Dcode.fuse] straight-line components run inside this one call without
-   re-entering the scheduler's per-instruction preamble. Every component
-   still performs the complete per-instruction protocol — io delivery,
-   yield point, cost and breakdown attribution, wake/spawn draining, and
-   the run-ahead boundary checks — and the executor bails out of the
-   superblock the moment control leaves the straight line (branch taken,
-   send entered a method, abort rollback, block, window left, scheduler
-   overtake), so fusing elides host-side dispatch only: the interleaving,
-   stats, and figures are byte-identical to the reference tier. Between
-   components stages 1-2 are skipped only when they are provably no-ops:
-   the continuation check re-tests the window flag and both engines'
-   pending-abort slots, so any abort — synchronous [Abort_now], a window
-   rolled back across a backward jump (whose restored pc can land exactly
-   on the straight-line successor), or a failed software commit that
-   records its abort without raising — ends the superblock and hands the
-   thread back to the retry policy.
-
-   Subtlety inherited from [step_thread]: the yield decision and the
-   charged base cost come from the instruction at the pre-yield pc even if
-   a failed software commit inside [transaction_yield] rolled the
-   registers back to an older pc — so the cost class is latched before
-   stage 3 and the decoded form is refetched after it.
-
-   Returns the number of component steps attempted, for slice accounting. *)
-let step_thread_d t ~stop (main : V.t) (th : V.t) =
-  let vm = t.vm in
-  let scheme = t.cfg.scheme in
-  step_prologue t th;
-  if not (runnable th) then 0
-  else begin
-    let d = ref (Rvm.Vm.dcode vm th.code) in
-    let steps = ref 0 in
-    (* components left in the current superblock, counting this one *)
-    let budget =
-      ref (Int.max 1 (Array.unsafe_get (!d).Rvm.Compiler.Dcode.fuse th.pc))
-    in
-    let uses_htm = Scheme.uses_htm scheme
-    and uses_stm = Scheme.uses_stm scheme in
-    let horizon = t.horizon in
-    let max_insns = t.cfg.max_insns in
-    let continue_ = ref true in
-    while !continue_ do
-      let dd = !d in
-      let cpc = th.pc in
-      incr steps;
-      (* 3. yield point (decided at the pre-yield pc) *)
-      (match scheme with
-      | Scheme.Gil_only ->
-          if Bytes.unsafe_get dd.yield_orig cpc = '\001' then
-            gil_yield_point t th
-      | Scheme.Htm_fixed _ | Scheme.Htm_dynamic | Scheme.Hybrid
-      | Scheme.Stm_only -> (
-          if t.skip_yield.(th.tid) then t.skip_yield.(th.tid) <- false
-          else if
-            Bytes.unsafe_get
-              (match t.cfg.yield_points with
-              | Yield_points.Original -> dd.yield_orig
-              | Yield_points.Extended -> dd.yield_ext)
-              cpc
-            = '\001'
-          then
-            (* a software window's yield-counter read can fail validation:
-               the rollback has already run, so just stop this step and let
-               the retry policy pick the thread up again *)
-            try transaction_yield t th with Htm.Abort_now _ -> ())
-      | Scheme.Fine_grained | Scheme.Free_parallel -> ());
-      if not (runnable th) then continue_ := false
-      else begin
-        (* 4. execute one instruction; the rollback inside stage 3 may
-           have moved the registers, so refetch the decoded form *)
-        let cost_class = Array.unsafe_get dd.cost cpc in
-        let d4 =
-          if th.code == dd.Rvm.Compiler.Dcode.src then dd
-          else begin
-            let nd = Rvm.Vm.dcode vm th.code in
-            d := nd;
-            nd
-          end
-        in
-        let pre_fp = th.fp and pre_sp = th.sp
-        and pre_pc = th.pc and pre_code = th.code in
-        let in_txn_before =
-          Htm.in_txn vm.Rvm.Vm.htm th.ctx
-          || (match t.stm with
-             | Some s -> Stm.in_txn s th.ctx
-             | None -> false)
-        in
-        (try
-           let r = Rvm.Interp.step_d vm th d4 in
-           let extra = Htm.step_extra_cycles vm.Rvm.Vm.htm
-           and accesses = Htm.step_accesses vm.Rvm.Vm.htm in
-           Htm.reset_step_cost vm.Rvm.Vm.htm;
-           let cost =
-             Array.unsafe_get t.cost_tbl cost_class
-             + (accesses * (costs t).cyc_mem)
-             + extra
-           in
-           th.clock <- th.clock + cost;
-           th.work <- th.work + 1;
-           if Gil.held_by t.gil th then begin
-             th.cyc_gil_held <- th.cyc_gil_held + cost;
-             t.breakdown.bd_gil_held <- t.breakdown.bd_gil_held + cost
-           end
-           else if not in_txn_before then
-             t.breakdown.bd_other <- t.breakdown.bd_other + cost;
-           t.total_insns <- t.total_insns + 1;
-           match r with
-           | Rvm.Interp.Continue -> ()
-           | Rvm.Interp.Done _ ->
-               let closed = window_close_for_retire t th in
-               if closed then on_thread_done t th
-               else th.status <- V.Runnable
-         with
-        | Htm.Abort_now _ -> Htm.reset_step_cost vm.Rvm.Vm.htm
-        | V.Block reason ->
-            Htm.reset_step_cost vm.Rvm.Vm.htm;
-            th.fp <- pre_fp;
-            th.sp <- pre_sp;
-            th.pc <- pre_pc;
-            th.code <- pre_code;
-            on_block t th reason);
-        drain_wakes t th;
-        drain_spawned t;
-        (* superblock continuation: next component only while execution
-           stayed on the straight line and stage 1 would be a no-op. The
-           pending-abort checks cannot be folded into the pc check: a
-           window spanning a backward jump can roll back to exactly
-           [cpc + 1], and a failed software commit records its abort
-           without moving control at all — either way the retry policy
-           (stage 1) must run before another instruction executes *)
-        decr budget;
-        if
-          !budget <= 0
-          || (not (runnable th))
-          || th.ctx < 0
-          || t.outside.(th.tid)
-          || th.code != (!d).Rvm.Compiler.Dcode.src
-          || th.pc <> cpc + 1
-          || (uses_htm && htm_pending vm.Rvm.Vm.htm th.ctx)
-          || (uses_stm && stm_pending t th)
-          || finished main
-          || t.total_insns >= max_insns
-          || th.clock > horizon
-          || stop ()
-          || Sched.preempts t.sched ~key:th.clock ~tid:th.tid
-        then continue_ := false
-        else deliver_io t th
-      end
-    done;
-    !steps
-  end
-
-(* A run-ahead slice: [th] was popped as the (clock, tid)-minimal runnable
-   thread; execute its instructions in a tight loop until its key passes
-   the heap's smallest (a newly-woken or spawned thread included — every
-   transition re-syncs the heap mid-step), it stops being runnable, or a
-   global stop condition trips. Equivalent to re-picking before every
-   instruction, without the scan. *)
+(* A slice: [th] was taken out of the heap as the scheduler's pick; step it
+   until its key passes the heap's smallest (a newly-woken or spawned
+   thread included — every transition re-syncs the heap mid-step), it
+   stops being runnable, or a global stop condition trips. Under
+   [Sched_heap] that run-ahead is equivalent to re-picking before every
+   instruction, without the scan; [Sched_ref] does re-pick, so its slices
+   are one step long. *)
 let run_slice t ~stop (main : V.t) (th : V.t) =
   t.running_tid <- th.tid;
   Obs.Metrics.gauge_max t.g_runnable_peak (Sched.size t.sched + 1);
-  let threaded = t.cfg.interp = Interp_threaded in
+  let one_step = match t.cfg.sched with Sched_ref -> true | Sched_heap -> false in
   let slice = ref 0 in
   let continue_ = ref true in
   while !continue_ do
     deliver_io t th;
-    if threaded then
-      slice := !slice + Int.max 1 (step_thread_d t ~stop main th)
-    else begin
-      step_thread t th;
-      incr slice
-    end;
+    step_thread t th;
+    incr slice;
     if
-      finished main
+      one_step
+      || finished main
       || (not (runnable th))
       || th.ctx < 0
       || t.total_insns >= t.cfg.max_insns
@@ -1668,6 +1516,22 @@ let run_slice t ~stop (main : V.t) (th : V.t) =
   t.running_tid <- -1;
   sched_sync t th;
   Obs.Metrics.observe t.m_slice_insns !slice
+
+exception Idle
+
+(* The scheduler's pick, taken out of the heap for its slice: the heap
+   root, or [pick_runnable_ref]'s linear scan under [Sched_ref].
+   @raise Idle when no thread can run. *)
+let pick t =
+  match t.cfg.sched with
+  | Sched_heap ->
+      if Sched.is_empty t.sched then raise_notrace Idle else Sched.take_min t.sched
+  | Sched_ref -> (
+      match pick_runnable_ref t with
+      | Some th ->
+          Sched.remove t.sched th.tid;
+          th
+      | None -> raise_notrace Idle)
 
 type thread_lines = {
   tl_tid : int;
@@ -1790,83 +1654,42 @@ let snapshot t =
   }
 
 (* Run events up to the virtual-time horizon [until]: every step whose
-   start clock is <= [until] executes (steps and fused superinstructions
-   are atomic, so the clock may overshoot by one step's cost — callers that
-   compare state across shards at a horizon must read virtual-time-stamped
-   accessors, not raw counters). Pausing and resuming never changes the
-   executed instruction sequence — scheduling stays (clock, tid)-minimal —
-   so a horizon-stepped run is bit-identical to an unbounded one. *)
+   start clock is <= [until] executes (a step is atomic, so the clock may
+   overshoot by one step's cost — callers that compare state across shards
+   at a horizon must read virtual-time-stamped accessors, not raw
+   counters). Pausing and resuming never changes the executed instruction
+   sequence — every step goes to the runnable thread with the smallest
+   clock, ties to the larger tid — so a horizon-stepped run is
+   bit-identical to an unbounded one. *)
 let advance ?(stop = fun () -> false) t ~until =
   (* several sessions may interleave on this domain (N shards on one
      worker): make this session's interning/uid state the active one *)
   Rvm.Session.activate t.session;
-  t.stop <- stop;
   t.horizon <- until;
   drain_spawned t;
   let vm = t.vm in
   let main = t.session.Rvm.Session.main in
   let paused = ref false in
+  let continue_run = ref true in
   (try
-     match t.cfg.sched with
-     | Sched_heap ->
-         let continue_run = ref true in
-         while !continue_run do
-           if finished main || stop () || t.total_insns >= t.cfg.max_insns
-           then continue_run := false
-           else if Sched.is_empty t.sched then begin
+     while !continue_run do
+       if finished main || stop () || t.total_insns >= t.cfg.max_insns then
+         continue_run := false
+       else
+         match pick t with
+         | th when th.V.clock > until ->
+             (* runnable, but its next step starts beyond the horizon: put
+                it back and pause *)
+             Sched.push t.sched ~key:th.V.clock th;
+             paused := true;
+             continue_run := false
+         | th -> run_slice t ~stop main th
+         | exception Idle ->
              if not (advance_time t ~until) then begin
                paused := true;
                continue_run := false
              end
-           end
-           else begin
-             let th = Sched.take_min t.sched in
-             if th.V.clock > until then begin
-               (* runnable, but its next step starts beyond the horizon:
-                  put it back and pause *)
-               Sched.push t.sched ~key:th.V.clock th;
-               paused := true;
-               continue_run := false
-             end
-             else run_slice t ~stop main th
-           end
-         done
-     | Sched_ref ->
-         let continue_run = ref true in
-         while
-           !continue_run
-           && (not (finished main))
-           && (not (stop ()))
-           && t.total_insns < t.cfg.max_insns
-         do
-           match pick_runnable_ref t with
-           | Some th when th.V.clock > until ->
-               paused := true;
-               continue_run := false
-           | Some th ->
-               (* mirror the slice protocol so the heap stays coherent: the
-                  stepped thread leaves the heap while its clock moves *)
-               t.running_tid <- th.tid;
-               Sched.remove t.sched th.tid;
-               Obs.Metrics.gauge_max t.g_runnable_peak (Sched.size t.sched + 1);
-               deliver_io t th;
-               let n =
-                 match t.cfg.interp with
-                 | Interp_threaded ->
-                     Int.max 1 (step_thread_d t ~stop main th)
-                 | Interp_ref ->
-                     step_thread t th;
-                     1
-               in
-               t.running_tid <- -1;
-               sched_sync t th;
-               Obs.Metrics.observe t.m_slice_insns n
-           | None ->
-               if not (advance_time t ~until) then begin
-                 paused := true;
-                 continue_run := false
-               end
-         done
+     done
    with Rvm.Value.Guest_error msg ->
      raise (Guest_failure (msg ^ "\n--- guest output ---\n" ^ Rvm.Vm.output vm)));
   if !paused then `Paused

@@ -23,13 +23,15 @@ val default_sched_kind : unit -> sched_kind
 
 type interp_kind =
   | Interp_threaded
-      (** pre-decoded threaded dispatch with superinstruction fusion and
-          specialized monomorphic send paths (the default); simulated
-          semantics identical to [Interp_ref], host wall time much lower *)
+      (** pre-decoded threaded dispatch with specialized monomorphic send
+          paths (the default); simulated semantics identical to
+          [Interp_ref], host wall time lower *)
   | Interp_ref
       (** the original switch-style loop over the tagged bytecode variants,
           retained as the executable specification the threaded tier is
-          differentially tested against *)
+          differentially tested against. The tier selects only the opcode
+          handler: yield points, cost classes and the step protocol are
+          shared. *)
 
 val default_interp_kind : unit -> interp_kind
 (** [BENCH_INTERP], case-insensitive: unset, blank or ["threaded"] gives
@@ -142,8 +144,8 @@ type t = {
       (** per tid: rollback closures built once per thread *)
   mutable park_clock : int array;
   cost_tbl : int array;
-      (** base cycles per [Rvm.Compiler.Dcode] cost class — the threaded
-          tier's table form of [Rvm.Bytecode.base_cost] *)
+      (** base cycles per [Rvm.Compiler.Dcode] cost class on this machine
+          ([Rvm.Compiler.cost_table]) *)
   mutex_waiters : (int, Rvm.Vmthread.t Queue.t) Hashtbl.t;
   cond_waiters : (int, (Rvm.Vmthread.t * int) Queue.t) Hashtbl.t;
   join_waiters : (int, Rvm.Vmthread.t list) Hashtbl.t;
@@ -152,7 +154,6 @@ type t = {
   mutable total_insns : int;
   prng : Htm_sim.Prng.t;
   breakdown : breakdown;
-  mutable stop : unit -> bool;
   mutable horizon : int;
       (** virtual-time horizon for {!advance}: no step whose start clock
           exceeds it begins; [max_int] for a plain {!run} *)

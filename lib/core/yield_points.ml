@@ -1,29 +1,14 @@
-(* Yield-point sets (Section 3.2 and 4.2).
-
-   Original CRuby places yield points at loop back-edges and method/block
-   exits. The paper adds getlocal, getinstancevariable, getclassvariable,
-   send and the opt_plus/minus/mult/aref bytecodes, because the original
-   points are too coarse for the HTM footprint — with the extended set, more
-   than half of all executed bytecodes are yield points in the NPB. *)
+(* The yield-point set a run uses. Membership of each set is defined once,
+   in [Rvm.Compiler.yields_original] / [yields_extended]. *)
 
 type set = Original | Extended
 
 let to_string = function Original -> "original" | Extended -> "extended"
 
-let original_point (insn : Rvm.Value.insn) =
-  match insn with
-  | Jump _ | Branchif _ | Branchunless _ -> true  (* loop back-edges *)
-  | Leave | Return_insn | Break_insn -> true  (* method/block exits *)
-  | _ -> false
-
-let extended_point (insn : Rvm.Value.insn) =
-  match insn with
-  | Getlocal _ | Getivar _ | Getcvar _ -> true
-  | Send _ | Newinstance _ | Invokeblock _ -> true
-  | Opt_plus | Opt_minus | Opt_mult | Opt_aref -> true
-  | _ -> original_point insn
-
-let is_yield_point set insn =
-  match set with
-  | Original -> original_point insn
-  | Extended -> extended_point insn
+let of_string s =
+  match String.lowercase_ascii s with
+  | "original" -> Original
+  | "extended" -> Extended
+  | _ ->
+      invalid_arg
+        (Printf.sprintf "Yield_points.of_string: %s (accepted: original, extended)" s)

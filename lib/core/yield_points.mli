@@ -1,12 +1,11 @@
-(** Yield-point sets. Original CRuby yields at loop back-edges and
-    method/block exits (Section 3.2); the paper adds getlocal,
-    getinstancevariable, getclassvariable, send, opt_plus, opt_minus,
-    opt_mult and opt_aref because the original points are too coarse for
-    the HTM footprint (Section 4.2). *)
+(** The yield-point set a run uses: original CRuby's (Section 3.2) or the
+    paper's extended set (Section 4.2). Membership is defined by
+    [Rvm.Compiler.yields_original] and [Rvm.Compiler.yields_extended]. *)
 
 type set = Original | Extended
 
 val to_string : set -> string
-val original_point : Rvm.Value.insn -> bool
-val extended_point : Rvm.Value.insn -> bool
-val is_yield_point : set -> Rvm.Value.insn -> bool
+
+val of_string : string -> set
+(** ["original"] or ["extended"], case-insensitive.
+    @raise Invalid_argument naming both values on anything else. *)

@@ -16,9 +16,8 @@
      shard with the fewest outstanding requests. Outstanding counts are
      computed from virtual-time-stamped observations
      ([Netsim.completed_by] etc. at the barrier time), never raw counters:
-     a paused runner may overshoot the horizon by one fused
-     superinstruction, by amounts that differ across interpreter tiers, so
-     raw counters at a barrier are tier- and placement-dependent while
+     a paused runner may overshoot the horizon by one step's cost, so raw
+     counters at a barrier include work stamped past it, while
      stamp-filtered counts are pure functions of virtual time.
 
    Per-shard results merge deterministically in shard order: metric

@@ -1,5 +1,4 @@
-(* Helpers over compiled code: printing and per-instruction cost
-   classification. *)
+(* Helpers over compiled code: naming and printing. *)
 
 open Value
 
@@ -100,12 +99,3 @@ let rec pp_code fmt (c : code) =
       | Defclass cd -> List.iter (fun (_, m) -> pp_code fmt m) cd.cd_methods
       | _ -> ())
     c.insns
-
-(* Base interpreter cost of an instruction, before memory-access charges. *)
-let base_cost (costs : Htm_sim.Machine.costs) = function
-  | Send _ | Invokeblock _ | Newinstance _ -> costs.cyc_insn + costs.cyc_send
-  | Newthread _ -> costs.cyc_insn + (10 * costs.cyc_send)
-  | Newarray _ | Newarray_sized | Newhash _ | Newstring _ | Newrange _ ->
-      costs.cyc_insn + costs.cyc_alloc
-  | Defclass _ | Defmethod _ -> 4 * costs.cyc_insn
-  | _ -> costs.cyc_insn

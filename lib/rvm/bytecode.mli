@@ -1,5 +1,4 @@
-(** Helpers over compiled code: naming, printing and per-instruction cost
-    classification. *)
+(** Helpers over compiled code: naming and printing. *)
 
 val insn_name : Value.insn -> string
 (** YARV-style instruction name ("getlocal", "opt_plus", "send", ...). *)
@@ -8,6 +7,3 @@ val pp_insn : Format.formatter -> Value.insn -> unit
 
 val pp_code : Format.formatter -> Value.code -> unit
 (** Disassemble a code object including nested blocks and methods. *)
-
-val base_cost : Htm_sim.Machine.costs -> Value.insn -> int
-(** Interpreter cost of an instruction before memory-access charges. *)

@@ -538,13 +538,12 @@ let compile_string src = compile_program (Parser.parse src)
    id + two int operands, with literal values / send sites in parallel aux
    arrays), so the hot interpreter loop dispatches on an int and never
    re-matches operand shapes or allocates per step. The pass also
-   precomputes, per pc, the data the runner consults between instructions
-   — the cost class of [Bytecode.base_cost] and both yield-point sets —
-   and runs a peephole fuser that marks straight-line superinstruction
-   runs (see [scan_fuse]). pcs are never renumbered: every array indexes
-   by the ORIGINAL pc, so abort attribution, txlen tables and Obs sites
-   are byte-identical under either interpreter, jumps may land in the
-   middle of a fused run, and execution can resume at any component pc. *)
+   precomputes, per pc, the data the runner consults before every
+   instruction under either tier — the cost class ([cost_table] turns it
+   into cycles) and both yield-point sets. This module is the only
+   definition of both. pcs are never renumbered: every array indexes by the
+   ORIGINAL pc, so abort attribution, txlen tables and Obs sites are
+   byte-identical under either interpreter. *)
 
 module Dcode = struct
   (* Opcode ids. [op_generic] (0) routes to the reference [Interp.step]
@@ -594,23 +593,12 @@ module Dcode = struct
   let op_opt_neg = 39
   let op_send = 40 (* sites.(pc) *)
 
-  (* Cost classes mirroring [Bytecode.base_cost]; the runner turns them
-     into cycles through a 5-entry table built from its machine's costs. *)
+  (* Cost classes; [cost_table] gives each one's cycles on a machine. *)
   let cost_plain = 0
-  let cost_send = 1 (* cyc_insn + cyc_send *)
-  let cost_thread = 2 (* cyc_insn + 10 * cyc_send *)
-  let cost_alloc = 3 (* cyc_insn + cyc_alloc *)
-  let cost_def = 4 (* 4 * cyc_insn *)
-  let n_cost_classes = 5
-
-  (* Named peephole patterns (for introspection and tests; the executor
-     treats every fused run the same way). *)
-  let fuse_none = 0
-  let fuse_local_arith = 1 (* getlocal; getlocal; opt_plus; setlocal *)
-  let fuse_cmp_branch = 2 (* getlocal; putobject; opt_lt; branchunless *)
-  let fuse_ivar_aref = 3 (* getinstancevariable; opt_aref *)
-  let fuse_self_send = 4 (* putself; send (monomorphic fill-once cache) *)
-  let fuse_straight = 5 (* any other straight-line run of threaded ops *)
+  let cost_send = 1
+  let cost_thread = 2
+  let cost_alloc = 3
+  let cost_def = 4
 
   type t = {
     src : Value.code;  (** physical-identity guard for the per-VM cache *)
@@ -622,8 +610,6 @@ module Dcode = struct
     cost : int array;  (** cost class per pc *)
     yield_orig : Bytes.t;  (** '\001' where the original set yields *)
     yield_ext : Bytes.t;  (** '\001' where the extended set yields *)
-    fuse : int array;  (** component count at a superblock head, else 0 *)
-    fuse_kind : int array;  (** [fuse_*] pattern id at a head, else 0 *)
   }
 end
 
@@ -689,11 +675,26 @@ let cost_class_of : insn -> int =
   | Defclass _ | Defmethod _ -> cost_def
   | _ -> cost_plain
 
-(* Yield-point classification, mirroring [Core.Yield_points] (which lives
-   above this library; the test suite pins the two against each other). *)
+(* Base interpreter cycles per cost class, before memory-access charges;
+   indexed by the [Dcode.cost_*] ids above. *)
+let cost_table (c : Htm_sim.Machine.costs) =
+  [|
+    c.cyc_insn;
+    c.cyc_insn + c.cyc_send;
+    c.cyc_insn + (10 * c.cyc_send);
+    c.cyc_insn + c.cyc_alloc;
+    4 * c.cyc_insn;
+  |]
+
+(* Yield-point sets (Sections 3.2 and 4.2). Original CRuby places yield
+   points at loop back-edges and method/block exits. The paper adds
+   getlocal, getinstancevariable, getclassvariable, send and the
+   opt_plus/minus/mult/aref bytecodes, because the original points are too
+   coarse for the HTM footprint — with the extended set, more than half of
+   all executed bytecodes are yield points in the NPB. *)
 let yields_original : insn -> bool = function
-  | Jump _ | Branchif _ | Branchunless _ -> true
-  | Leave | Return_insn | Break_insn -> true
+  | Jump _ | Branchif _ | Branchunless _ -> true  (* loop back-edges *)
+  | Leave | Return_insn | Break_insn -> true  (* method/block exits *)
   | _ -> false
 
 let yields_extended (i : insn) =
@@ -702,80 +703,6 @@ let yields_extended (i : insn) =
   | Send _ | Newinstance _ | Invokeblock _ -> true
   | Opt_plus | Opt_minus | Opt_mult | Opt_aref -> true
   | _ -> yields_original i
-
-(* The peephole fuser. A superblock is a maximal run (capped, >= 2) of
-   threaded (non-generic) instructions in which every component but the
-   last is straight-line: it advances pc by exactly one and stays in the
-   same frame on its fast path. Components keep their own pcs, costs and
-   yield flags — the executor replays the full per-instruction protocol
-   and bails out the moment control leaves the straight line (a branch, a
-   send entering a bytecode method, an abort, a block) — so fusing is
-   invisible to the simulated machine and only elides host-side dispatch.
-   Sends are allowed as interior components: a monomorphic send hitting a
-   primitive returns straight-line, and one entering a method simply ends
-   the superblock early at run time. *)
-let max_fuse_len = 16
-
-let straightline op =
-  let open Dcode in
-  op >= op_push && op <> op_jump && op <> op_branchif
-  && op <> op_branchunless && op <> op_leave
-
-let scan_fuse (insns : insn array) (ops : int array) fuse fuse_kind =
-  let n = Array.length ops in
-  let open Dcode in
-  let named pc len =
-    (* tag the runs the paper's hot loops produce, for introspection *)
-    if
-      len >= 4
-      && ops.(pc) = op_getlocal0
-      && ops.(pc + 1) = op_getlocal0
-      && ops.(pc + 2) = op_opt_plus
-      && ops.(pc + 3) = op_setlocal0
-    then fuse_local_arith
-    else if
-      len >= 4
-      && ops.(pc) = op_getlocal0
-      && ops.(pc + 1) = op_push
-      && (ops.(pc + 2) = op_opt_lt || ops.(pc + 2) = op_opt_le
-         || ops.(pc + 2) = op_opt_gt || ops.(pc + 2) = op_opt_ge)
-      && ops.(pc + 3) = op_branchunless
-    then fuse_cmp_branch
-    else if len >= 2 && ops.(pc) = op_getivar && ops.(pc + 1) = op_opt_aref
-    then fuse_ivar_aref
-    else if
-      len >= 2 && ops.(pc) = op_pushself
-      && ops.(pc + 1) = op_send
-      && (match insns.(pc + 1) with
-         | Send { ss_block = None; _ } -> true
-         | _ -> false)
-    then fuse_self_send
-    else fuse_straight
-  in
-  let pc = ref 0 in
-  while !pc < n do
-    if straightline ops.(!pc) then begin
-      (* extend while interior components are straight-line; one trailing
-         branch/leave may close the run (it is the last component) *)
-      let j = ref (!pc + 1) in
-      while
-        !j < n
-        && !j - !pc < max_fuse_len
-        && straightline ops.(!j)
-      do
-        incr j
-      done;
-      if !j < n && !j - !pc < max_fuse_len && ops.(!j) <> op_generic then
-        incr j;
-      let len = !j - !pc in
-      if len >= 2 then begin
-        fuse.(!pc) <- len;
-        fuse_kind.(!pc) <- named !pc len
-      end;
-      pc := !j
-    end
-    else incr pc
-  done
 
 (* Translate one method's bytecode array. O(n); run once per [code] and
    cached per VM (see [Vm.dcode]), invalidated on method redefinition. *)
@@ -789,9 +716,7 @@ let decode (code : Value.code) : Dcode.t =
   and sites = Array.make n dummy_site
   and cost = Array.make n 0
   and yield_orig = Bytes.make n '\000'
-  and yield_ext = Bytes.make n '\000'
-  and fuse = Array.make n 0
-  and fuse_kind = Array.make n 0 in
+  and yield_ext = Bytes.make n '\000' in
   for pc = 0 to n - 1 do
     let i = insns.(pc) in
     ops.(pc) <- opcode_of i;
@@ -813,20 +738,7 @@ let decode (code : Value.code) : Dcode.t =
     | Send site -> sites.(pc) <- site
     | _ -> ()
   done;
-  scan_fuse insns ops fuse fuse_kind;
-  {
-    Dcode.src = code;
-    ops;
-    opa;
-    opb;
-    vals;
-    sites;
-    cost;
-    yield_orig;
-    yield_ext;
-    fuse;
-    fuse_kind;
-  }
+  { Dcode.src = code; ops; opa; opb; vals; sites; cost; yield_orig; yield_ext }
 
 (* Never matches a real code (fresh uids are >= 0 and [src] is compared
    physically): the cache's hole value, so lookups skip an option. *)

@@ -61,24 +61,6 @@ module Dcode : sig
   val op_opt_neg : int
   val op_send : int
 
-  val cost_plain : int
-  val cost_send : int
-  val cost_thread : int
-  val cost_alloc : int
-  val cost_def : int
-
-  val n_cost_classes : int
-  (** size of the runner's class->cycles table *)
-
-  (** Named peephole patterns recorded in [fuse_kind]. *)
-
-  val fuse_none : int
-  val fuse_local_arith : int
-  val fuse_cmp_branch : int
-  val fuse_ivar_aref : int
-  val fuse_self_send : int
-  val fuse_straight : int
-
   type t = {
     src : Value.code;  (** physical-identity guard for the per-VM cache *)
     ops : int array;
@@ -86,22 +68,31 @@ module Dcode : sig
     opb : int array;
     vals : Value.t array;  (** [Push] literal per pc, [VNil] elsewhere *)
     sites : Value.send_site array;  (** [Send] site per pc *)
-    cost : int array;  (** cost class per pc *)
+    cost : int array;  (** cost class per pc, an index into {!cost_table} *)
     yield_orig : Bytes.t;  (** '\001' where the original set yields *)
     yield_ext : Bytes.t;  (** '\001' where the extended set yields *)
-    fuse : int array;  (** component count at a superblock head, else 0 *)
-    fuse_kind : int array;  (** [fuse_*] pattern id at a head, else 0 *)
   }
 end
 
 val opcode_of : Value.insn -> int
-val cost_class_of : Value.insn -> int
+
+val cost_table : Htm_sim.Machine.costs -> int array
+(** Base interpreter cycles per cost class ([Dcode.t.cost] holds each pc's
+    class), before memory-access charges: [cyc_insn] for plain
+    instructions, [+ cyc_send] for sends, block invocations and instance
+    creation, [+ 10 * cyc_send] for thread creation, [+ cyc_alloc] for
+    allocating instructions, and [4 * cyc_insn] for method and class
+    definitions. *)
 
 val yields_original : Value.insn -> bool
-val yields_extended : Value.insn -> bool
-(** Mirror [Core.Yield_points]; the test suite pins the two together. *)
+(** Original CRuby's yield points: loop back-edges and method/block exits
+    (Section 3.2). *)
 
-val max_fuse_len : int
+val yields_extended : Value.insn -> bool
+(** The paper's extended set (Section 4.2): the original points plus
+    getlocal, getinstancevariable, getclassvariable, send, opt_plus,
+    opt_minus, opt_mult and opt_aref, because the original points are too
+    coarse for the HTM footprint. *)
 
 val decode : Value.code -> Dcode.t
 (** Translate one method. O(n); cached per VM, see [Vm.dcode]. *)

@@ -61,10 +61,11 @@ and t = {
   metrics : Obs.Metrics.t;
   m_cache_hits : Obs.Metrics.counter;
   m_cache_misses : Obs.Metrics.counter;
-  (* per-method decoded-code cache for the threaded interpreter, indexed
-     by [code.uid] with [Compiler.dcode_dummy] holes; entries guard on the
-     physical identity of their source code object and the whole table is
-     flushed on method (re)definition *)
+  (* per-method decoded-code cache, read before every instruction under
+     both tiers (yield points, cost class) and dispatched on by the
+     threaded one; indexed by [code.uid] with [Compiler.dcode_dummy]
+     holes; entries guard on the physical identity of their source code
+     object and the whole table is flushed on method (re)definition *)
   mutable dcodes : Compiler.Dcode.t array;
 }
 
@@ -378,7 +379,7 @@ let dcode_fill vm (code : Value.code) =
 (* The decoded form of [code], translating on first use. The hit path is
    two loads and a physical-identity check ([uid]s are session-unique, the
    [src] guard makes the cache robust even against reuse). *)
-let dcode vm (code : Value.code) =
+let[@inline] dcode vm (code : Value.code) =
   let u = code.Value.uid in
   let a = vm.dcodes in
   if u < Array.length a then begin
@@ -387,9 +388,9 @@ let dcode vm (code : Value.code) =
   end
   else dcode_fill vm code
 
-(* Method (re)definition invalidation: defining a method can shadow a
-   monomorphic assumption baked into a cached translation, so drop every
-   entry (definitions are rare and re-decoding is O(method size)). *)
+(* Method (re)definition invalidation: drop every entry (definitions are
+   rare and re-decoding is O(method size)). Conservative: a translation
+   depends only on its code's instructions. *)
 let dcode_invalidate vm =
   Array.fill vm.dcodes 0 (Array.length vm.dcodes) Compiler.dcode_dummy
 

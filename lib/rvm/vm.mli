@@ -108,8 +108,9 @@ val dcode : t -> Value.code -> Compiler.Dcode.t
     one bounds check + one physical-equality guard when cached. *)
 
 val dcode_invalidate : t -> unit
-(** Drop every cached translation. Called on method (re)definition —
-    [Defmethod]/[Defclass] — so fused send sites can never keep executing
-    against a stale method table. Translations rebuild lazily. *)
+(** Drop every cached translation; they rebuild lazily. Called on method
+    (re)definition — [Defmethod]/[Defclass]. A translation depends only on
+    its [code]'s instructions, which nothing changes after compilation, so
+    the flush is conservative. *)
 
 val output : t -> string

@@ -406,7 +406,7 @@ let suite =
     Alcotest.test_case "output formats" `Quick test_output_formats;
   ]
 
-(* ---- opt_* arithmetic edges (the fused paths must not change these) ---- *)
+(* ---- opt_* arithmetic edges (the int fast paths must not change these) ---- *)
 
 let test_arith_edges () =
   check "floor division negative operands" "-4\n-4\n3\n3\n"
@@ -499,7 +499,16 @@ puts work(10) + b.pick(1)
 puts "s" + "t"
 h = { :a => 1 }
 h[:b] = 2
-puts h.size|}
+puts h.size
+def twice
+  yield 1
+end
+twice { |k| puts k }
+r = (1..3)
+th = Thread.new(2) do |k|
+  k
+end
+th.join|}
 
 let test_decode_consistency () =
   List.iter
@@ -510,122 +519,52 @@ let test_decode_consistency () =
           let name = Printf.sprintf "%s@%d" code.Val.code_name pc in
           Alcotest.(check bool)
             (name ^ ": yield_orig")
-            (Core.Yield_points.original_point insn)
+            (C.yields_original insn)
             (Bytes.get d.C.Dcode.yield_orig pc = '\001');
           Alcotest.(check bool)
             (name ^ ": yield_ext")
-            (Core.Yield_points.extended_point insn)
-            (Bytes.get d.C.Dcode.yield_ext pc = '\001');
-          (* the cost class must reproduce Bytecode.base_cost under every
-             machine's cost table *)
-          List.iter
-            (fun (m : Htm_sim.Machine.t) ->
-              let c = m.costs in
-              let tbl =
-                [|
-                  c.cyc_insn;
-                  c.cyc_insn + c.cyc_send;
-                  c.cyc_insn + (10 * c.cyc_send);
-                  c.cyc_insn + c.cyc_alloc;
-                  4 * c.cyc_insn;
-                |]
-              in
-              Alcotest.(check int)
-                (name ^ ": base cost")
-                (Rvm.Bytecode.base_cost c insn)
-                tbl.(d.C.Dcode.cost.(pc)))
-            [ Htm_sim.Machine.zec12; Htm_sim.Machine.xeon_e3 ])
+            (C.yields_extended insn)
+            (Bytes.get d.C.Dcode.yield_ext pc = '\001'))
         code.Val.insns)
     (codes_of decode_corpus)
 
-(* The runner's cost table is the same mapping (guards the create-time
-   table against [Bytecode.base_cost] drift). *)
+(* The base cycles every instruction is charged, spelled out per cost
+   class: the runner's table, indexed by the decoded class, must give
+   exactly this on every machine for every corpus instruction, and the
+   corpus must hold an instruction of every class. *)
 let test_runner_cost_tbl () =
-  let cfg = Core.Runner.config Htm_sim.Machine.zec12 in
-  let t = Core.Runner.create cfg ~source:"nil" in
-  let c = Htm_sim.Machine.zec12.costs in
+  let expected (c : Htm_sim.Machine.costs) : Val.insn -> int = function
+    | Val.Send _ | Val.Invokeblock _ | Val.Newinstance _ ->
+        c.cyc_insn + c.cyc_send
+    | Val.Newthread _ -> c.cyc_insn + (10 * c.cyc_send)
+    | Val.Newarray _ | Val.Newarray_sized | Val.Newhash _ | Val.Newstring _
+    | Val.Newrange _ ->
+        c.cyc_insn + c.cyc_alloc
+    | Val.Defclass _ | Val.Defmethod _ -> 4 * c.cyc_insn
+    | _ -> c.cyc_insn
+  in
+  let codes = codes_of decode_corpus in
   List.iter
-    (fun (insn, cls) ->
-      Alcotest.(check int)
-        (Printf.sprintf "class %d" cls)
-        (Rvm.Bytecode.base_cost c insn)
-        t.Core.Runner.cost_tbl.(cls))
-    [
-      (Val.Nop, C.cost_class_of Val.Nop);
-      ( Val.Send { ss_sym = 0; ss_argc = 0; ss_block = None; ss_cache = 0 },
-        C.cost_class_of
-          (Val.Send { ss_sym = 0; ss_argc = 0; ss_block = None; ss_cache = 0 })
-      );
-      ( Val.Newthread { ss_sym = 0; ss_argc = 0; ss_block = None; ss_cache = 0 },
-        C.cost_class_of
-          (Val.Newthread
-             { ss_sym = 0; ss_argc = 0; ss_block = None; ss_cache = 0 }) );
-      (Val.Newarray 2, C.cost_class_of (Val.Newarray 2));
-      (Val.Defclass
-         {
-           cd_name = 0;
-           cd_super = None;
-           cd_methods = [];
-           cd_attrs = [];
-         },
-       C.cost_class_of
-         (Val.Defclass
-            { cd_name = 0; cd_super = None; cd_methods = []; cd_attrs = [] }));
-    ]
-
-let test_fusion_patterns () =
-  let site = { Val.ss_sym = 0; ss_argc = 0; ss_block = None; ss_cache = 0 } in
-  (* getlocal; getlocal; opt_plus; setlocal *)
-  let d1 =
-    C.decode
-      (mk_code
-         [|
-           Val.Getlocal (0, 0); Val.Getlocal (1, 0); Val.Opt_plus;
-           Val.Setlocal (0, 0); Val.Leave;
-         |])
-  in
-  Alcotest.(check int) "local-arith head len" 5 d1.C.Dcode.fuse.(0);
-  Alcotest.(check int) "local-arith kind" C.Dcode.fuse_local_arith
-    d1.C.Dcode.fuse_kind.(0);
-  (* getlocal; push; opt_lt; branchunless *)
-  let d2 =
-    C.decode
-      (mk_code
-         [|
-           Val.Getlocal (0, 0); Val.Push (Val.vint 10); Val.Opt_lt;
-           Val.Branchunless 6; Val.Nop; Val.Jump 0; Val.Leave;
-         |])
-  in
-  Alcotest.(check int) "cmp-branch head len" 4 d2.C.Dcode.fuse.(0);
-  Alcotest.(check int) "cmp-branch kind" C.Dcode.fuse_cmp_branch
-    d2.C.Dcode.fuse_kind.(0);
-  (* getinstancevariable; opt_aref *)
-  let d3 =
-    C.decode
-      (mk_code [| Val.Getivar (0, 0); Val.Opt_aref; Val.Leave |])
-  in
-  Alcotest.(check int) "ivar-aref head len" 3 d3.C.Dcode.fuse.(0);
-  Alcotest.(check int) "ivar-aref kind" C.Dcode.fuse_ivar_aref
-    d3.C.Dcode.fuse_kind.(0);
-  (* putself; send *)
-  let d4 =
-    C.decode (mk_code [| Val.Pushself; Val.Send site; Val.Leave |])
-  in
-  Alcotest.(check int) "self-send head len" 3 d4.C.Dcode.fuse.(0);
-  Alcotest.(check int) "self-send kind" C.Dcode.fuse_self_send
-    d4.C.Dcode.fuse_kind.(0);
-  (* a generic opcode breaks the run *)
-  let d5 =
-    C.decode
-      (mk_code [| Val.Push (Val.vint 1); Val.Newarray 1; Val.Pop; Val.Leave |])
-  in
-  Alcotest.(check int) "generic breaks run" 0 d5.C.Dcode.fuse.(0);
-  Alcotest.(check int) "tail after generic fuses" 2 d5.C.Dcode.fuse.(2);
-  Alcotest.(check int) "plain run kind" C.Dcode.fuse_straight
-    d5.C.Dcode.fuse_kind.(2);
-  (* single non-fusable instruction: no head *)
-  let d6 = C.decode (mk_code [| Val.Jump 0 |]) in
-  Alcotest.(check int) "lone branch no head" 0 d6.C.Dcode.fuse.(0)
+    (fun (m : Htm_sim.Machine.t) ->
+      let t = Core.Runner.create (Core.Runner.config m) ~source:"nil" in
+      let seen = Array.map (fun _ -> false) t.Core.Runner.cost_tbl in
+      List.iter
+        (fun (code : Val.code) ->
+          let d = C.decode code in
+          Array.iteri
+            (fun pc insn ->
+              let cls = d.C.Dcode.cost.(pc) in
+              seen.(cls) <- true;
+              Alcotest.(check int)
+                (Printf.sprintf "%s: %s@%d" m.name code.Val.code_name pc)
+                (expected m.costs insn)
+                t.Core.Runner.cost_tbl.(cls))
+            code.Val.insns)
+        codes;
+      Alcotest.(check bool) "every cost class occurs" true
+        (Array.for_all Fun.id seen);
+      Rvm.Vm.release t.Core.Runner.vm)
+    Htm_sim.Machine.[ zec12; xeon_e3; xeon_x5670 ]
 
 (* Opcode ids are load-bearing: [Interp.step_d] dispatches on the literal
    ints, so pin [opcode_of] to the published constants. *)
@@ -1004,7 +943,6 @@ let suite =
       Alcotest.test_case "opt arithmetic edges" `Quick test_arith_edges;
       Alcotest.test_case "decode consistency" `Quick test_decode_consistency;
       Alcotest.test_case "runner cost table" `Quick test_runner_cost_tbl;
-      Alcotest.test_case "superinstruction fusion" `Quick test_fusion_patterns;
       Alcotest.test_case "opcode ids" `Quick test_opcode_ids;
       Alcotest.test_case "tier differential: corpus" `Quick test_tier_corpus;
       Alcotest.test_case "tier differential: workloads" `Slow
