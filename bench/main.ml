@@ -416,10 +416,8 @@ let validate path =
 open Bechamel
 open Toolkit
 
-let run_guest ?tracer ?sched ?interp scheme source () =
-  let cfg =
-    Core.Runner.config ?tracer ?sched ?interp ~scheme Htm_sim.Machine.zec12
-  in
+let run_guest ?tracer ?sched scheme source () =
+  let cfg = Core.Runner.config ?tracer ?sched ~scheme Htm_sim.Machine.zec12 in
   ignore (Core.Runner.run_source cfg ~source)
 
 let micro_source =
@@ -496,17 +494,6 @@ let micro_tests =
     Test.make ~name:"sched:ref-scan"
       (Staged.stage
          (run_guest ~sched:Core.Runner.Sched_ref Core.Scheme.Htm_dynamic
-            mt_source));
-    (* Interpreter tentpole: the same multithreaded guest under the
-       pre-decoded threaded dispatch loop and under the reference switch
-       loop over the tagged bytecode *)
-    Test.make ~name:"interp:threaded"
-      (Staged.stage
-         (run_guest ~interp:Core.Runner.Interp_threaded Core.Scheme.Htm_dynamic
-            mt_source));
-    Test.make ~name:"interp:ref-switch"
-      (Staged.stage
-         (run_guest ~interp:Core.Runner.Interp_ref Core.Scheme.Htm_dynamic
             mt_source));
   ]
 
@@ -757,8 +744,7 @@ let step_alloc_check () =
   in
   let measure n =
     let cfg =
-      Core.Runner.config ~scheme:Core.Scheme.Gil_only
-        ~interp:Core.Runner.Interp_ref Htm_sim.Machine.zec12
+      Core.Runner.config ~scheme:Core.Scheme.Gil_only Htm_sim.Machine.zec12
     in
     let w0 = Gc.minor_words () in
     let r = Core.Runner.run_source cfg ~source:(loop_source n) in
@@ -775,16 +761,17 @@ let step_alloc_check () =
     exit 1
   end
 
-(* Acceptance gate for the pre-decoded threaded tier: the decoded form puts
-   every operand in a dense int array and the step executor charges costs
-   from a table, so the marginal interpreted instruction must be exactly
-   allocation-free in steady state. The guest keeps every value
-   inside the small-int intern range — boxing a large [VInt] is a guest
-   allocation, not a dispatch-loop one — and the tiny budget only absorbs
-   the boxed floats [Gc.minor_words] itself returns. *)
-let threaded_step_alloc_check () =
+(* Exact acceptance gate for the interpreter: [Interp.step] matches the
+   tagged bytecode without building anything, sends dispatch straight off
+   their cache slot, and the step executor charges costs from a table, so
+   the marginal interpreted instruction must be exactly allocation-free in
+   steady state. The guest keeps every value inside the small-int intern
+   range — boxing a large [VInt] is a guest allocation, not a
+   dispatch-loop one — and the tiny budget only absorbs the boxed floats
+   [Gc.minor_words] itself returns. *)
+let intern_step_alloc_check () =
   Format.fprintf fmt
-    "@.=== steady-state allocation per threaded-tier instruction ===@.";
+    "@.=== steady-state allocation per instruction, intern range ===@.";
   let loop_source n =
     Printf.sprintf
       "x = 0\ni = 0\nwhile i < %d\n  x = (x + i) %% 256\n  i += 1\nend\nputs x"
@@ -792,8 +779,7 @@ let threaded_step_alloc_check () =
   in
   let measure n =
     let cfg =
-      Core.Runner.config ~scheme:Core.Scheme.Gil_only
-        ~interp:Core.Runner.Interp_threaded Htm_sim.Machine.zec12
+      Core.Runner.config ~scheme:Core.Scheme.Gil_only Htm_sim.Machine.zec12
     in
     let w0 = Gc.minor_words () in
     let r = Core.Runner.run_source cfg ~source:(loop_source n) in
@@ -807,7 +793,7 @@ let threaded_step_alloc_check () =
   Format.fprintf fmt "%.5f minor words per instruction (budget 0.01)@."
     per_insn;
   if per_insn > 0.01 then begin
-    Format.eprintf "FAIL: threaded interpreter loop allocates in steady state@.";
+    Format.eprintf "FAIL: interpreter loop allocates in steady state@.";
     exit 1
   end
 
@@ -917,7 +903,7 @@ let gates () =
   zero_alloc_check ();
   stm_alloc_check ();
   step_alloc_check ();
-  threaded_step_alloc_check ();
+  intern_step_alloc_check ();
   slice_alloc_check ();
   intxn_pair_check ()
 
@@ -929,7 +915,7 @@ let micro () =
   zero_alloc_check ();
   stm_alloc_check ();
   step_alloc_check ();
-  threaded_step_alloc_check ();
+  intern_step_alloc_check ();
   slice_alloc_check ();
   intxn_pair_check ()
 

@@ -66,7 +66,7 @@ let clock_arg =
      (delayed increment — commits stamp clock+1 without touching the \
      cell, so they kill no hardware window), or gv6 (adaptive — switches \
      between the two on the observed validation-failure rate). Defaults \
-     to the BENCH_CLOCK environment variable, else gv1."
+     to gv1."
   in
   Arg.(value & opt (some string) None & info [ "clock" ] ~docv:"SCHEME" ~doc)
 
@@ -77,8 +77,8 @@ let subscription_arg =
      to the commit point — the published HyTM optimisation whose \
      unsafety the simulator reproduces: expect corrupted runs under GC \
      pressure), or lazy-safe (lazy plus abort-all-hardware at GC start; \
-     needs a machine with the lazy_sub_safe capability). Defaults to the \
-     BENCH_SUB environment variable, else eager."
+     needs a machine with the lazy_sub_safe capability). Defaults to \
+     eager."
   in
   Arg.(
     value

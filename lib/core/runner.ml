@@ -15,8 +15,8 @@
    produce the same pick at every step, so their interleavings — and the
    figures — are identical (asserted by the differential test suite and
    the smoke script's digest comparison). Either way every instruction
-   goes through the one executor, [step_thread]; the interpreter tier only
-   selects its opcode handler.
+   goes through the one executor, [step_thread], which hands it to the one
+   opcode handler, [Rvm.Interp.step].
 
    The scheme logic (GIL yield protocol, TLE transaction begin/end/yield of
    Figures 1-2, dynamic length adjustment of Figure 3) lives here because it
@@ -38,34 +38,18 @@ let[@inline] htm_pending htm ctx =
 
 type sched_kind = Sched_heap | Sched_ref
 
-(* The value of environment switch [var], trimmed and lowercased; [""]
-   when unset. *)
-let env_switch var =
-  match Sys.getenv_opt var with
-  | Some s -> String.lowercase_ascii (String.trim s)
-  | None -> ""
-
 (* BENCH_SCHED=ref flips the process-wide default so the smoke script and
    CI can regenerate figures under the reference scheduler without touching
    every config call site. An unknown value is an error: falling back to
    the default would let a typo compare the default against itself. *)
 let default_sched_kind () =
-  match env_switch "BENCH_SCHED" with
+  match
+    String.lowercase_ascii
+      (String.trim (Option.value (Sys.getenv_opt "BENCH_SCHED") ~default:""))
+  with
   | "" | "heap" -> Sched_heap
   | "ref" | "scan" -> Sched_ref
   | s -> invalid_arg (Printf.sprintf "BENCH_SCHED=%S (expected heap or ref)" s)
-
-type interp_kind = Interp_threaded | Interp_ref
-
-(* Same pattern for the interpreter tier: BENCH_INTERP=ref regenerates
-   everything under the reference switch loop so the smoke script and CI
-   can compare figure digests across tiers. *)
-let default_interp_kind () =
-  match env_switch "BENCH_INTERP" with
-  | "" | "threaded" -> Interp_threaded
-  | "ref" | "switch" -> Interp_ref
-  | s ->
-      invalid_arg (Printf.sprintf "BENCH_INTERP=%S (expected threaded or ref)" s)
 
 type config = {
   machine : Machine.t;
@@ -78,33 +62,24 @@ type config = {
       (** event-trace sink shared by the runner, the GIL and the heap; None
           (the default) keeps every instrumentation site at one branch *)
   sched : sched_kind;
-  interp : interp_kind;
   clock : Tm_clock.scheme;
       (** global commit-clock scheme the STM publishes under (GV1 unless
-          BENCH_CLOCK or --clock says otherwise); irrelevant for schemes
-          without a software fallback *)
+          --clock says otherwise); irrelevant for schemes without a
+          software fallback *)
   subscription : Subscription.t;
       (** how hardware windows subscribe to the GIL/clock words (eager
-          unless BENCH_SUB or --subscription says otherwise) *)
+          unless --subscription says otherwise) *)
 }
 
 let config ?(scheme = Scheme.Htm_dynamic) ?(yield_points = Yield_points.Extended)
     ?(opts = Rvm.Options.default) ?txlen_params ?(max_insns = 400_000_000)
-    ?tracer ?sched ?interp ?clock ?subscription machine =
+    ?tracer ?sched ?(clock = Tm_clock.Gv1) ?(subscription = Subscription.Eager)
+    machine =
   let sched =
     match sched with Some s -> s | None -> default_sched_kind ()
   in
-  let interp =
-    match interp with Some i -> i | None -> default_interp_kind ()
-  in
-  let clock =
-    match clock with Some c -> c | None -> Tm_clock.default_scheme ()
-  in
-  let subscription =
-    match subscription with Some s -> s | None -> Subscription.default ()
-  in
   { machine; scheme; yield_points; opts; txlen_params; max_insns; tracer;
-    sched; interp; clock; subscription }
+    sched; clock; subscription }
 
 type breakdown = {
   mutable bd_txn_overhead : int;
@@ -1371,13 +1346,14 @@ let[@inline] step_prologue t (th : V.t) =
         else ignore (window_begin t th)
     | Scheme.Fine_grained | Scheme.Free_parallel -> t.outside.(th.tid) <- false
 
-(* Execute one scheduling step for [th]: at most one instruction, under
-   either tier. The yield decision and the charged base cost come from the
-   instruction at the pre-yield pc, even when a failed software commit
-   inside [transaction_yield] rolled the registers back to an older pc; so
-   the cost class is latched before stage 3, and the threaded tier's
-   decoded form is refetched after it. Inlined, as are [step_prologue] and
-   [Rvm.Vm.dcode]: all three run once per instruction. *)
+(* Execute one scheduling step for [th]: at most one instruction. The
+   yield decision and the charged base cost come from the instruction at
+   the pre-yield pc, even when a failed software commit inside
+   [transaction_yield] rolled the registers back to an older pc; so the
+   cost class is latched before stage 3, and [Rvm.Interp.step] then runs
+   whatever instruction the registers name. Inlined, as are
+   [step_prologue] and [Rvm.Vm.dcode]: all three run once per
+   instruction. *)
 let[@inline] step_thread t (th : V.t) =
   let vm = t.vm in
   step_prologue t th;
@@ -1415,13 +1391,7 @@ let[@inline] step_thread t (th : V.t) =
            | None -> false)
       in
       (try
-         let r =
-           match t.cfg.interp with
-           | Interp_threaded ->
-               Rvm.Interp.step_d vm th
-                 (if th.code == d.src then d else Rvm.Vm.dcode vm th.code)
-           | Interp_ref -> Rvm.Interp.step vm th
-         in
+         let r = Rvm.Interp.step vm th in
          let extra = Htm.step_extra_cycles vm.Rvm.Vm.htm
          and accesses = Htm.step_accesses vm.Rvm.Vm.htm in
          Htm.reset_step_cost vm.Rvm.Vm.htm;

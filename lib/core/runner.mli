@@ -21,23 +21,6 @@ val default_sched_kind : unit -> sched_kind
     [Sched_heap]; ["ref"] or ["scan"] gives [Sched_ref].
     @raise Invalid_argument on any other value. *)
 
-type interp_kind =
-  | Interp_threaded
-      (** pre-decoded threaded dispatch with specialized monomorphic send
-          paths (the default); simulated semantics identical to
-          [Interp_ref], host wall time lower *)
-  | Interp_ref
-      (** the original switch-style loop over the tagged bytecode variants,
-          retained as the executable specification the threaded tier is
-          differentially tested against. The tier selects only the opcode
-          handler: yield points, cost classes and the step protocol are
-          shared. *)
-
-val default_interp_kind : unit -> interp_kind
-(** [BENCH_INTERP], case-insensitive: unset, blank or ["threaded"] gives
-    [Interp_threaded]; ["ref"] or ["switch"] gives [Interp_ref].
-    @raise Invalid_argument on any other value. *)
-
 type config = {
   machine : Htm_sim.Machine.t;
   scheme : Scheme.kind;
@@ -49,18 +32,16 @@ type config = {
       (** event-trace sink shared by the runner, the GIL and the heap; [None]
           (the default) keeps every instrumentation site at one branch *)
   sched : sched_kind;
-  interp : interp_kind;
   clock : Tm_clock.scheme;
       (** global commit-clock scheme the STM publishes under; defaults to
-          [Tm_clock.default_scheme ()] (GV1 unless [BENCH_CLOCK] says
-          otherwise). Irrelevant for schemes without a software fallback. *)
+          [Tm_clock.Gv1]. Irrelevant for schemes without a software
+          fallback. *)
   subscription : Htm_sim.Subscription.t;
       (** how hardware windows subscribe to the GIL word and the STM
-          commit-clock cell; defaults to [Subscription.default ()] (eager
-          unless [BENCH_SUB] says otherwise). [Lazy] defers both reads to
-          the window's commit point, reproducing the unsafety Alistarh et
-          al. describe; [Lazy_safe] additionally aborts all hardware
-          windows when GC starts and requires
+          commit-clock cell; defaults to [Subscription.Eager]. [Lazy]
+          defers both reads to the window's commit point, reproducing the
+          unsafety Alistarh et al. describe; [Lazy_safe] additionally
+          aborts all hardware windows when GC starts and requires
           [Machine.lazy_sub_safe = true] ({!create} rejects it
           otherwise). *)
 }
@@ -73,7 +54,6 @@ val config :
   ?max_insns:int ->
   ?tracer:Obs.Trace.t ->
   ?sched:sched_kind ->
-  ?interp:interp_kind ->
   ?clock:Tm_clock.scheme ->
   ?subscription:Htm_sim.Subscription.t ->
   Htm_sim.Machine.t ->

@@ -25,13 +25,8 @@ type point = {
 
 let point ?(yield_points = Core.Yield_points.Extended)
     ?(opts = Rvm.Options.default) ?(arrivals = Netsim.Closed) ?(mix = [])
-    ?clock ?subscription ~workload ~machine ~scheme ~threads ~size () =
-  let clock =
-    match clock with Some c -> c | None -> Tm_clock.default_scheme ()
-  in
-  let subscription =
-    match subscription with Some s -> s | None -> Subscription.default ()
-  in
+    ?(clock = Tm_clock.Gv1) ?(subscription = Subscription.Eager) ~workload
+    ~machine ~scheme ~threads ~size () =
   { workload; machine; scheme; threads; size; yield_points; opts; arrivals;
     mix; clock; subscription }
 

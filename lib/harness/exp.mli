@@ -17,10 +17,10 @@ type point = {
           (default) keeps the workload's single default request *)
   clock : Tm_clock.scheme;
       (** commit-clock scheme for the STM fallback; defaults to
-          [Tm_clock.default_scheme ()] (GV1 unless [BENCH_CLOCK] is set) *)
+          [Tm_clock.Gv1] *)
   subscription : Htm_sim.Subscription.t;
       (** hardware-window subscription policy; defaults to
-          [Subscription.default ()] (eager unless [BENCH_SUB] is set) *)
+          [Subscription.Eager] *)
 }
 
 val point :

@@ -6,8 +6,7 @@
     in shard order. The [SHARDS] environment variable (like [BENCH_JOBS]) is
     a placement knob only: it sets how many worker domains drive the
     shards, and results are bit-identical at any value, under any
-    shard-to-domain placement, and across the scheduler and interpreter
-    tiers. *)
+    shard-to-domain placement, and across both schedulers. *)
 
 type policy =
   | Round_robin
@@ -19,7 +18,7 @@ type policy =
           assigns the next window's arrivals to the shard with the fewest
           outstanding requests, computed from virtual-time-stamped
           observations at the barrier (never raw counters, which are
-          tier-dependent under horizon overshoot) *)
+          scheduler-dependent under horizon overshoot) *)
 
 val policy_to_string : policy -> string
 

@@ -16,8 +16,3 @@ let of_string s =
            "unknown subscription policy %S (expected eager, lazy or \
             lazy-safe)"
            s)
-
-let default () =
-  match Sys.getenv_opt "BENCH_SUB" with
-  | Some s when String.trim s <> "" -> of_string (String.trim s)
-  | _ -> Eager

@@ -19,7 +19,3 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** @raise Invalid_argument on unknown names. *)
-
-val default : unit -> t
-(** [Eager], unless the [BENCH_SUB] environment variable names another
-    policy. *)

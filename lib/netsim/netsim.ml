@@ -13,9 +13,9 @@
      configured offered load (requests per second at the 1 GHz virtual
      clock), drawn from an explicitly seeded [Htm_sim.Prng]. The arrival
      schedule is a pure function of the seed, so it is identical across
-     schedulers, interpreter tiers and worker counts. Open-loop clients
-     keep connections alive for [keepalive] requests and then churn (a
-     fresh client identity takes the slot); the accept queue is bounded
+     schedulers and worker counts. Open-loop clients keep connections
+     alive for [keepalive] requests and then churn (a fresh client
+     identity takes the slot); the accept queue is bounded
      by [queue_cap] (beyond it arrivals are counted as dropped) and
      queued requests time out after [queue_timeout] cycles un-accepted.
      This is the load model under which tail latency means something:
@@ -480,8 +480,8 @@ let feed_may_grow t = t.arrivals = Fed && not t.feed_closed
 
    A shard runner paused at horizon H may have overshot H by the cost of
    one run-ahead slice, and by *different amounts* under different
-   interpreter/scheduler tiers. Raw counters at a barrier are therefore
-   placement- and tier-dependent; counts filtered by stamp <= H are pure
+   schedulers. Raw counters at a barrier are therefore placement- and
+   scheduler-dependent; counts filtered by stamp <= H are pure
    functions of virtual time and safe for balancer decisions. *)
 
 let completed_by t ~time =

@@ -9,11 +9,10 @@
     independent of the server, at a configured offered load in requests per
     second at the 1 GHz virtual clock. The schedule is a pure function of
     the seed (drawn from a dedicated {!Htm_sim.Prng}), so it is identical
-    across schedulers, interpreter tiers and worker counts. Keep-alive
-    client slots churn to fresh identities every [keepalive] requests; the
-    accept queue holds at most [queue_cap] connections (arrivals beyond it
-    count as dropped) and queued requests expire after [queue_timeout]
-    cycles un-accepted. Open-loop measurement avoids the closed loop's
+    across schedulers and worker counts. Keep-alive client slots churn to
+    fresh identities every [keepalive] requests; the accept queue holds at
+    most [queue_cap] connections (arrivals beyond it count as dropped) and
+    queued requests expire after [queue_timeout] cycles un-accepted. Open-loop measurement avoids the closed loop's
     coordinated omission: arrivals keep coming while the server struggles,
     so queueing delay shows up in the latency tail instead of silently
     throttling the load. *)
@@ -161,8 +160,8 @@ val feed_may_grow : t -> bool
 
     A shard runner paused at horizon [H] may have overshot [H] by the cost
     of one run-ahead slice, and by different amounts under different
-    interpreter/scheduler tiers. Raw counters compared at a barrier are
-    therefore placement- and tier-dependent; these stamp-filtered counts
+    schedulers. Raw counters compared at a barrier are therefore
+    placement- and scheduler-dependent; these stamp-filtered counts
     are pure functions of virtual time and safe for balancer decisions
     and merged digests. *)
 

@@ -531,68 +531,16 @@ let compile_program (prog : Ast.t) : program =
 
 let compile_string src = compile_program (Parser.parse src)
 
-(* ---- bytecode pre-decode: the threaded-interpreter translation pass ----
+(* ---- bytecode pre-decode: the runner's per-pc tables ----
 
-   [Dcode.t] is a flat, pc-parallel re-encoding of a [Value.code]: the
-   tagged [insn] variants are unrolled once into dense int arrays (opcode
-   id + two int operands, with literal values / send sites in parallel aux
-   arrays), so the hot interpreter loop dispatches on an int and never
-   re-matches operand shapes or allocates per step. The pass also
-   precomputes, per pc, the data the runner consults before every
-   instruction under either tier — the cost class ([cost_table] turns it
-   into cycles) and both yield-point sets. This module is the only
-   definition of both. pcs are never renumbered: every array indexes by the
-   ORIGINAL pc, so abort attribution, txlen tables and Obs sites are
-   byte-identical under either interpreter. *)
+   [Dcode.t] holds, per pc of a [Value.code], what the runner consults
+   before every instruction: the cost class ([cost_table] turns it into
+   cycles) and membership in both yield-point sets. This module is the
+   only definition of both. pcs are the original bytecode pcs, so abort
+   attribution, txlen tables and Obs sites index the same instructions the
+   interpreter executes. *)
 
 module Dcode = struct
-  (* Opcode ids. [op_generic] (0) routes to the reference [Interp.step]
-     for the rare instructions not worth a threaded handler; everything
-     else has a dedicated case in [Interp.step_d] dispatching on the
-     literal id (keep the two in sync — the differential interp tests and
-     [test_compiler]'s decode checks pin the mapping). *)
-  let op_generic = 0
-  let op_nop = 1
-  let op_push = 2
-  let op_pushself = 3
-  let op_pop = 4
-  let op_dup = 5
-  let op_dup2 = 6
-  let op_getlocal0 = 7 (* depth 0: opa = index *)
-  let op_getlocal = 8 (* opa = index, opb = depth *)
-  let op_setlocal0 = 9
-  let op_setlocal = 10
-  let op_getivar = 11 (* opa = symbol, opb = cache slot *)
-  let op_setivar = 12
-  let op_getcvar = 13 (* opa = symbol *)
-  let op_setcvar = 14
-  let op_getglobal = 15
-  let op_setglobal = 16
-  let op_getconst = 17
-  let op_setconst = 18
-  let op_jump = 19 (* opa = target *)
-  let op_branchif = 20
-  let op_branchunless = 21
-  let op_leave = 22
-  let op_opt_plus = 23
-  let op_opt_minus = 24
-  let op_opt_mult = 25
-  let op_opt_div = 26
-  let op_opt_mod = 27
-  let op_opt_pow = 28
-  let op_opt_eq = 29
-  let op_opt_neq = 30
-  let op_opt_lt = 31
-  let op_opt_le = 32
-  let op_opt_gt = 33
-  let op_opt_ge = 34
-  let op_opt_aref = 35
-  let op_opt_aset = 36
-  let op_opt_ltlt = 37
-  let op_opt_not = 38
-  let op_opt_neg = 39
-  let op_send = 40 (* sites.(pc) *)
-
   (* Cost classes; [cost_table] gives each one's cycles on a machine. *)
   let cost_plain = 0
   let cost_send = 1
@@ -602,68 +550,11 @@ module Dcode = struct
 
   type t = {
     src : Value.code;  (** physical-identity guard for the per-VM cache *)
-    ops : int array;
-    opa : int array;
-    opb : int array;
-    vals : Value.t array;  (** [Push] literal per pc, [VNil] elsewhere *)
-    sites : send_site array;  (** [Send] site per pc *)
     cost : int array;  (** cost class per pc *)
     yield_orig : Bytes.t;  (** '\001' where the original set yields *)
     yield_ext : Bytes.t;  (** '\001' where the extended set yields *)
   }
 end
-
-let dummy_site : send_site =
-  { ss_sym = -1; ss_argc = 0; ss_block = None; ss_cache = -1 }
-
-(* Opcode id of one instruction (generic for the rare/complex ones). *)
-let opcode_of : insn -> int =
-  let open Dcode in
-  function
-  | Nop -> op_nop
-  | Push _ -> op_push
-  | Pushself -> op_pushself
-  | Pop -> op_pop
-  | Dup -> op_dup
-  | Dup2 -> op_dup2
-  | Getlocal (_, 0) -> op_getlocal0
-  | Getlocal _ -> op_getlocal
-  | Setlocal (_, 0) -> op_setlocal0
-  | Setlocal _ -> op_setlocal
-  | Getivar _ -> op_getivar
-  | Setivar _ -> op_setivar
-  | Getcvar _ -> op_getcvar
-  | Setcvar _ -> op_setcvar
-  | Getglobal _ -> op_getglobal
-  | Setglobal _ -> op_setglobal
-  | Getconst _ -> op_getconst
-  | Setconst _ -> op_setconst
-  | Jump _ -> op_jump
-  | Branchif _ -> op_branchif
-  | Branchunless _ -> op_branchunless
-  | Leave -> op_leave
-  | Opt_plus -> op_opt_plus
-  | Opt_minus -> op_opt_minus
-  | Opt_mult -> op_opt_mult
-  | Opt_div -> op_opt_div
-  | Opt_mod -> op_opt_mod
-  | Opt_pow -> op_opt_pow
-  | Opt_eq -> op_opt_eq
-  | Opt_neq -> op_opt_neq
-  | Opt_lt -> op_opt_lt
-  | Opt_le -> op_opt_le
-  | Opt_gt -> op_opt_gt
-  | Opt_ge -> op_opt_ge
-  | Opt_aref -> op_opt_aref
-  | Opt_aset -> op_opt_aset
-  | Opt_ltlt -> op_opt_ltlt
-  | Opt_not -> op_opt_not
-  | Opt_neg -> op_opt_neg
-  | Send _ -> op_send
-  | Newarray _ | Newarray_sized | Newhash _ | Newrange _ | Newstring _
-  | Newinstance _ | Newthread _ | Invokeblock _ | Return_insn | Break_insn
-  | Defmethod _ | Defclass _ ->
-      op_generic
 
 let cost_class_of : insn -> int =
   let open Dcode in
@@ -704,41 +595,21 @@ let yields_extended (i : insn) =
   | Opt_plus | Opt_minus | Opt_mult | Opt_aref -> true
   | _ -> yields_original i
 
-(* Translate one method's bytecode array. O(n); run once per [code] and
-   cached per VM (see [Vm.dcode]), invalidated on method redefinition. *)
+(* Tabulate one method's bytecode array. O(n); run once per [code] and
+   cached per VM (see [Vm.dcode]). *)
 let decode (code : Value.code) : Dcode.t =
   let insns = code.insns in
   let n = Array.length insns in
-  let ops = Array.make n 0
-  and opa = Array.make n 0
-  and opb = Array.make n 0
-  and vals = Array.make n VNil
-  and sites = Array.make n dummy_site
-  and cost = Array.make n 0
+  let cost = Array.make n 0
   and yield_orig = Bytes.make n '\000'
   and yield_ext = Bytes.make n '\000' in
   for pc = 0 to n - 1 do
     let i = insns.(pc) in
-    ops.(pc) <- opcode_of i;
     cost.(pc) <- cost_class_of i;
     if yields_original i then Bytes.set yield_orig pc '\001';
-    if yields_extended i then Bytes.set yield_ext pc '\001';
-    match i with
-    | Push v -> vals.(pc) <- v
-    | Getlocal (idx, d) | Setlocal (idx, d) ->
-        opa.(pc) <- idx;
-        opb.(pc) <- d
-    | Getivar (sym, slot) | Setivar (sym, slot) ->
-        opa.(pc) <- sym;
-        opb.(pc) <- slot
-    | Getcvar sym | Setcvar sym | Getglobal sym | Setglobal sym
-    | Getconst sym | Setconst sym ->
-        opa.(pc) <- sym
-    | Jump t | Branchif t | Branchunless t -> opa.(pc) <- t
-    | Send site -> sites.(pc) <- site
-    | _ -> ()
+    if yields_extended i then Bytes.set yield_ext pc '\001'
   done;
-  { Dcode.src = code; ops; opa; opb; vals; sites; cost; yield_orig; yield_ext }
+  { Dcode.src = code; cost; yield_orig; yield_ext }
 
 (* Never matches a real code (fresh uids are >= 0 and [src] is compared
    physically): the cache's hole value, so lookups skip an option. *)

@@ -1,5 +1,8 @@
 (* The bytecode interpreter. [step] executes exactly one instruction for one
-   thread; the runner owns scheduling, yield points and transactions.
+   thread and is the VM's only opcode handler: it matches the tagged
+   bytecode directly, and each arm's sequence of simulated reads and writes
+   is what the HTM engine sees (test/test_interp.ml's guest-corpus digest
+   pins it). The runner owns scheduling, yield points and transactions.
 
    Invariants that make aborts and blocking safe:
    - all guest-visible mutations go through the HTM engine (rolled back on
@@ -145,8 +148,6 @@ let resolve vm th recv sym =
           (Some m, guard, k)
       | None -> (None, guard, k))
 
-(* Full send. [cache_slot] enables the inline cache; opt_* fallbacks pass
-   None. The receiver is at sp-argc-1 and arguments above it. *)
 (* CPython-style reference counting: touching an object INCREF/DECREFs it,
    i.e. writes its header. Modelled as one header write (a bit toggle:
    class id and mark live in the low bits). *)
@@ -193,11 +194,11 @@ let invoke_meth vm th ~sym ~argc ~block ~recv = function
       invoke_bytecode vm th ~sym ~argc ~block ~recv code
   | Some (Klass.Prim p) -> invoke_prim vm th ~sym ~argc ~block ~recv p
 
-(* [slot >= 0] enables the inline cache; opt_* fallbacks pass -1. On a
-   monomorphic hit the method dispatches straight off the cached cell —
-   no [decode_meth] constructor or option allocation, which makes cached
-   sends steady-state allocation-free. The simulated access sequence is
-   identical on every path. *)
+(* Full send. The receiver is at sp-argc-1 and the arguments above it.
+   [slot] is the send site's inline-cache slot; opt_* fallbacks pass -1 and
+   resolve without the cache. On a monomorphic hit the method dispatches
+   straight off the cached cell, allocating no option or constructor, which
+   makes cached sends steady-state allocation-free. *)
 let dispatch_slot vm (th : Vmthread.t) ~sym ~argc ~block ~slot =
   let recv = peek vm th argc in
   refcount_touch vm th recv;
@@ -237,10 +238,6 @@ let dispatch_slot vm (th : Vmthread.t) ~sym ~argc ~block ~slot =
         | None -> ());
         invoke_meth vm th ~sym ~argc ~block ~recv m
   end
-
-let dispatch vm (th : Vmthread.t) ~sym ~argc ~block ~cache_slot =
-  dispatch_slot vm th ~sym ~argc ~block
-    ~slot:(match cache_slot with Some s -> s | None -> -1)
 
 (* ---- operators ---------------------------------------------------------- *)
 
@@ -309,7 +306,7 @@ let arith vm th sym finsn =
       box vm th (VFloat f);
       push vm th (VFloat f);
       th.pc <- th.pc + 1
-  | VRef _, _ -> dispatch vm th ~sym ~argc:1 ~block:None ~cache_slot:None
+  | VRef _, _ -> dispatch_slot vm th ~sym ~argc:1 ~block:None ~slot:(-1)
   | _ ->
       guest_error "%s cannot be coerced (%s %s %s)" (type_name b)
         (to_string a) (Sym.name sym) (to_string b)
@@ -371,7 +368,7 @@ let compare_fast vm th finsn =
         push vm th (if r then VTrue else VFalse);
         th.pc <- th.pc + 1
       end
-      else dispatch vm th ~sym ~argc:1 ~block:None ~cache_slot:None)
+      else dispatch_slot vm th ~sym ~argc:1 ~block:None ~slot:(-1))
 
 let equality vm th ~negate =
   let b = peek vm th 0 and a = peek vm th 1 in
@@ -391,13 +388,12 @@ let equality vm th ~negate =
       direct
         (String.equal (Objects.string_content vm th x) (Objects.string_content vm th y))
   | VRef _, _ ->
-      if negate then begin
-        (* a != b: send :==, then negate in place *)
-        dispatch vm th ~sym:Sym.s_eq ~argc:1 ~block:None ~cache_slot:None;
-        (* if the send pushed a result immediately (prim), negate it *)
-        ()
-      end
-      else dispatch vm th ~sym:Sym.s_eq ~argc:1 ~block:None ~cache_slot:None
+      let pc = th.pc in
+      dispatch_slot vm th ~sym:Sym.s_eq ~argc:1 ~block:None ~slot:(-1);
+      (* a != b: a prim [==] has pushed its result and advanced the pc;
+         negate that result in place *)
+      if negate && th.pc = pc + 1 then
+        push vm th (if truthy (pop vm th) then VFalse else VTrue)
   | _ -> direct (a = b)
 
 (* ---- the main step ------------------------------------------------------ *)
@@ -411,45 +407,43 @@ let rec local_base vm th fp d =
 
 let rec step vm (th : Vmthread.t) : step_result =
   Htm.set_cur_ctx vm.Vm.htm th.ctx;
-  let insn = th.code.insns.(th.pc) in
-  let continue_ () = Continue in
-  match insn with
+  match th.code.insns.(th.pc) with
   | Nop ->
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Push v ->
       push vm th v;
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Pushself ->
       push vm th (frame_self vm th th.fp);
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Pop ->
       th.sp <- th.sp - 1;
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Dup ->
       push vm th (peek vm th 0);
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Dup2 ->
       let a = peek vm th 1 and b = peek vm th 0 in
       push vm th a;
       push vm th b;
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Getlocal (idx, depth) ->
       let fp = local_base vm th th.fp depth in
       push vm th (rd vm th (fp + Vmthread.frame_hdr + idx));
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Setlocal (idx, depth) ->
       let fp = local_base vm th th.fp depth in
       let v = pop vm th in
       wr vm th (fp + Vmthread.frame_hdr + idx) v;
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Getivar (sym, slot) ->
       let self = frame_self vm th th.fp in
       (match self with
@@ -477,7 +471,7 @@ let rec step vm (th : Vmthread.t) : step_result =
           | None -> push vm th VNil)
       | _ -> guest_error "instance variable access on %s" (type_name self));
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Setivar (sym, slot) ->
       let self = frame_self vm th th.fp in
       (match self with
@@ -500,38 +494,38 @@ let rec step vm (th : Vmthread.t) : step_result =
           wr vm th (a + idx) v
       | _ -> guest_error "instance variable assignment on %s" (type_name self));
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Getcvar sym ->
       let k = Vm.class_of vm (frame_self vm th th.fp) in
       push vm th (rd vm th (Vm.cvar_cell vm k.id sym));
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Setcvar sym ->
       let k = Vm.class_of vm (frame_self vm th th.fp) in
       let v = pop vm th in
       wr vm th (Vm.cvar_cell vm k.id sym) v;
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Getglobal sym ->
       push vm th (rd vm th (Vm.gvar_cell vm sym));
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Setglobal sym ->
       let v = pop vm th in
       wr vm th (Vm.gvar_cell vm sym) v;
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Getconst sym ->
       let v = rd vm th (Vm.const_cell vm sym) in
       if v = VNil then guest_error "uninitialized constant %s" (Sym.name sym);
       push vm th v;
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Setconst sym ->
       let v = pop vm th in
       wr vm th (Vm.const_cell vm sym) v;
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Newarray n ->
       let slot = Objects.new_array vm th ~len:n ~fill:VNil in
       let data = Objects.array_data vm th slot in
@@ -541,7 +535,7 @@ let rec step vm (th : Vmthread.t) : step_result =
       th.sp <- th.sp - n;
       push vm th (VRef slot);
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Newarray_sized ->
       (* stack: [n, fill] *)
       let fill = peek vm th 0 and n = peek vm th 1 in
@@ -550,7 +544,7 @@ let rec step vm (th : Vmthread.t) : step_result =
       th.sp <- th.sp - 2;
       push vm th (VRef slot);
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Newhash n ->
       let slot = Objects.new_hash vm th ~cap:(max 8 (2 * n)) in
       for i = n - 1 downto 0 do
@@ -561,7 +555,7 @@ let rec step vm (th : Vmthread.t) : step_result =
       th.sp <- th.sp - (2 * n);
       push vm th (VRef slot);
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Newrange excl ->
       let slot =
         Objects.new_range vm th ~lo:(peek vm th 1) ~hi:(peek vm th 0) ~excl
@@ -569,41 +563,44 @@ let rec step vm (th : Vmthread.t) : step_result =
       th.sp <- th.sp - 2;
       push vm th (VRef slot);
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Newstring s ->
       let slot = Objects.new_string vm th s in
       push vm th (VRef slot);
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Newinstance site -> new_instance vm th site
   | Newthread site -> new_thread_insn vm th site
   | Send site ->
-      dispatch vm th ~sym:site.ss_sym ~argc:site.ss_argc ~block:site.ss_block
-        ~cache_slot:(Some site.ss_cache);
-      continue_ ()
+      dispatch_slot vm th ~sym:site.ss_sym ~argc:site.ss_argc
+        ~block:site.ss_block ~slot:site.ss_cache;
+      Continue
   | Invokeblock argc -> invoke_block vm th argc
-  | (Opt_plus | Opt_minus | Opt_mult | Opt_div | Opt_mod | Opt_pow) as op ->
+  | Opt_plus ->
+      (* strings: "+" concatenates *)
+      if is_string vm (peek vm th 1) then
+        dispatch_slot vm th ~sym:Sym.s_plus ~argc:1 ~block:None ~slot:(-1)
+      else arith vm th Sym.s_plus Opt_plus;
+      Continue
+  | (Opt_minus | Opt_mult | Opt_div | Opt_mod | Opt_pow) as op ->
       let sym =
         match op with
-        | Opt_plus -> Sym.s_plus
         | Opt_minus -> Sym.s_minus
         | Opt_mult -> Sym.s_mult
         | Opt_div -> Sym.s_div
         | Opt_mod -> Sym.s_mod
         | _ -> Sym.s_pow
       in
-      (* strings: "+" concatenates *)
-      let a = peek vm th 1 in
-      if op = Opt_plus && is_string vm a then
-        dispatch vm th ~sym:Sym.s_plus ~argc:1 ~block:None ~cache_slot:None
-      else arith vm th sym op;
-      continue_ ()
+      (* the same left-operand read [Opt_plus] charges for its string test *)
+      ignore (peek vm th 1);
+      arith vm th sym op;
+      Continue
   | (Opt_lt | Opt_le | Opt_gt | Opt_ge) as op ->
       compare_fast vm th op;
-      continue_ ()
+      Continue
   | Opt_eq ->
       equality vm th ~negate:false;
-      continue_ ()
+      Continue
   | Opt_neq ->
       let b = peek vm th 0 and a = peek vm th 1 in
       (match (a, b) with
@@ -613,7 +610,7 @@ let rec step vm (th : Vmthread.t) : step_result =
           push vm th (if a = b then VFalse else VTrue);
           th.pc <- th.pc + 1
       | _ -> equality vm th ~negate:true);
-      continue_ ()
+      Continue
   | Opt_aref -> opt_aref vm th
   | Opt_aset -> opt_aset vm th
   | Opt_ltlt -> opt_ltlt vm th
@@ -621,7 +618,7 @@ let rec step vm (th : Vmthread.t) : step_result =
       let v = pop vm th in
       push vm th (if truthy v then VFalse else VTrue);
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Opt_neg ->
       let v = pop vm th in
       (match v with
@@ -631,18 +628,18 @@ let rec step vm (th : Vmthread.t) : step_result =
           push vm th (VFloat (-.f))
       | _ -> guest_error "cannot negate %s" (type_name v));
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Jump t ->
       th.pc <- t;
-      continue_ ()
+      Continue
   | Branchif t ->
       let v = pop vm th in
       th.pc <- (if truthy v then t else th.pc + 1);
-      continue_ ()
+      Continue
   | Branchunless t ->
       let v = pop vm th in
       th.pc <- (if truthy v then th.pc + 1 else t);
-      continue_ ()
+      Continue
   | Leave ->
       let ret = pop vm th in
       let flags = frame_flags vm th th.fp in
@@ -659,16 +656,16 @@ let rec step vm (th : Vmthread.t) : step_result =
       (match leave_from vm th m ret with Some v -> Done v | None -> Continue)
   | Break_insn -> do_break vm th
   | Defmethod (sym, code) ->
-      if Htm.in_txn vm.Vm.htm th.ctx then Htm.tabort vm.Vm.htm ~ctx:th.ctx Txn.Explicit
-  else if Htm.software_active vm.Vm.htm th.ctx then
-    Htm.software_abort vm.Vm.htm th.ctx Txn.Explicit;
+      if Htm.in_txn vm.Vm.htm th.ctx then
+        Htm.tabort vm.Vm.htm ~ctx:th.ctx Txn.Explicit
+      else if Htm.software_active vm.Vm.htm th.ctx then
+        Htm.software_abort vm.Vm.htm th.ctx Txn.Explicit;
       let k = Vm.class_of vm (frame_self vm th th.fp) in
-      Vm.dcode_invalidate vm;
       Klass.define_method k sym (Klass.Bytecode code);
       wr vm th k.mtbl_base (vint sym);
       push vm th (VSym sym);
       th.pc <- th.pc + 1;
-      continue_ ()
+      Continue
   | Defclass cd -> defclass vm th cd
 
 and new_instance vm th (site : send_site) =
@@ -839,7 +836,6 @@ and defclass vm th (cd : class_def) =
         in
         Vm.define_class vm ~super ~kind:Klass.K_object name
   in
-  Vm.dcode_invalidate vm;
   List.iter (fun (sym, code) -> Klass.define_method k sym (Klass.Bytecode code)) cd.cd_methods;
   List.iter
     (fun (sym, get_slot, set_slot) ->
@@ -899,7 +895,7 @@ and opt_aref vm th =
           th.pc <- th.pc + 1;
           Continue
       | _ ->
-          dispatch vm th ~sym:Sym.s_aref ~argc:1 ~block:None ~cache_slot:None;
+          dispatch_slot vm th ~sym:Sym.s_aref ~argc:1 ~block:None ~slot:(-1);
           Continue)
   | _ -> guest_error "cannot index %s" (type_name a)
 
@@ -923,7 +919,7 @@ and opt_aset vm th =
           th.pc <- th.pc + 1;
           Continue
       | _ ->
-          dispatch vm th ~sym:Sym.s_aset ~argc:2 ~block:None ~cache_slot:None;
+          dispatch_slot vm th ~sym:Sym.s_aset ~argc:2 ~block:None ~slot:(-1);
           Continue)
   | _ -> guest_error "cannot index-assign %s" (type_name a)
 
@@ -957,255 +953,5 @@ and opt_ltlt vm th =
       th.pc <- th.pc + 1;
       Continue
   | _ ->
-      dispatch vm th ~sym:Sym.s_ltlt ~argc:1 ~block:None ~cache_slot:None;
+      dispatch_slot vm th ~sym:Sym.s_ltlt ~argc:1 ~block:None ~slot:(-1);
       Continue
-
-(* ---- the threaded step -------------------------------------------------- *)
-
-(* [step_d] is [step] over the pre-decoded form ([Compiler.decode], cached
-   by [Vm.dcode]): dispatch on a dense int opcode — the literal match below
-   compiles to one jump table — with operands read from flat pc-parallel
-   arrays, no variant re-matching and no per-step allocation on the fast
-   paths. Every handler is a literal replica of the corresponding [step]
-   arm, built from the same helpers, so the simulated access sequence and
-   therefore every figure is byte-identical across the two tiers (pinned by
-   test/test_interp.ml). Rare opcodes (allocation, threads, definitions,
-   blocks) route to the reference [step]. The ids must track
-   [Compiler.Dcode]; test/test_interp.ml pins those too. *)
-let step_d vm (th : Vmthread.t) (d : Compiler.Dcode.t) : step_result =
-  Htm.set_cur_ctx vm.Vm.htm th.ctx;
-  let pc = th.pc in
-  match Array.unsafe_get d.Compiler.Dcode.ops pc with
-  | 1 (* nop *) ->
-      th.pc <- pc + 1;
-      Continue
-  | 2 (* push *) ->
-      push vm th (Array.unsafe_get d.vals pc);
-      th.pc <- pc + 1;
-      Continue
-  | 3 (* pushself *) ->
-      push vm th (frame_self vm th th.fp);
-      th.pc <- pc + 1;
-      Continue
-  | 4 (* pop *) ->
-      th.sp <- th.sp - 1;
-      th.pc <- pc + 1;
-      Continue
-  | 5 (* dup *) ->
-      push vm th (peek vm th 0);
-      th.pc <- pc + 1;
-      Continue
-  | 6 (* dup2 *) ->
-      let a = peek vm th 1 and b = peek vm th 0 in
-      push vm th a;
-      push vm th b;
-      th.pc <- pc + 1;
-      Continue
-  | 7 (* getlocal depth 0 *) ->
-      push vm th
-        (rd vm th (th.fp + Vmthread.frame_hdr + Array.unsafe_get d.opa pc));
-      th.pc <- pc + 1;
-      Continue
-  | 8 (* getlocal *) ->
-      let fp = local_base vm th th.fp (Array.unsafe_get d.opb pc) in
-      push vm th
-        (rd vm th (fp + Vmthread.frame_hdr + Array.unsafe_get d.opa pc));
-      th.pc <- pc + 1;
-      Continue
-  | 9 (* setlocal depth 0 *) ->
-      let v = pop vm th in
-      wr vm th (th.fp + Vmthread.frame_hdr + Array.unsafe_get d.opa pc) v;
-      th.pc <- pc + 1;
-      Continue
-  | 10 (* setlocal *) ->
-      let fp = local_base vm th th.fp (Array.unsafe_get d.opb pc) in
-      let v = pop vm th in
-      wr vm th (fp + Vmthread.frame_hdr + Array.unsafe_get d.opa pc) v;
-      th.pc <- pc + 1;
-      Continue
-  | 11 (* getivar *) ->
-      let sym = Array.unsafe_get d.opa pc
-      and slot = Array.unsafe_get d.opb pc in
-      let self = frame_self vm th th.fp in
-      (match self with
-      | VRef a ->
-          let k = Vm.class_of vm self in
-          let guard =
-            match vm.Vm.opts.ivar_guard with
-            | Options.Class_equality -> k.id
-            | Options.Table_equality -> k.ivar_tbl_id
-          in
-          let cache = Vm.cache_addr vm slot in
-          let idx =
-            match (rd vm th cache, rd vm th (cache + 1)) with
-            | VInt g, VInt i when g = guard -> Some i
-            | _ -> (
-                match Klass.ivar_index k sym with
-                | Some i ->
-                    wr vm th cache (vint guard);
-                    wr vm th (cache + 1) (vint i);
-                    Some i
-                | None -> None)
-          in
-          (match idx with
-          | Some i -> push vm th (rd vm th (a + i))
-          | None -> push vm th VNil)
-      | _ -> guest_error "instance variable access on %s" (type_name self));
-      th.pc <- pc + 1;
-      Continue
-  | 12 (* setivar *) ->
-      let sym = Array.unsafe_get d.opa pc
-      and slot = Array.unsafe_get d.opb pc in
-      let self = frame_self vm th th.fp in
-      (match self with
-      | VRef a ->
-          let k = Vm.class_of vm self in
-          let idx =
-            match Klass.ivar_index ~create:true k sym with
-            | Some i -> i
-            | None -> assert false
-          in
-          let guard =
-            match vm.Vm.opts.ivar_guard with
-            | Options.Class_equality -> k.id
-            | Options.Table_equality -> k.ivar_tbl_id
-          in
-          let cache = Vm.cache_addr vm slot in
-          wr vm th cache (vint guard);
-          wr vm th (cache + 1) (vint idx);
-          let v = pop vm th in
-          wr vm th (a + idx) v
-      | _ ->
-          guest_error "instance variable assignment on %s" (type_name self));
-      th.pc <- pc + 1;
-      Continue
-  | 13 (* getcvar *) ->
-      let k = Vm.class_of vm (frame_self vm th th.fp) in
-      push vm th (rd vm th (Vm.cvar_cell vm k.id (Array.unsafe_get d.opa pc)));
-      th.pc <- pc + 1;
-      Continue
-  | 14 (* setcvar *) ->
-      let k = Vm.class_of vm (frame_self vm th th.fp) in
-      let v = pop vm th in
-      wr vm th (Vm.cvar_cell vm k.id (Array.unsafe_get d.opa pc)) v;
-      th.pc <- pc + 1;
-      Continue
-  | 15 (* getglobal *) ->
-      push vm th (rd vm th (Vm.gvar_cell vm (Array.unsafe_get d.opa pc)));
-      th.pc <- pc + 1;
-      Continue
-  | 16 (* setglobal *) ->
-      let v = pop vm th in
-      wr vm th (Vm.gvar_cell vm (Array.unsafe_get d.opa pc)) v;
-      th.pc <- pc + 1;
-      Continue
-  | 17 (* getconst *) ->
-      let sym = Array.unsafe_get d.opa pc in
-      let v = rd vm th (Vm.const_cell vm sym) in
-      if v = VNil then guest_error "uninitialized constant %s" (Sym.name sym);
-      push vm th v;
-      th.pc <- pc + 1;
-      Continue
-  | 18 (* setconst *) ->
-      let v = pop vm th in
-      wr vm th (Vm.const_cell vm (Array.unsafe_get d.opa pc)) v;
-      th.pc <- pc + 1;
-      Continue
-  | 19 (* jump *) ->
-      th.pc <- Array.unsafe_get d.opa pc;
-      Continue
-  | 20 (* branchif *) ->
-      let v = pop vm th in
-      th.pc <- (if truthy v then Array.unsafe_get d.opa pc else pc + 1);
-      Continue
-  | 21 (* branchunless *) ->
-      let v = pop vm th in
-      th.pc <- (if truthy v then pc + 1 else Array.unsafe_get d.opa pc);
-      Continue
-  | 22 (* leave *) ->
-      let ret = pop vm th in
-      let flags = frame_flags vm th th.fp in
-      let ret =
-        if flags land Vmthread.flag_constructor <> 0 then
-          frame_self vm th th.fp
-        else ret
-      in
-      (match leave_from vm th th.fp ret with
-      | Some v -> Done v
-      | None -> Continue)
-  | 23 (* opt_plus *) ->
-      (* strings: "+" concatenates; the peek charges the same read the
-         reference arm does for every arith opcode *)
-      let a = peek vm th 1 in
-      if is_string vm a then
-        dispatch_slot vm th ~sym:Sym.s_plus ~argc:1 ~block:None ~slot:(-1)
-      else arith vm th Sym.s_plus Opt_plus;
-      Continue
-  | 24 (* opt_minus *) ->
-      ignore (peek vm th 1);
-      arith vm th Sym.s_minus Opt_minus;
-      Continue
-  | 25 (* opt_mult *) ->
-      ignore (peek vm th 1);
-      arith vm th Sym.s_mult Opt_mult;
-      Continue
-  | 26 (* opt_div *) ->
-      ignore (peek vm th 1);
-      arith vm th Sym.s_div Opt_div;
-      Continue
-  | 27 (* opt_mod *) ->
-      ignore (peek vm th 1);
-      arith vm th Sym.s_mod Opt_mod;
-      Continue
-  | 28 (* opt_pow *) ->
-      ignore (peek vm th 1);
-      arith vm th Sym.s_pow Opt_pow;
-      Continue
-  | 29 (* opt_eq *) ->
-      equality vm th ~negate:false;
-      Continue
-  | 30 (* opt_neq *) ->
-      let b = peek vm th 0 and a = peek vm th 1 in
-      (match (a, b) with
-      | VRef _, _ when not (is_string vm a) ->
-          th.sp <- th.sp - 2;
-          push vm th (if a = b then VFalse else VTrue);
-          th.pc <- pc + 1
-      | _ -> equality vm th ~negate:true);
-      Continue
-  | 31 (* opt_lt *) ->
-      compare_fast vm th Opt_lt;
-      Continue
-  | 32 (* opt_le *) ->
-      compare_fast vm th Opt_le;
-      Continue
-  | 33 (* opt_gt *) ->
-      compare_fast vm th Opt_gt;
-      Continue
-  | 34 (* opt_ge *) ->
-      compare_fast vm th Opt_ge;
-      Continue
-  | 35 (* opt_aref *) -> opt_aref vm th
-  | 36 (* opt_aset *) -> opt_aset vm th
-  | 37 (* opt_ltlt *) -> opt_ltlt vm th
-  | 38 (* opt_not *) ->
-      let v = pop vm th in
-      push vm th (if truthy v then VFalse else VTrue);
-      th.pc <- pc + 1;
-      Continue
-  | 39 (* opt_neg *) ->
-      let v = pop vm th in
-      (match v with
-      | VInt i -> push vm th (vint (-i))
-      | VFloat f ->
-          box vm th (VFloat (-.f));
-          push vm th (VFloat (-.f))
-      | _ -> guest_error "cannot negate %s" (type_name v));
-      th.pc <- pc + 1;
-      Continue
-  | 40 (* send *) ->
-      let site = Array.unsafe_get d.sites pc in
-      dispatch_slot vm th ~sym:site.ss_sym ~argc:site.ss_argc
-        ~block:site.ss_block ~slot:site.ss_cache;
-      Continue
-  | _ (* generic *) -> step vm th

@@ -1,5 +1,8 @@
 (** The bytecode interpreter. [step] executes exactly one instruction for
-    one thread; the runner owns scheduling, yield points and transactions.
+    one thread and is the VM's only opcode handler: it matches the tagged
+    bytecode directly, and each arm's sequence of simulated reads and
+    writes is what the HTM engine sees. The runner owns scheduling, yield
+    points and transactions.
 
     Invariants that make aborts and blocking safe:
     - every guest-visible mutation goes through the HTM engine (rolled back
@@ -18,25 +21,3 @@ val step : Vm.t -> Vmthread.t -> step_result
     @raise Vmthread.Block if a builtin must suspend the thread (re-execute
     the instruction on wake-up);
     @raise Value.Guest_error on a guest-level error. *)
-
-val step_d : Vm.t -> Vmthread.t -> Compiler.Dcode.t -> step_result
-(** [step] over the pre-decoded threaded form: same semantics, same
-    simulated access sequence, no per-step allocation on the fast paths.
-    [d] must be [Vm.dcode vm th.code] — the runner refetches it whenever
-    [th.code] changes (calls, returns, spawned threads).
-    @raise Htm_sim.Htm.Abort_now if the thread's transaction died (guest
-    state already rolled back);
-    @raise Vmthread.Block if a builtin must suspend the thread (re-execute
-    the instruction on wake-up);
-    @raise Value.Guest_error on a guest-level error. *)
-
-val dispatch :
-  Vm.t ->
-  Vmthread.t ->
-  sym:int ->
-  argc:int ->
-  block:Value.code option ->
-  cache_slot:int option ->
-  unit
-(** Full method send against the operand stack (receiver at sp-argc-1);
-    exposed for builtins and tests. *)

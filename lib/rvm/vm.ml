@@ -61,11 +61,12 @@ and t = {
   metrics : Obs.Metrics.t;
   m_cache_hits : Obs.Metrics.counter;
   m_cache_misses : Obs.Metrics.counter;
-  (* per-method decoded-code cache, read before every instruction under
-     both tiers (yield points, cost class) and dispatched on by the
-     threaded one; indexed by [code.uid] with [Compiler.dcode_dummy]
-     holes; entries guard on the physical identity of their source code
-     object and the whole table is flushed on method (re)definition *)
+  (* per-method decoded-code cache, read by the runner before every
+     instruction (yield points, cost class); indexed by [code.uid] with
+     [Compiler.dcode_dummy] holes; entries guard on the physical identity
+     of their source code object. A decoded form depends only on its
+     code's instructions, which never change after compilation, so
+     entries are never flushed. *)
   mutable dcodes : Compiler.Dcode.t array;
 }
 
@@ -376,7 +377,7 @@ let dcode_fill vm (code : Value.code) =
   vm.dcodes.(u) <- d;
   d
 
-(* The decoded form of [code], translating on first use. The hit path is
+(* The decoded form of [code], tabulating it on first use. The hit path is
    two loads and a physical-identity check ([uid]s are session-unique, the
    [src] guard makes the cache robust even against reuse). *)
 let[@inline] dcode vm (code : Value.code) =
@@ -387,11 +388,5 @@ let[@inline] dcode vm (code : Value.code) =
     if d.Compiler.Dcode.src == code then d else dcode_fill vm code
   end
   else dcode_fill vm code
-
-(* Method (re)definition invalidation: drop every entry (definitions are
-   rare and re-decoding is O(method size)). Conservative: a translation
-   depends only on its code's instructions. *)
-let dcode_invalidate vm =
-  Array.fill vm.dcodes 0 (Array.length vm.dcodes) Compiler.dcode_dummy
 
 let output vm = Buffer.contents vm.out

@@ -104,13 +104,9 @@ val load_program : t -> Value.program -> unit
 val cache_addr : t -> int -> int
 
 val dcode : t -> Value.code -> Compiler.Dcode.t
-(** The pre-decoded form of [code], translating on first use. Hot path:
-    one bounds check + one physical-equality guard when cached. *)
-
-val dcode_invalidate : t -> unit
-(** Drop every cached translation; they rebuild lazily. Called on method
-    (re)definition — [Defmethod]/[Defclass]. A translation depends only on
-    its [code]'s instructions, which nothing changes after compilation, so
-    the flush is conservative. *)
+(** The pre-decoded form of [code], tabulating it on first use. Hot path:
+    one bounds check + one physical-equality guard when cached. Entries
+    are never flushed: a decoded form depends only on its [code]'s
+    instructions, which never change after compilation. *)
 
 val output : t -> string

@@ -12,11 +12,6 @@ let scheme_of_string s =
         (Printf.sprintf "unknown clock scheme %S (expected gv1, gv5 or gv6)"
            s)
 
-let default_scheme () =
-  match Sys.getenv_opt "BENCH_CLOCK" with
-  | Some s when String.trim s <> "" -> scheme_of_string (String.trim s)
-  | _ -> Gv1
-
 (* GV6 adaptation: a fixed-size window of commit/validation-failure
    events. A failure rate of half or more flips to the GV1 protocol
    (every spurious failure is real wasted work), a quarter or less flips

@@ -24,10 +24,6 @@ val scheme_to_string : scheme -> string
 val scheme_of_string : string -> scheme
 (** @raise Invalid_argument on unknown names. *)
 
-val default_scheme : unit -> scheme
-(** [Gv1], unless the [BENCH_CLOCK] environment variable names another
-    scheme. *)
-
 type t
 
 val create : scheme -> t

@@ -1,14 +1,13 @@
 #!/bin/sh
 # Smoke pass: build, full test suite, the Gc allocation gates, then a quick
-# figure regeneration on four legs. Every leg's five simulated-data digests
+# figure regeneration on three legs. Every leg's five simulated-data digests
 # (figures, hybrid, load, shard, clock) must equal the baseline leg's; host
 # wall times live outside those members and may legitimately differ.
 #   baseline          SHARDS=1 BENCH_JOBS=1
 #   placement         SHARDS=4 BENCH_JOBS=4: worker and shard-domain counts
 #                     are host knobs and must never leak into the data
 #   BENCH_SCHED=ref   the heap scheduler must match the reference scan
-#   BENCH_INTERP=ref  the threaded tier must match the reference loop
-# The last three legs all run with SHARDS=4 BENCH_JOBS=4.
+# The last two legs run with SHARDS=4 BENCH_JOBS=4.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -49,6 +48,5 @@ leg() {
 
 leg placement
 leg BENCH_SCHED=ref BENCH_SCHED=ref
-leg BENCH_INTERP=ref BENCH_INTERP=ref
 
 echo "smoke: OK"

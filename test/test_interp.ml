@@ -31,6 +31,12 @@ puts parts.length|};
   check "append" "abc!\n" {|s = "abc"
 s << "!"
 puts s|};
+  (* a String receiver against a non-String argument sends :== *)
+  check "!= is the negation of ==" "true\nfalse\nfalse\ntrue\n"
+    {|puts("abc" != 5)
+puts("abc" == 5)
+puts("abc" != "abc")
+puts("abc" != "abd")|};
   check "to_i to_f" "42\n-7\n3.5\n0\n"
     {|puts "42".to_i
 puts "-7x".to_i
@@ -447,16 +453,6 @@ puts V.new(2) + V.new(3)|};
 module C = Rvm.Compiler
 module Val = Rvm.Value
 
-let mk_code insns =
-  {
-    Val.code_name = "<test>";
-    uid = Val.fresh_code_uid ();
-    kind = Val.Toplevel;
-    arity = 0;
-    nlocals = 4;
-    insns;
-  }
-
 (* Every code record reachable from a compiled program, main included. *)
 let codes_of source =
   let acc = ref [] in
@@ -566,76 +562,30 @@ let test_runner_cost_tbl () =
       Rvm.Vm.release t.Core.Runner.vm)
     Htm_sim.Machine.[ zec12; xeon_e3; xeon_x5670 ]
 
-(* Opcode ids are load-bearing: [Interp.step_d] dispatches on the literal
-   ints, so pin [opcode_of] to the published constants. *)
-let test_opcode_ids () =
-  let site = { Val.ss_sym = 0; ss_argc = 0; ss_block = None; ss_cache = 0 } in
-  List.iter
-    (fun (insn, expect) ->
-      Alcotest.(check int) "opcode id" expect (C.opcode_of insn))
-    [
-      (Val.Nop, C.Dcode.op_nop);
-      (Val.Push Val.VNil, C.Dcode.op_push);
-      (Val.Pushself, C.Dcode.op_pushself);
-      (Val.Getlocal (3, 0), C.Dcode.op_getlocal0);
-      (Val.Getlocal (3, 2), C.Dcode.op_getlocal);
-      (Val.Setlocal (1, 0), C.Dcode.op_setlocal0);
-      (Val.Setlocal (1, 1), C.Dcode.op_setlocal);
-      (Val.Getivar (0, 0), C.Dcode.op_getivar);
-      (Val.Jump 0, C.Dcode.op_jump);
-      (Val.Branchunless 0, C.Dcode.op_branchunless);
-      (Val.Leave, C.Dcode.op_leave);
-      (Val.Opt_plus, C.Dcode.op_opt_plus);
-      (Val.Opt_pow, C.Dcode.op_opt_pow);
-      (Val.Opt_aref, C.Dcode.op_opt_aref);
-      (Val.Send site, C.Dcode.op_send);
-      (Val.Newarray 1, C.Dcode.op_generic);
-      (Val.Newthread site, C.Dcode.op_generic);
-      (Val.Defmethod (0, mk_code [| Val.Leave |]), C.Dcode.op_generic);
-    ]
+(* ---- guest corpus: pinned outputs and one cross-commit digest --------- *)
 
-(* ---- differential: threaded tier vs the reference switch loop --------- *)
+(* FNV-1a, 64-bit. *)
+let fnv64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  Printf.sprintf "%016Lx" !h
 
-let assert_same_tier name (a : Core.Runner.result) (b : Core.Runner.result) =
-  Alcotest.(check int) (name ^ ": wall_cycles") b.wall_cycles a.wall_cycles;
-  Alcotest.(check int) (name ^ ": total_insns") b.total_insns a.total_insns;
-  Alcotest.(check string) (name ^ ": output") b.output a.output;
-  Alcotest.(check int)
-    (name ^ ": gil acquisitions")
-    b.gil_acquisitions a.gil_acquisitions;
-  Alcotest.(check int)
-    (name ^ ": txn begins")
-    b.htm_stats.Htm_sim.Stats.begins a.htm_stats.Htm_sim.Stats.begins;
-  Alcotest.(check int)
-    (name ^ ": txn commits")
-    b.htm_stats.Htm_sim.Stats.commits a.htm_stats.Htm_sim.Stats.commits;
-  Alcotest.(check int)
-    (name ^ ": txn conflict aborts")
-    b.htm_stats.Htm_sim.Stats.aborts_conflict
-    a.htm_stats.Htm_sim.Stats.aborts_conflict;
-  Alcotest.(check int)
-    (name ^ ": txn accesses")
-    b.htm_stats.Htm_sim.Stats.txn_accesses a.htm_stats.Htm_sim.Stats.txn_accesses;
-  Alcotest.(check int)
-    (name ^ ": stm begins")
-    b.stm_stats.Stm.begins a.stm_stats.Stm.begins;
-  Alcotest.(check int)
-    (name ^ ": stm commits")
-    b.stm_stats.Stm.commits a.stm_stats.Stm.commits;
-  Alcotest.(check int) (name ^ ": gc runs") b.gc_runs a.gc_runs;
-  Alcotest.(check int) (name ^ ": allocs") b.allocs a.allocs;
-  Alcotest.(check int)
-    (name ^ ": requests completed")
-    b.requests_completed a.requests_completed
-
-let run_tier ~interp ~scheme ?(threads = 1) source =
-  ignore threads;
-  let cfg = Core.Runner.config ~scheme ~interp Htm_sim.Machine.zec12 in
-  Core.Runner.run_source cfg ~source
+(* The digest of every corpus run's simulated results: output, cycles,
+   instructions, HTM and STM begins/commits, conflict aborts, transactional
+   accesses, GC runs and allocations. Every opcode's sequence of simulated
+   reads and writes reaches these counters, so this constant is the test
+   suite's pin on it. It was computed while a second, independently
+   written opcode handler still existed (both gave this value), and held
+   unchanged when that handler was deleted. Update it only in a change
+   that means to move simulated results, and say why. *)
+let guest_corpus_digest = "f2720f5a54be72ba"
 
 (* Single-VM guest corpus under every scheme the figures use, with each
    program's expected output. *)
-let tier_corpus =
+let guest_corpus =
   [
     ( "loop",
       "i = 0\ns = 0\nwhile i < 200\n  s += i\n  i += 1\nend\nputs s",
@@ -777,165 +727,27 @@ puts s|},
       "300\n" );
   ]
 
-let test_tier_corpus () =
+let test_guest_corpus () =
+  let runs = Buffer.create 4096 in
   List.iter
     (fun (name, source, expected) ->
       List.iter
         (fun scheme ->
-          let nm =
-            Printf.sprintf "%s/%s" name (Core.Scheme.to_string scheme)
-          in
-          let thr =
-            run_tier ~interp:Core.Runner.Interp_threaded ~scheme source
-          and ref_ = run_tier ~interp:Core.Runner.Interp_ref ~scheme source in
-          Alcotest.(check string) (nm ^ ": expected output") expected
-            ref_.output;
-          assert_same_tier (nm ^ " (threaded)") thr ref_)
+          let nm = Printf.sprintf "%s/%s" name (Core.Scheme.to_string scheme) in
+          let r = Tutil.run_source ~scheme source in
+          Alcotest.(check string) (nm ^ ": expected output") expected r.output;
+          let h = r.htm_stats and s = r.stm_stats in
+          Printf.bprintf runs "%s %S %d %d %d %d %d %d %d %d %d %d\n" nm
+            r.output r.wall_cycles r.total_insns h.Htm_sim.Stats.begins
+            h.commits h.aborts_conflict h.txn_accesses s.Stm.begins s.commits
+            r.gc_runs r.allocs)
         [
           Core.Scheme.Gil_only; Core.Scheme.Htm_dynamic; Core.Scheme.Hybrid;
           Core.Scheme.Fine_grained;
         ])
-    tier_corpus
-
-let run_workload ~interp ~scheme (w : Workloads.Workload.t) ~threads =
-  let source = w.Workloads.Workload.source ~threads ~size:Workloads.Size.Test in
-  let cfg = Core.Runner.config ~scheme ~interp Htm_sim.Machine.zec12 in
-  Core.Runner.run_source ~setup:(w.Workloads.Workload.setup None) cfg ~source
-
-let test_tier_workloads () =
-  let workloads =
-    Workloads.Workload.micro
-    @ List.filter
-        (fun (w : Workloads.Workload.t) -> w.name = "cg" || w.name = "is")
-        Workloads.Workload.npb
-  in
-  List.iter
-    (fun (w : Workloads.Workload.t) ->
-      List.iter
-        (fun scheme ->
-          List.iter
-            (fun threads ->
-              let name =
-                Printf.sprintf "%s/%s/%dT" w.name
-                  (Core.Scheme.to_string scheme)
-                  threads
-              in
-              let thr =
-                run_workload ~interp:Core.Runner.Interp_threaded ~scheme w
-                  ~threads
-              and ref_ =
-                run_workload ~interp:Core.Runner.Interp_ref ~scheme w ~threads
-              in
-              assert_same_tier (name ^ " (threaded)") thr ref_)
-            [ 1; 2; 4 ])
-        [ Core.Scheme.Gil_only; Core.Scheme.Htm_dynamic; Core.Scheme.Hybrid ])
-    workloads
-
-(* The BENCH_INTERP environment default, as the smoke script and CI use it;
-   the server path also exercises netsim delivery under the threaded tier. *)
-let test_tier_env_default () =
-  let w = Option.get (Workloads.Workload.find "webrick") in
-  let run v =
-    Tutil.with_env "BENCH_INTERP" v
-      (fun () ->
-        let o =
-          Harness.Exp.run
-            (Harness.Exp.point ~workload:w ~machine:Htm_sim.Machine.xeon_e3
-               ~scheme:Core.Scheme.Htm_dynamic ~threads:3
-               ~size:Workloads.Size.Test ())
-        in
-        o.Harness.Exp.result)
-  in
-  let dflt = run "" and ref_ = run "ref" in
-  Alcotest.(check bool) "served requests" true (dflt.requests_completed > 0);
-  assert_same_tier "webrick/htm-dynamic/3c (env default)" dflt ref_
-
-(* BENCH_INTERP names one of the two tiers or is unset; anything else must
-   fail rather than quietly select the default. *)
-let test_interp_env_parse () =
-  let kind v =
-    Tutil.with_env "BENCH_INTERP" v Core.Runner.default_interp_kind
-  in
-  List.iter
-    (fun (v, expect) ->
-      Alcotest.(check bool) (Printf.sprintf "BENCH_INTERP=%S" v) true
-        (kind v = expect))
-    [
-      ("", Core.Runner.Interp_threaded);
-      (" ", Core.Runner.Interp_threaded);
-      ("threaded", Core.Runner.Interp_threaded);
-      ("THREADED", Core.Runner.Interp_threaded);
-      ("ref", Core.Runner.Interp_ref);
-      ("Ref", Core.Runner.Interp_ref);
-      ("switch", Core.Runner.Interp_ref);
-    ];
-  List.iter
-    (fun v ->
-      match kind v with
-      | _ -> Alcotest.failf "BENCH_INTERP=%S accepted" v
-      | exception Invalid_argument _ -> ())
-    [ "rf"; "compiled"; "threaded,ref" ]
-
-(* ---- randomized-program fuzz across tiers ----------------------------- *)
-
-(* A tiny terminating program generator: straight-line arithmetic over
-   three locals, bounded counted loops, conditionals, array/hash traffic.
-   Programs can still take guest-level errors (coercion) — both tiers must
-   then fail with the same message. *)
-let gen_program =
-  let open QCheck.Gen in
-  let var = oneofl [ "a"; "b"; "c" ] in
-  let atom =
-    oneof
-      [ map string_of_int (int_range (-9) 9); var;
-        map (fun f -> Printf.sprintf "%.1f" f) (float_bound_inclusive 9.0) ]
-  in
-  let op = oneofl [ "+"; "-"; "*"; "/"; "%"; "**" ] in
-  let expr =
-    oneof
-      [
-        atom;
-        (let* x = atom and* o = op and* y = atom in
-         (* keep literal zero out of the divisor slot; a variable divisor
-            can still be zero at run time, which is part of the test *)
-         let y = if (o = "/" || o = "%") && y = "0" then "1" else y in
-         return (Printf.sprintf "(%s %s %s)" x o y));
-      ]
-  in
-  let stmt =
-    oneof
-      [
-        (let* v = var and* e = expr in
-         return (Printf.sprintf "%s = %s" v e));
-        (let* v = var and* e = expr in
-         return (Printf.sprintf "%s += %s" v e));
-        (let* e = expr and* v = var in
-         return (Printf.sprintf "if %s < %s\n  %s = %s + 1\nelse\n  %s = 0\nend" v e v v v));
-        (let* n = int_range 1 6 and* v = var and* e = expr in
-         return (Printf.sprintf "%d.times { |t| %s = %s + t }" n v e));
-        (let* e = expr in return (Printf.sprintf "xs << %s" e));
-        return "puts xs.length";
-        (let* v = var in return (Printf.sprintf "puts %s" v));
-      ]
-  in
-  let* stmts = list_size (int_range 3 14) stmt in
-  return
-    ("a = 1\nb = 2\nc = 3\nxs = []\n" ^ String.concat "\n" stmts
-   ^ "\nputs a\nputs b\nputs c")
-
-let outcome ~interp source =
-  match
-    run_tier ~interp ~scheme:Core.Scheme.Htm_dynamic source
-  with
-  | r -> Ok (r.Core.Runner.output, r.total_insns, r.wall_cycles)
-  | exception Core.Runner.Guest_failure m -> Error m
-
-let test_tier_fuzz =
-  Tutil.qtest "random programs agree across tiers" ~count:60
-    (QCheck.make ~print:(fun s -> s) gen_program)
-    (fun source ->
-      outcome ~interp:Core.Runner.Interp_threaded source
-      = outcome ~interp:Core.Runner.Interp_ref source)
+    guest_corpus;
+  Alcotest.(check string) "simulated-results digest" guest_corpus_digest
+    (fnv64 (Buffer.contents runs))
 
 let suite =
   suite
@@ -943,78 +755,5 @@ let suite =
       Alcotest.test_case "opt arithmetic edges" `Quick test_arith_edges;
       Alcotest.test_case "decode consistency" `Quick test_decode_consistency;
       Alcotest.test_case "runner cost table" `Quick test_runner_cost_tbl;
-      Alcotest.test_case "opcode ids" `Quick test_opcode_ids;
-      Alcotest.test_case "tier differential: corpus" `Quick test_tier_corpus;
-      Alcotest.test_case "tier differential: workloads" `Slow
-        test_tier_workloads;
-      Alcotest.test_case "tier differential: BENCH_INTERP env" `Quick
-        test_tier_env_default;
-      Alcotest.test_case "BENCH_INTERP rejects unknown values" `Quick
-        test_interp_env_parse;
-      test_tier_fuzz;
-    ]
-
-(* The hybrid-TM figure runs on a machine with a quarter of the store
-   buffer, so windows overflow routinely and the runs live on the fallback
-   paths (GIL serialisation, software transactions) — pressure the stock
-   differential never reaches. The reference tier defines the expected
-   instruction count; the threaded run gets a finite budget a bit above it
-   so a divergence fails fast instead of spinning to the global budget. *)
-let run_pressure ~interp ~scheme ~threads ~machine ?max_insns
-    (w : Workloads.Workload.t) =
-  let cfg =
-    match max_insns with
-    | None -> Core.Runner.config ~scheme ~interp machine
-    | Some m -> Core.Runner.config ~scheme ~interp ~max_insns:m machine
-  in
-  let source = w.Workloads.Workload.source ~threads ~size:Workloads.Size.Test in
-  match w.Workloads.Workload.kind with
-  | Workloads.Workload.Compute ->
-      Core.Runner.run_source ~setup:(w.Workloads.Workload.setup None) cfg
-        ~source
-  | Workloads.Workload.Server ->
-      let requests = w.Workloads.Workload.server_requests Workloads.Size.Test in
-      let io =
-        (Option.get w.Workloads.Workload.make_io) ~clients:threads ~requests
-      in
-      Core.Runner.run_source ~io
-        ~stop:(fun () -> Netsim.done_all io)
-        ~setup:(w.Workloads.Workload.setup (Some io))
-        cfg ~source
-
-let test_tier_capacity_pressure () =
-  let machine =
-    { Htm_sim.Machine.zec12 with Htm_sim.Machine.ws_lines = 8 }
-  in
-  List.iter
-    (fun wname ->
-      let w = Option.get (Workloads.Workload.find wname) in
-      List.iter
-        (fun scheme ->
-          List.iter
-            (fun threads ->
-              let name =
-                Printf.sprintf "%s/%s/%dT (ws/4)" wname
-                  (Core.Scheme.to_string scheme)
-                  threads
-              in
-              let ref_ =
-                run_pressure ~interp:Core.Runner.Interp_ref ~scheme ~threads
-                  ~machine w
-              in
-              let budget = (3 * ref_.Core.Runner.total_insns) + 10_000 in
-              let thr =
-                run_pressure ~interp:Core.Runner.Interp_threaded ~scheme
-                  ~threads ~machine ~max_insns:budget w
-              in
-              assert_same_tier (name ^ " (threaded)") thr ref_)
-            [ 1; 2; 4; 6; 8; 12 ])
-        [ Core.Scheme.Gil_only; Core.Scheme.Htm_dynamic; Core.Scheme.Hybrid ])
-    [ "bt"; "cg"; "ft"; "is"; "lu"; "mg"; "sp"; "webrick" ]
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "tier differential: capacity pressure" `Quick
-        test_tier_capacity_pressure;
+      Alcotest.test_case "guest corpus" `Quick test_guest_corpus;
     ]

@@ -1,7 +1,7 @@
 (* The open-loop load tier: the fig_load family's JSON member must be a
    pure function of the simulated semantics — byte-identical across worker
-   counts, both schedulers and both interpreter tiers (the digest-stability
-   acceptance check the smoke script runs at full scale). *)
+   counts and both schedulers (the digest-stability acceptance check the
+   smoke script runs at full scale). *)
 
 module J = Obs.Json
 
@@ -28,10 +28,7 @@ let test_tier_stability () =
   let base = panel_text () in
   let ref_sched = Tutil.with_env "BENCH_SCHED" "ref" panel_text in
   Alcotest.(check bool) "reference scheduler serialises identically" true
-    (base = ref_sched);
-  let ref_interp = Tutil.with_env "BENCH_INTERP" "ref" panel_text in
-  Alcotest.(check bool) "reference interpreter serialises identically" true
-    (base = ref_interp)
+    (base = ref_sched)
 
 (* The sweep's semantics, not just its stability: saturation must show up
    as achieved load capped below offered, with losses accounted. *)

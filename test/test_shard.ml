@@ -1,7 +1,7 @@
 (* The shard tier: N full VM instances behind the netsim load balancer.
    The merged result must be a pure function of the simulated semantics —
    identical across the SHARDS placement knob, worker counts, and both
-   scheduler/interpreter tiers — and sharding must actually scale. *)
+   schedulers — and sharding must actually scale. *)
 
 (* ---- Runner.advance vs Runner.run: pause/resume is invisible ---------- *)
 
@@ -184,9 +184,7 @@ let test_tier_stability () =
   let go () = fingerprint (Harness.Shard.run ~jobs:2 cfg) in
   let base = go () in
   let ref_sched = Tutil.with_env "BENCH_SCHED" "ref" go in
-  Alcotest.(check string) "reference scheduler identical" base ref_sched;
-  let ref_interp = Tutil.with_env "BENCH_INTERP" "ref" go in
-  Alcotest.(check string) "reference interpreter identical" base ref_interp
+  Alcotest.(check string) "reference scheduler identical" base ref_sched
 
 let test_round_robin_split () =
   let cfg = shard_cfg ~shards:3 () in

@@ -26,7 +26,7 @@ let all_schemes =
 
 (* Run [f] with environment variable [key] set to [value], then restore
    the previous value (blank when it was unset, which every switch reads as
-   unset), so a suite run under an oracle such as BENCH_INTERP=ref keeps
+   unset), so a suite run under an oracle such as BENCH_SCHED=ref keeps
    that oracle after the test. *)
 let with_env key value f =
   let old = Option.value (Sys.getenv_opt key) ~default:"" in
