@@ -10,6 +10,14 @@
 
 open Cmdliner
 
+(* Every flag value goes through its parser here: a bad value prints the
+   parser's [Invalid_argument] message and exits 1. *)
+let parse f v =
+  try f v
+  with Invalid_argument msg ->
+    Format.eprintf "%s@." msg;
+    exit 1
+
 let machine_arg =
   let doc = "Machine model: zec12, xeon, or x5670." in
   Arg.(value & opt string "zec12" & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc)
@@ -85,22 +93,6 @@ let subscription_arg =
     & opt (some string) None
     & info [ "subscription" ] ~docv:"POLICY" ~doc)
 
-let parse_clock = function
-  | None -> None
-  | Some s -> (
-      try Some (Tm_clock.scheme_of_string s)
-      with Invalid_argument msg ->
-        Format.eprintf "%s@." msg;
-        exit 1)
-
-let parse_subscription = function
-  | None -> None
-  | Some s -> (
-      try Some (Htm_sim.Subscription.of_string s)
-      with Invalid_argument msg ->
-        Format.eprintf "%s@." msg;
-        exit 1)
-
 (* ---- open-loop load-generation flags (server workloads) ---- *)
 
 let arrivals_arg =
@@ -154,23 +146,27 @@ let latency_json_arg =
   in
   Arg.(value & opt (some string) None & info [ "latency-json" ] ~docv:"FILE" ~doc)
 
-let parse_arrivals mode rate =
+let parse_arrivals rate mode =
+  let seed = Harness.Figures.load_seed in
+  let open_loop arrivals =
+    if rate > 0.0 then arrivals
+    else invalid_arg (Printf.sprintf "--offered-load %g: must be > 0" rate)
+  in
   match String.lowercase_ascii mode with
   | "closed" -> Netsim.Closed
-  | "poisson" -> Netsim.Poisson { rate; seed = Harness.Figures.load_seed }
-  | "burst" -> Netsim.Burst { rate; size = 8; seed = Harness.Figures.load_seed }
-  | m
-    when String.length m > 6 && String.sub m 0 6 = "burst:"
-         && int_of_string_opt (String.sub m 6 (String.length m - 6)) <> None ->
-      Netsim.Burst
-        {
-          rate;
-          size = int_of_string (String.sub m 6 (String.length m - 6));
-          seed = Harness.Figures.load_seed;
-        }
-  | m ->
-      Format.eprintf "unknown arrival mode %s (closed, poisson, burst:N)@." m;
-      exit 1
+  | "poisson" -> open_loop (Netsim.Poisson { rate; seed })
+  | "burst" -> open_loop (Netsim.Burst { rate; size = 8; seed })
+  | m -> (
+      match
+        if String.starts_with ~prefix:"burst:" m then
+          int_of_string_opt (String.sub m 6 (String.length m - 6))
+        else None
+      with
+      | Some size when size > 0 -> open_loop (Netsim.Burst { rate; size; seed })
+      | Some _ -> invalid_arg ("--arrivals " ^ m ^ ": burst size must be > 0")
+      | None ->
+          invalid_arg
+            ("unknown arrival mode " ^ m ^ " (closed, poisson, burst:N)"))
 
 let load_document (l : Harness.Exp.load) =
   Obs.Json.Obj
@@ -291,14 +287,9 @@ let emit_observability ~trace ~trace_out ~metrics_json ~abort_report
   end
 
 let parse_common machine scheme yield_points no_removal lazy_sweep refcount =
-  let machine = Htm_sim.Machine.by_name machine in
-  let scheme = Core.Scheme.of_string scheme in
-  let yield_points =
-    try Core.Yield_points.of_string yield_points
-    with Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit 1
-  in
+  let machine = parse Htm_sim.Machine.by_name machine in
+  let scheme = parse Core.Scheme.of_string scheme in
+  let yield_points = parse Core.Yield_points.of_string yield_points in
   let opts = if no_removal then Rvm.Options.cruby_baseline else Rvm.Options.default in
   let opts = { opts with Rvm.Options.lazy_sweep; refcount_writes = refcount } in
   (machine, scheme, yield_points, opts)
@@ -421,10 +412,12 @@ let run_cmd =
         let machine, scheme, yield_points, opts =
           parse_common machine scheme yield_points no_removal lazy_sweep refcount
         in
-        let size = Workloads.Size.of_string size in
-        let clock = parse_clock clock in
-        let subscription = parse_subscription subscription in
-        let arrivals = parse_arrivals arrivals offered_load in
+        let size = parse Workloads.Size.of_string size in
+        let clock = Option.map (parse Tm_clock.scheme_of_string) clock in
+        let subscription =
+          Option.map (parse Htm_sim.Subscription.of_string) subscription
+        in
+        let arrivals = parse (parse_arrivals offered_load) arrivals in
         (match (arrivals, w.Workloads.Workload.kind) with
         | Netsim.Closed, _ | _, Workloads.Workload.Server -> ()
         | _ ->
@@ -448,12 +441,7 @@ let run_cmd =
                 "--shards needs open-loop arrivals (--arrivals poisson or \
                  burst:N)@.";
               exit 1);
-          let policy =
-            try Harness.Shard.policy_of_string policy
-            with Invalid_argument msg ->
-              Format.eprintf "%s@." msg;
-              exit 1
-          in
+          let policy = parse Harness.Shard.policy_of_string policy in
           let r =
             Harness.Shard.run
               (Harness.Shard.config ~policy ~mix ~shared_session ~workload:w
@@ -501,8 +489,10 @@ let exec_cmd =
     let machine, scheme, yield_points, opts =
       parse_common machine scheme yield_points no_removal lazy_sweep refcount
     in
-    let clock = parse_clock clock in
-    let subscription = parse_subscription subscription in
+    let clock = Option.map (parse Tm_clock.scheme_of_string) clock in
+    let subscription =
+      Option.map (parse Htm_sim.Subscription.of_string) subscription
+    in
     let ic = open_in file in
     let n = in_channel_length ic in
     let source = really_input_string ic n in
@@ -538,7 +528,7 @@ let fig_cmd =
     Arg.(value & opt string "s" & info [ "size" ] ~docv:"SIZE" ~doc)
   in
   let run which size =
-    let size = Workloads.Size.of_string size in
+    let size = parse Workloads.Size.of_string size in
     let fmt = Format.std_formatter in
     let doit = function
       | "fig4" -> ignore (Harness.Figures.fig4 ~size fmt)

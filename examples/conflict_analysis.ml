@@ -1,34 +1,9 @@
 (* The Section 5.6 abort-cause investigation as a tool: run a workload under
-   HTM and report which memory the conflicts happened on — the GIL word,
-   the global free list, inline caches, thread structures or guest data.
+   HTM and report where the aborts happened — the bytecode sites that
+   aborted and the memory the conflicts happened on (the GIL word, the
+   global free list, inline caches, thread structures or guest data).
 
      dune exec examples/conflict_analysis.exe [-- bench threads] *)
-
-let classify (vm : Rvm.Vm.t) machine line =
-  let cells = machine.Htm_sim.Machine.line_cells in
-  let a = line * cells in
-  let near x = a <= x && x < a + cells in
-  if near vm.Rvm.Vm.g_gil then "GIL word"
-  else if near vm.Rvm.Vm.g_gil_owner then "GIL owner"
-  else if near vm.Rvm.Vm.g_current_thread then "running-thread global"
-  else if near vm.Rvm.Vm.g_live then "live-thread count"
-  else if near vm.Rvm.Vm.heap.Rvm.Heap.g_free_head then "global free-list head"
-  else if near vm.Rvm.Vm.heap.Rvm.Heap.g_free_count then "free-list count"
-  else if near vm.Rvm.Vm.heap.Rvm.Heap.g_malloc_ptr then "malloc bump pointer"
-  else if
-    a >= vm.Rvm.Vm.cache_base && a < vm.Rvm.Vm.cache_base + (2 * vm.Rvm.Vm.n_caches)
-  then "inline cache"
-  else
-    let in_thread (th : Rvm.Vmthread.t) =
-      if a >= th.struct_base && a < th.struct_base + Rvm.Vmthread.struct_cells
-      then Some (Printf.sprintf "thread %d structure" th.tid)
-      else if a >= th.stack_base && a < th.stack_limit then
-        Some (Printf.sprintf "thread %d frame stack" th.tid)
-      else None
-    in
-    match List.find_map in_thread vm.Rvm.Vm.threads with
-    | Some s -> s
-    | None -> "heap data"
 
 let () =
   let bench = if Array.length Sys.argv > 1 then Sys.argv.(1) else "ft" in
@@ -38,21 +13,14 @@ let () =
   let machine = Htm_sim.Machine.zec12 in
   let w = Option.get (Workloads.Workload.find bench) in
   let cfg = Core.Runner.config ~scheme:Core.Scheme.Htm_dynamic machine in
-  let t =
-    Core.Runner.create cfg
+  let r =
+    Core.Runner.run_source ~setup:(w.Workloads.Workload.setup None) cfg
       ~source:(w.Workloads.Workload.source ~threads ~size:Workloads.Size.S)
   in
-  let r = Core.Runner.run t in
-  let vm = t.Core.Runner.vm in
   Printf.printf "%s, %d threads, HTM-dynamic on %s\n" bench threads
     machine.Htm_sim.Machine.name;
-  Printf.printf "%s\n\n"
-    (Format.asprintf "%a" Htm_sim.Stats.pp r.Core.Runner.htm_stats);
-  Printf.printf "conflict aborts by memory location:\n";
-  List.iter
-    (fun (line, count) ->
-      Printf.printf "  %6d  %s (line %d)\n" count (classify vm machine line) line)
-    (Htm_sim.Htm.top_conflict_lines vm.Rvm.Vm.htm 10);
+  Format.printf "%a@.@." Htm_sim.Stats.pp r.Core.Runner.htm_stats;
+  Obs.Sites.report Format.std_formatter r.Core.Runner.abort_sites;
   Printf.printf
     "\nThe paper's finding (Section 5.6): GIL-acquisition cascades and\n\
      object allocation dominate; try --lazy-sweep via bin/main.exe, or\n\

@@ -19,7 +19,6 @@ type t = {
   mutable free_since : int;
       (** virtual time of the last release: acquisitions may not begin
           earlier, so GIL-held intervals never overlap in simulated time *)
-  mutable handoffs : int;
   mutable acquisitions : int;
   mutable tracer : Obs.Trace.t option;  (** installed by the runner *)
 }
@@ -34,7 +33,6 @@ let create ?(timer_interval = 250_000) vm =
     next_timer = timer_interval;
     timer_interval;
     free_since = 0;
-    handoffs = 0;
     acquisitions = 0;
     tracer = None;
   }
@@ -80,7 +78,6 @@ let take t (th : Rvm.Vmthread.t) =
   else
     Htm.write t.vm.Rvm.Vm.htm ~ctx:th.ctx t.vm.Rvm.Vm.g_current_thread
       (Rvm.Value.vint th.tid);
-  th.holds_gil <- true;
   emit_event t th Obs.Event.Gil_acquire
 
 (* Release; returns every parked waiter: they re-contend when scheduled. *)
@@ -91,7 +88,6 @@ let release t (th : Rvm.Vmthread.t) =
   th.clock <- th.clock + costs.cyc_gil_release;
   Htm.write t.vm.Rvm.Vm.htm ~ctx:th.ctx (acquired_cell t) (Rvm.Value.vint 0);
   Htm.write t.vm.Rvm.Vm.htm ~ctx:th.ctx t.vm.Rvm.Vm.g_gil_owner (Rvm.Value.vint (-1));
-  th.holds_gil <- false;
   t.free_since <- th.clock;
   emit_event t th Obs.Event.Gil_release;
   let wake = t.waiters in

@@ -12,7 +12,6 @@ type t = {
   mutable next_timer : int;
   timer_interval : int;
   mutable free_since : int;
-  mutable handoffs : int;
   mutable acquisitions : int;
   mutable tracer : Obs.Trace.t option;
       (** when set, {!take} / {!release} emit [Gil_acquire] / [Gil_release]

@@ -13,10 +13,10 @@
    instruction instead of a linear rescan. [Sched_ref] retains the
    per-instruction linear scan as an executable specification; both
    produce the same pick at every step, so their interleavings — and the
-   figures — are identical (asserted by the differential test suite and
-   the smoke script's digest comparison). Either way every instruction
-   goes through the one executor, [step_thread], which hands it to the one
-   opcode handler, [Rvm.Interp.step].
+   figures — are identical (asserted by the differential tests in
+   test/test_sched.ml, the only code that selects [Sched_ref]). Either way
+   every instruction goes through the one executor, [step_thread], which
+   hands it to the one opcode handler, [Rvm.Interp.step].
 
    The scheme logic (GIL yield protocol, TLE transaction begin/end/yield of
    Figures 1-2, dynamic length adjustment of Figure 3) lives here because it
@@ -37,19 +37,6 @@ let[@inline] htm_pending htm ctx =
   match Htm.pending_abort htm ctx with None -> false | Some _ -> true
 
 type sched_kind = Sched_heap | Sched_ref
-
-(* BENCH_SCHED=ref flips the process-wide default so the smoke script and
-   CI can regenerate figures under the reference scheduler without touching
-   every config call site. An unknown value is an error: falling back to
-   the default would let a typo compare the default against itself. *)
-let default_sched_kind () =
-  match
-    String.lowercase_ascii
-      (String.trim (Option.value (Sys.getenv_opt "BENCH_SCHED") ~default:""))
-  with
-  | "" | "heap" -> Sched_heap
-  | "ref" | "scan" -> Sched_ref
-  | s -> invalid_arg (Printf.sprintf "BENCH_SCHED=%S (expected heap or ref)" s)
 
 type config = {
   machine : Machine.t;
@@ -73,11 +60,8 @@ type config = {
 
 let config ?(scheme = Scheme.Htm_dynamic) ?(yield_points = Yield_points.Extended)
     ?(opts = Rvm.Options.default) ?txlen_params ?(max_insns = 400_000_000)
-    ?tracer ?sched ?(clock = Tm_clock.Gv1) ?(subscription = Subscription.Eager)
-    machine =
-  let sched =
-    match sched with Some s -> s | None -> default_sched_kind ()
-  in
+    ?tracer ?(sched = Sched_heap) ?(clock = Tm_clock.Gv1)
+    ?(subscription = Subscription.Eager) machine =
   { machine; scheme; yield_points; opts; txlen_params; max_insns; tracer;
     sched; clock; subscription }
 
@@ -113,8 +97,9 @@ type result = {
 exception Stuck of string
 exception Guest_failure of string
 
-(* Per-thread TLE retry state (Figure 1's local variables). *)
-type tle_state = {
+(* Per-thread state of the current window: Figure 1's retry counters and
+   local variables, plus the software window's site and budget. *)
+type window = {
   mutable transient_retry_counter : int;
   mutable gil_retry_counter : int;
   mutable first_retry : bool;
@@ -141,7 +126,9 @@ type tle_state = {
 let transient_retry_max = 3
 let gil_retry_max = 16
 
-type t = {
+(* The runner's internal state. The public [t] (at the end of this file)
+   wraps it; every function until there takes it directly. *)
+type state = {
   cfg : config;
   vm : Rvm.Vm.t;
   gil : Gil.t;
@@ -176,7 +163,7 @@ type t = {
           transactions — set on a persistent/capacity/retry-exhausted
           hardware abort, cleared when a software window commits or the
           thread falls all the way back to the GIL *)
-  mutable tle : tle_state array;
+  mutable tle : window array;
   mutable hw_rollback : (Txn.abort_reason -> unit) array;
   mutable sw_rollback : (Txn.abort_reason -> unit) array;
       (** per tid: the thread's hardware / software rollback closures,
@@ -249,7 +236,7 @@ let fresh_tle () =
 
 let no_rollback (_ : Txn.abort_reason) = ()
 
-let create ?(io : Netsim.t option) cfg ~source =
+let create_state ?(io : Netsim.t option) cfg ~source =
   let opts = Scheme.adjust_options cfg.scheme cfg.opts in
   (* z/OS HEAPPOOLS (Section 5.2) still leaves conflict points in malloc
      (Section 5.5): model it as much smaller thread-local chunks, so the
@@ -505,7 +492,6 @@ let wake t (th : V.t) ~at =
 let wake_gil_waiter t (th : V.t) ~at =
   let waited = Int.max 0 (at - t.park_clock.(th.tid)) in
   t.breakdown.bd_gil_wait <- t.breakdown.bd_gil_wait + waited;
-  th.cyc_gil_wait <- th.cyc_gil_wait + waited;
   Obs.Metrics.observe t.m_gil_wait waited;
   (match t.tracer with
   | None -> ()
@@ -531,7 +517,6 @@ let queue_for tbl key =
 
 let charge_txn_overhead t (th : V.t) c =
   th.clock <- th.clock + c;
-  th.cyc_txn_overhead <- th.cyc_txn_overhead + c;
   t.breakdown.bd_txn_overhead <- t.breakdown.bd_txn_overhead + c
 
 (* The rollback closure run by the engine whenever this thread's transaction
@@ -539,7 +524,6 @@ let charge_txn_overhead t (th : V.t) c =
    this thread was executing when it died — must be read before [V.restore]
    rewinds the registers to the window start. *)
 let rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
-  th.n_aborts <- th.n_aborts + 1;
   let code = th.code.Rvm.Value.code_name and pc = th.pc in
   let op =
     if pc >= 0 && pc < Array.length th.code.insns then
@@ -548,7 +532,6 @@ let rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
   in
   V.restore th;
   let wasted = Int.max 0 (th.clock - th.txn_start_clock) in
-  th.cyc_aborted <- th.cyc_aborted + wasted;
   t.breakdown.bd_aborted <- t.breakdown.bd_aborted + wasted;
   let htm = t.vm.Rvm.Vm.htm in
   let line = Htm.abort_line htm th.ctx in
@@ -611,7 +594,6 @@ let stm_of t = match t.stm with Some s -> s | None -> assert false
    thread's software transaction dies (failed validation, a GIL
    acquisition, or an explicit escape). *)
 let stm_rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
-  th.n_aborts <- th.n_aborts + 1;
   let code = th.code.Rvm.Value.code_name and pc = th.pc in
   let op =
     if pc >= 0 && pc < Array.length th.code.insns then
@@ -620,7 +602,6 @@ let stm_rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
   in
   V.restore th;
   let wasted = Int.max 0 (th.clock - th.txn_start_clock) in
-  th.cyc_aborted <- th.cyc_aborted + wasted;
   t.breakdown.bd_aborted <- t.breakdown.bd_aborted + wasted;
   let stm = stm_of t in
   let line = Stm.abort_line stm th.ctx in
@@ -755,7 +736,6 @@ let stm_commit t (th : V.t) =
         + (ws * (costs t).cyc_mem));
       Stm.commit stm ~ctx:th.ctx;
       let in_txn_cycles = Int.max 0 (th.clock - th.txn_start_clock) in
-      th.cyc_committed <- th.cyc_committed + in_txn_cycles;
       t.breakdown.bd_committed <- t.breakdown.bd_committed + in_txn_cycles;
       let retries = Int.max 0 (st.stm_retry_init - st.stm_retry_counter) in
       Obs.Metrics.observe t.m_stm_committed in_txn_cycles;
@@ -1016,7 +996,6 @@ let transaction_end t (th : V.t) =
       and ws = Htm.txn_ws vm.Rvm.Vm.htm th.ctx in
       Htm.tend vm.Rvm.Vm.htm ~ctx:th.ctx;
       charge_txn_overhead t th (costs t).cyc_tend;
-      th.cyc_committed <- th.cyc_committed + in_txn_cycles;
       t.breakdown.bd_committed <- t.breakdown.bd_committed + in_txn_cycles;
       let st = t.tle.(th.tid) in
       let retries =
@@ -1401,11 +1380,8 @@ let[@inline] step_thread t (th : V.t) =
            + extra
          in
          th.clock <- th.clock + cost;
-         th.work <- th.work + 1;
-         if Gil.held_by t.gil th then begin
-           th.cyc_gil_held <- th.cyc_gil_held + cost;
+         if Gil.held_by t.gil th then
            t.breakdown.bd_gil_held <- t.breakdown.bd_gil_held + cost
-         end
          else if not in_txn_before then
            t.breakdown.bd_other <- t.breakdown.bd_other + cost;
          t.total_insns <- t.total_insns + 1;
@@ -1578,7 +1554,7 @@ let line_resolver t =
 
 (* The result record is a pure read of the runner's current state, so a
    horizon-bounded [advance] can build it exactly when [run] would have. *)
-let snapshot t =
+let result_of t =
   let vm = t.vm in
   let main = t.session.Rvm.Session.main in
   let wall =
@@ -1631,7 +1607,7 @@ let snapshot t =
    sequence — every step goes to the runnable thread with the smallest
    clock, ties to the larger tid — so a horizon-stepped run is
    bit-identical to an unbounded one. *)
-let advance ?(stop = fun () -> false) t ~until =
+let advance_state ?(stop = fun () -> false) t ~until =
   (* several sessions may interleave on this domain (N shards on one
      worker): make this session's interning/uid state the active one *)
   Rvm.Session.activate t.session;
@@ -1667,11 +1643,23 @@ let advance ?(stop = fun () -> false) t ~until =
     if t.total_insns >= t.cfg.max_insns then
       raise
         (Stuck (Printf.sprintf "instruction budget exhausted (%d)" t.total_insns));
-    `Done (snapshot t)
+    `Done (result_of t)
   end
 
-let run ?(stop = fun () -> false) t =
-  match advance ~stop t ~until:max_int with
+(* ---- the public runner -------------------------------------------------- *)
+
+type t = { vm : Rvm.Vm.t; st : state }
+
+let create ?io cfg ~source =
+  let st = create_state ?io cfg ~source in
+  { vm = st.vm; st }
+
+let stm t = t.st.stm
+let snapshot t = result_of t.st
+let advance ?stop t ~until = advance_state ?stop t.st ~until
+
+let run ?stop t =
+  match advance ?stop t ~until:max_int with
   | `Done r -> r
   | `Paused ->
       (* unreachable: with an unbounded horizon nothing pauses *)

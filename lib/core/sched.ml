@@ -160,11 +160,3 @@ let take_min t =
   th
 
 let pop_min t = if t.n = 0 then None else Some (take_min t)
-
-let clear t =
-  for i = 0 to t.n - 1 do
-    t.pos.(t.tids.(i)) <- -1;
-    t.keys.(i) <- max_int;
-    t.tids.(i) <- max_int
-  done;
-  t.n <- 0

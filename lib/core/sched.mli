@@ -44,5 +44,3 @@ val pop_min : t -> Rvm.Vmthread.t option
 
 val take_min : t -> Rvm.Vmthread.t
 (** {!pop_min} without the option. @raise Invalid_argument when empty. *)
-
-val clear : t -> unit

@@ -58,10 +58,6 @@ let uses_stm = function
   | Gil_only | Htm_fixed _ | Htm_dynamic | Fine_grained | Free_parallel ->
       false
 
-let uses_gil = function
-  | Gil_only | Htm_fixed _ | Htm_dynamic | Hybrid | Stm_only -> true
-  | Fine_grained | Free_parallel -> false
-
 let htm_mode = function
   | Htm_fixed _ | Htm_dynamic | Hybrid -> Htm.Htm_mode
   | Gil_only | Stm_only -> Htm.Plain

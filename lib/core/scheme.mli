@@ -25,7 +25,6 @@ val accepted_names : string
 
 val uses_htm : kind -> bool
 val uses_stm : kind -> bool
-val uses_gil : kind -> bool
 val htm_mode : kind -> Htm_sim.Htm.mode
 
 val adjust_options : kind -> Rvm.Options.t -> Rvm.Options.t

@@ -23,6 +23,3 @@ let series_table fmt ~title ~xlabel ~rows ~xs ~cell =
         xs;
       Format.fprintf fmt "@.")
     rows
-
-let kv fmt pairs =
-  List.iter (fun (k, v) -> Format.fprintf fmt "  %-28s %s@." k v) pairs

@@ -11,5 +11,3 @@ val series_table :
   xs:string list ->
   cell:(string -> int -> float option) ->
   unit
-
-val kv : Format.formatter -> (string * string) list -> unit

@@ -48,10 +48,6 @@ type 'a t = {
           plus the cells that context has undo-logged (see [owner]) *)
   mutable last_writers : int array;
       (** for the coherence cost model, or -1; [Coherent] engines only *)
-  conflicts : (int, int) Hashtbl.t;
-      (** line id -> number of conflict aborts it caused (for the
-          abort-cause investigations of Section 5.6); few lines ever
-          conflict, so it is sparse *)
   mutable versions : int array;
       (** per line: commit-clock stamp of the last committed write, the
           TL2-style versioned-lock table software transactions validate
@@ -179,7 +175,6 @@ let create ?(mode = Htm_mode) ?(seed = 42) ?recycled machine store =
       readers;
       writers;
       last_writers = [||];
-      conflicts = Hashtbl.create 16;
       versions = [||];
       n_lines = 0;
       commit_clock = 0;
@@ -287,13 +282,7 @@ let peek t addr =
 let txn_rs t ctx = t.txns.(ctx).Txn.rs
 let txn_ws t ctx = t.txns.(ctx).Txn.ws
 
-let drain_step_cost t =
-  let c = t.step_extra_cycles and a = t.step_accesses in
-  t.step_extra_cycles <- 0;
-  t.step_accesses <- 0;
-  (c, a)
-
-(* Split accessors so the runner's step loop never allocates the pair. *)
+(* Split accessors so the runner's step loop never allocates a pair. *)
 let step_extra_cycles t = t.step_extra_cycles
 let step_accesses t = t.step_accesses
 
@@ -346,21 +335,13 @@ let abort_txn ?(line = -1) t (txn : 'a Txn.t) reason =
 let pending_abort t ctx = t.txns.(ctx).pending_abort
 let clear_pending_abort t ctx = t.txns.(ctx).pending_abort <- None
 
-let note_conflict t id =
-  match Hashtbl.find t.conflicts id with
-  | c -> Hashtbl.replace t.conflicts id (c + 1)
-  | exception Not_found -> Hashtbl.add t.conflicts id 1
-
 (* Kill [ctx]'s own live transaction with a line attribution but without
    raising: the lazy-subscription commit-point check runs host-side in
    the runner (not inside a guest instruction), so there is no
    interpreter frame to unwind. No-op when nothing is live. *)
 let abort_at t ~ctx ~line reason =
   let txn = t.txns.(ctx) in
-  if txn.active then begin
-    if line >= 0 then note_conflict t line;
-    abort_txn ~line t txn reason
-  end
+  if txn.active then abort_txn ~line t txn reason
 
 (* Kill every live hardware transaction except [except]'s. The
    [Lazy_safe] GC quiesce: Dice et al.'s extension lets software
@@ -450,16 +431,12 @@ let tabort t ~ctx reason =
    mutates it. *)
 let abort_conflicting t ~ctx ~id =
   let w = Array.unsafe_get t.writers id in
-  if w >= 0 && owner w <> ctx then begin
-    note_conflict t id;
-    abort_txn ~line:id t t.txns.(owner w) Conflict
-  end;
+  if w >= 0 && owner w <> ctx then
+    abort_txn ~line:id t t.txns.(owner w) Conflict;
   if Array.unsafe_get t.readers id land lnot (1 lsl ctx) <> 0 then
     for i = 0 to Array.length t.txns - 1 do
-      if i <> ctx && Array.unsafe_get t.readers id land (1 lsl i) <> 0 then begin
-        note_conflict t id;
+      if i <> ctx && Array.unsafe_get t.readers id land (1 lsl i) <> 0 then
         abort_txn ~line:id t t.txns.(i) Conflict
-      end
     done
 
 let charge_coherence t ~ctx ~id ~is_write =
@@ -479,10 +456,8 @@ let nontxn_read_at t ~ctx ~id addr =
   t.stats.non_txn_accesses <- t.stats.non_txn_accesses + 1;
   if t.active > 0 then begin
     let w = Array.unsafe_get t.writers id in
-    if w >= 0 && owner w <> ctx then begin
-      note_conflict t id;
+    if w >= 0 && owner w <> ctx then
       abort_txn ~line:id t t.txns.(owner w) Conflict
-    end
   end;
   if t.mode = Coherent then charge_coherence t ~ctx ~id ~is_write:false;
   Store.get_unsafe t.store addr
@@ -534,10 +509,7 @@ let nontxn_write_lazy_stamp t ~ctx addr v =
 let[@inline] txn_read_line t (txn : 'a Txn.t) ~ctx ~id =
   let w = Array.unsafe_get t.writers id in
   if owner w <> ctx then begin
-    if w >= 0 then begin
-      note_conflict t id;
-      abort_txn ~line:id t t.txns.(owner w) Conflict
-    end;
+    if w >= 0 then abort_txn ~line:id t t.txns.(owner w) Conflict;
     let bit = 1 lsl ctx in
     let r = Array.unsafe_get t.readers id in
     if r land bit = 0 then begin
@@ -630,10 +602,8 @@ let touch_read_range t ~ctx base len =
       else begin
         if t.active > 0 then begin
           let w = Array.unsafe_get t.writers id in
-          if w >= 0 && owner w <> ctx then begin
-            note_conflict t id;
+          if w >= 0 && owner w <> ctx then
             abort_txn ~line:id t t.txns.(owner w) Conflict
-          end
         end;
         if t.sw_mask land (1 lsl ctx) <> 0 then t.sw_track_read ctx id
       end
@@ -661,20 +631,6 @@ let touch_write_range t ~ctx base len =
   end
 
 let suspicion_level t ctx = t.suspicion.(ctx)
-
-(* The [n] lines responsible for the most conflict aborts. Ties break on the
-   lower line id so the report is deterministic. *)
-let top_conflict_lines t n =
-  let sorted =
-    Hashtbl.fold (fun id c acc -> (id, c) :: acc) t.conflicts []
-    |> List.sort (fun (ida, a) (idb, b) ->
-           if a <> b then compare b a else compare ida idb)
-  in
-  let rec take k = function
-    | [] -> []
-    | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-  in
-  take n sorted
 
 (* Clear what live transactions still mark, so the mark tables are clean,
    and neuter the engine: its tables now belong to the next owner. *)

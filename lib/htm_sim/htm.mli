@@ -74,14 +74,10 @@ val txn_rs : 'a t -> int -> int
 val txn_ws : 'a t -> int -> int
 (** Write-set size, likewise. *)
 
-val drain_step_cost : 'a t -> int * int
-(** [(extra_cycles, accesses)] accrued since the last drain; the runner
-    charges them to the current instruction. Allocates the result pair —
-    the per-instruction step loop uses the three split accessors below
-    instead. *)
-
 val step_extra_cycles : 'a t -> int
-(** Extra cycles accrued since the last reset (allocation-free). *)
+(** Extra cycles accrued since the last reset; the runner charges them and
+    {!step_accesses} to the current instruction, then calls
+    {!reset_step_cost} (three calls, so the step loop allocates no pair). *)
 
 val step_accesses : 'a t -> int
 (** Store accesses accrued since the last reset (allocation-free). *)
@@ -210,7 +206,3 @@ val touch_write_range : 'a t -> ctx:int -> int -> int -> unit
 
 val suspicion_level : 'a t -> int -> float
 (** Current level of the Haswell learning predictor for a context. *)
-
-val top_conflict_lines : 'a t -> int -> (int * int) list
-(** The [(line, aborts)] pairs responsible for the most conflict aborts —
-    the Section 5.6 abort-cause investigation. *)

@@ -138,8 +138,6 @@ let by_name = function
 (* Hardware context [ctx] runs on core [ctx mod n_cores]; with SMT the second
    set of contexts shares cores with the first, exactly like assigning one
    software thread per core before doubling up. *)
-let core_of_ctx t ctx = ctx mod t.n_cores
-
 let sibling_ctx t ctx =
   if t.smt < 2 then None
   else

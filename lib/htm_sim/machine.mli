@@ -68,6 +68,5 @@ val by_name : string -> t
 val n_ctx : t -> int
 (** Total hardware contexts (cores x SMT). *)
 
-val core_of_ctx : t -> int -> int
 val sibling_ctx : t -> int -> int option
 val pp : Format.formatter -> t -> unit

@@ -76,5 +76,3 @@ let select db name ?where ?limit () =
       }
 
 let count db name = match table db name with Some t -> t.n_rows | None -> 0
-
-let value_to_string = function Int i -> string_of_int i | Text s -> s

@@ -32,4 +32,3 @@ val select :
     SQLite with no index. *)
 
 val count : t -> string -> int
-val value_to_string : value -> string

@@ -47,7 +47,6 @@ type conn = {
   mutable first_byte_at : int;  (** cycle of the first response write *)
   mutable served_by : int;  (** guest tid that accepted it, -1 = none *)
   mutable closed : bool;
-  mutable completed_at : int;
 }
 
 type t = {
@@ -61,8 +60,8 @@ type t = {
   queue_timeout : int;
   keepalive : int;
   mutable next_conn_id : int;
-  mutable client_free_at : int array;  (** next send time per client *)
-  mutable client_busy : bool array;  (** request in flight *)
+  client_free_at : int array;  (** next send time per client *)
+  client_busy : bool array;  (** request in flight *)
   (* open-loop state *)
   mutable next_open : int;  (** cycle of the next scheduled arrival *)
   mutable burst_left : int;  (** arrivals left in the current burst group *)
@@ -304,7 +303,6 @@ let advance t ~now =
               first_byte_at = 0;
               served_by = -1;
               closed = false;
-              completed_at = 0;
             }
           in
           t.next_conn_id <- t.next_conn_id + 1;
@@ -341,7 +339,6 @@ let advance t ~now =
               first_byte_at = 0;
               served_by = -1;
               closed = false;
-              completed_at = 0;
             }
           in
           t.next_conn_id <- t.next_conn_id + 1;
@@ -376,7 +373,6 @@ let advance t ~now =
                   first_byte_at = 0;
                   served_by = -1;
                   closed = false;
-                  completed_at = 0;
                 }
               in
               t.next_conn_id <- t.next_conn_id + 1;
@@ -417,7 +413,6 @@ let close t id ~now =
   match conn t id with
   | Some c when not c.closed ->
       c.closed <- true;
-      c.completed_at <- now;
       t.completed <- t.completed + 1;
       t.completions <- (now, now - c.arrived) :: t.completions;
       t.completion_log <- (now, c.conn_id, c.client) :: t.completion_log;

@@ -47,7 +47,6 @@ type conn = {
   mutable first_byte_at : int;  (** cycle of the first response write *)
   mutable served_by : int;  (** guest tid that accepted it, -1 = none *)
   mutable closed : bool;
-  mutable completed_at : int;
 }
 
 type t

@@ -20,7 +20,6 @@ let sub_count = 1 lsl sub_bits (* 16 linear sub-buckets per 2x block *)
 let n_buckets = sub_count + (sub_count * (61 - sub_bits + 1))
 
 type histogram = {
-  h_name : string;
   buckets : int array;  (* n_buckets cells *)
   mutable n : int;
   mutable sum : int;
@@ -69,7 +68,6 @@ let histogram t name =
   | None ->
       let h =
         {
-          h_name = name;
           buckets = Array.make n_buckets 0;
           n = 0;
           sum = 0;

@@ -14,7 +14,6 @@
 type counter = { c_name : string; mutable count : int }
 
 type histogram = {
-  h_name : string;
   buckets : int array;
   mutable n : int;
   mutable sum : int;

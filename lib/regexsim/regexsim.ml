@@ -138,9 +138,9 @@ let parse pattern =
   if !pos <> n then raise (Parse_error "trailing characters in pattern");
   ast
 
-type t = { pattern : string; ast : node }
+type t = { ast : node }
 
-let compile pattern = { pattern; ast = parse pattern }
+let compile pattern = { ast = parse pattern }
 
 (* Match with an explicit step counter: the caller uses [steps] to charge the
    host VM for the engine's memory traffic. Returns the end position of the

@@ -26,12 +26,8 @@ type t = {
           sweep rebuilds the global list *)
   (* statistics *)
   mutable gc_runs : int;
-  mutable gc_cycles_total : int;
   mutable allocs : int;
-  mutable boxes : int;
   mutable refills : int;
-  mutable global_pops : int;
-  mutable live_after_gc : int;
   mutable slot_buf : int array;
       (** reusable scratch for free-slot address runs (arena linking, sweep);
           grown to the largest run seen, never shrunk — keeps the per-GC and
@@ -41,7 +37,6 @@ type t = {
   lazy_cursor : int;  (** store cell: next slot ordinal to sweep *)
   mutable lazy_slots : int array;
       (** ordinal -> slot address, rebuilt after each mark phase *)
-  mutable lazy_claims : int;
   (* observability: installed by the runner; None costs one branch per GC *)
   mutable tracer : Obs.Trace.t option;
   mutable gc_pause_hist : Obs.Metrics.histogram option;
@@ -166,16 +161,11 @@ let create store htm (opts : Options.t) classes =
       gc_roots = (fun _ -> ());
       flush_locals = (fun () -> ());
       gc_runs = 0;
-      gc_cycles_total = 0;
       allocs = 0;
-      boxes = 0;
       refills = 0;
-      global_pops = 0;
-      live_after_gc = 0;
       slot_buf = [||];
       lazy_cursor = cell ();
       lazy_slots = [||];
-      lazy_claims = 0;
       tracer = None;
       gc_pause_hist = None;
     }
@@ -337,14 +327,12 @@ let quiesce_for_gc h =
 let run_gc h (th : Vmthread.t) =
   quiesce_for_gc h;
   h.gc_runs <- h.gc_runs + 1;
-  let marked = gc_mark h h.gc_roots in
+  ignore (gc_mark h h.gc_roots);
   let free = gc_sweep h in
-  h.live_after_gc <- marked;
   (* grow the heap when mostly full, like CRuby's 1.8x growth *)
   if free < h.total_slots / 5 then add_arena h (max h.opts.heap_slots (h.total_slots * 4 / 5));
   let costs = (Htm.machine h.htm).costs in
   let cost = h.total_slots * costs.cyc_gc_per_slot in
-  h.gc_cycles_total <- h.gc_cycles_total + cost;
   note_gc_pause h th ~start_clock:th.clock ~cost;
   th.clock <- th.clock + cost;
   cost
@@ -354,7 +342,6 @@ let run_gc h (th : Vmthread.t) =
 (* Pop one slot from the global free list through the engine: the hot
    read-set conflict the paper identifies at object allocation. *)
 let pop_global h ~ctx =
-  h.global_pops <- h.global_pops + 1;
   let head = int_of (g_read h ~ctx h.g_free_head) in
   if head = 0 then None
   else begin
@@ -416,7 +403,6 @@ let lazy_refill h (th : Vmthread.t) =
   let ord = int_of (g_read h ~ctx h.lazy_cursor) in
   if ord >= total then false
   else begin
-    h.lazy_claims <- h.lazy_claims + 1;
     let stop = min total (ord + lazy_chunk) in
     g_write h ~ctx h.lazy_cursor (Value.vint stop);
     let head = ref 0 and count = ref 0 in
@@ -450,13 +436,11 @@ let run_mark_phase h (th : Vmthread.t) =
   quiesce_for_gc h;
   h.gc_runs <- h.gc_runs + 1;
   let marked = gc_mark h h.gc_roots in
-  h.live_after_gc <- marked;
   if marked > h.total_slots * 4 / 5 then
     add_arena h (max h.opts.heap_slots (h.total_slots * 4 / 5));
   rebuild_lazy_order h;
   let costs = (Htm.machine h.htm).costs in
   let cost = marked * costs.cyc_gc_per_slot in
-  h.gc_cycles_total <- h.gc_cycles_total + cost;
   note_gc_pause h th ~start_clock:th.clock ~cost;
   th.clock <- th.clock + cost;
   cost
@@ -531,7 +515,6 @@ let rec alloc_slot h (th : Vmthread.t) ~class_id =
 let alloc_box h (th : Vmthread.t) ~float_class_id v =
   if h.opts.float_boxing then begin
     if not h.opts.ephemeral_alloc then begin
-      h.boxes <- h.boxes + 1;
       let slot = alloc_slot h th ~class_id:float_class_id in
       g_write h ~ctx:th.ctx (slot + 1) v
     end
@@ -539,7 +522,6 @@ let alloc_box h (th : Vmthread.t) ~float_class_id v =
       (* JRuby boxes float results too, but from TLABs; its residual
          bottleneck is the shared object-space accounting it touches every
          few allocations. The Java NPB uses primitive doubles: no boxing. *)
-      h.boxes <- h.boxes + 1;
       let ctx = th.ctx in
       let slot = malloc h th 2 in
       g_write h ~ctx slot v;
@@ -552,5 +534,3 @@ let alloc_box h (th : Vmthread.t) ~float_class_id v =
       end
     end
   end
-
-let free_count h = int_of (Store.get h.store h.g_free_count)

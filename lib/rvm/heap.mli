@@ -17,17 +17,12 @@ type t = {
   mutable gc_roots : (int -> unit) -> unit;
   mutable flush_locals : unit -> unit;
   mutable gc_runs : int;
-  mutable gc_cycles_total : int;
   mutable allocs : int;
-  mutable boxes : int;
   mutable refills : int;
-  mutable global_pops : int;
-  mutable live_after_gc : int;
   mutable slot_buf : int array;
       (** reusable scratch for free-slot address runs (arena linking, sweep) *)
   lazy_cursor : int;  (** shared sweep-cursor cell (lazy-sweep mode) *)
   mutable lazy_slots : int array;
-  mutable lazy_claims : int;
   mutable tracer : Obs.Trace.t option;
       (** when set, GC pauses emit [Gc_start]/[Gc_end] trace events *)
   mutable gc_pause_hist : Obs.Metrics.histogram option;
@@ -61,7 +56,6 @@ val run_gc : t -> Vmthread.t -> int
     cost. Caller must hold the GIL (no live transactions). *)
 
 val add_arena : t -> int -> unit
-val free_count : t -> int
 val gc_mark : t -> ((int -> unit) -> unit) -> int
 val gc_sweep : t -> int
 

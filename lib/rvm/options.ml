@@ -77,6 +77,3 @@ let cruby_baseline =
     heap_slots = 4_000;
     malloc_thread_local = false;
   }
-
-(* JRuby / Java-style execution for the Figure 9 baselines. *)
-let free_parallel = { default with ephemeral_alloc = true }

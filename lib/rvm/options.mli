@@ -40,5 +40,3 @@ val default : t
 
 val cruby_baseline : t
 (** Original CRuby 1.9.3: no conflict removals, small default heap. *)
-
-val free_parallel : t

@@ -39,7 +39,6 @@ let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine ~source 
   for f = 1 to Layout.n_fields do
     Store.set vm.Vm.store (main_obj + f) Value.VNil
   done;
-  vm.Vm.main_obj <- main_obj;
   let main = Vm.new_thread vm ~code:program.main ~obj:(-1) in
   (* build the toplevel frame with boot-time writes *)
   let base = main.stack_base in

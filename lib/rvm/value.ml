@@ -140,8 +140,6 @@ let fresh_code_uid () =
   incr r;
   !r
 
-let reset_code_uids () = Domain.DLS.get code_uid_key := 0
-
 let truthy = function VNil | VFalse -> false | _ -> true
 
 let type_name = function

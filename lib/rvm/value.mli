@@ -124,10 +124,6 @@ val current_uid_state : unit -> uid_state
 
 val fresh_code_uid : unit -> int
 
-val reset_code_uids : unit -> unit
-(** Zero the {e active} uid counter, so uids are a pure function of the
-    compiled program. *)
-
 val truthy : t -> bool
 val type_name : t -> string
 val pp : Format.formatter -> t -> unit

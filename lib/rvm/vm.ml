@@ -55,7 +55,6 @@ and t = {
           real (non-elided) acquisitions may not begin before it *)
   prng : Prng.t;
   out : Buffer.t;
-  mutable main_obj : int;
   (* observability: per-VM metrics registry plus pre-resolved handles for
      the interpreter's hottest counters (no hashtable lookup on hit paths) *)
   metrics : Obs.Metrics.t;
@@ -182,7 +181,6 @@ let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine =
       mutex_release_clock = Hashtbl.create 16;
       prng = Prng.create opts.seed;
       out = Buffer.create 256;
-      main_obj = -1;
       metrics;
       m_cache_hits = Obs.Metrics.counter metrics "interp.method_cache_hits";
       m_cache_misses = Obs.Metrics.counter metrics "interp.method_cache_misses";

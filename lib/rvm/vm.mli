@@ -52,7 +52,6 @@ and t = {
   mutex_release_clock : (int, int) Hashtbl.t;
   prng : Htm_sim.Prng.t;
   out : Buffer.t;
-  mutable main_obj : int;
   metrics : Obs.Metrics.t;
       (** per-VM metrics registry; the runner folds it into run results *)
   m_cache_hits : Obs.Metrics.counter;  (** inline method-cache hits *)

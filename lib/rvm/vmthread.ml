@@ -51,22 +51,11 @@ type t = {
   mutable cond_signaled : bool;
   mutable io_done : bool;
   (* bookkeeping for the runner/schemes *)
-  mutable holds_gil : bool;
   mutable txn_start_clock : int;
-  mutable txn_start_pc : int;
   mutable snap_fp : int;
   mutable snap_sp : int;
   mutable snap_pc : int;
   mutable snap_code : Value.code;
-  (* cycle breakdown accumulators (Figure 8) *)
-  mutable cyc_txn_overhead : int;  (** begin/end instructions *)
-  mutable cyc_in_txn : int;  (** inside transactions, before outcome known *)
-  mutable cyc_committed : int;
-  mutable cyc_aborted : int;
-  mutable n_aborts : int;
-  mutable cyc_gil_held : int;
-  mutable cyc_gil_wait : int;
-  mutable work : int;  (** completed guest work units (bytecodes) *)
 }
 
 let frame_hdr = 10
@@ -103,21 +92,11 @@ let create ~tid ~stack_base ~stack_limit ~struct_base ~obj ~code =
     result = Value.VNil;
     cond_signaled = false;
     io_done = false;
-    holds_gil = false;
     txn_start_clock = 0;
-    txn_start_pc = 0;
     snap_fp = 0;
     snap_sp = 0;
     snap_pc = 0;
     snap_code = code;
-    cyc_txn_overhead = 0;
-    cyc_in_txn = 0;
-    cyc_committed = 0;
-    cyc_aborted = 0;
-    n_aborts = 0;
-    cyc_gil_held = 0;
-    cyc_gil_wait = 0;
-    work = 0;
   }
 
 let snapshot t =

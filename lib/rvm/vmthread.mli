@@ -48,21 +48,11 @@ type t = {
   mutable result : Value.t;
   mutable cond_signaled : bool;
   mutable io_done : bool;
-  mutable holds_gil : bool;
   mutable txn_start_clock : int;
-  mutable txn_start_pc : int;
   mutable snap_fp : int;
   mutable snap_sp : int;
   mutable snap_pc : int;
   mutable snap_code : Value.code;
-  mutable cyc_txn_overhead : int;
-  mutable cyc_in_txn : int;
-  mutable cyc_committed : int;
-  mutable cyc_aborted : int;
-  mutable n_aborts : int;
-  mutable cyc_gil_held : int;
-  mutable cyc_gil_wait : int;
-  mutable work : int;
 }
 
 (** Frame layout: *)

@@ -1,13 +1,12 @@
 #!/bin/sh
 # Smoke pass: build, full test suite, the Gc allocation gates, then a quick
-# figure regeneration on three legs. Every leg's five simulated-data digests
-# (figures, hybrid, load, shard, clock) must equal the baseline leg's; host
-# wall times live outside those members and may legitimately differ.
+# figure regeneration on two legs. The second leg's five simulated-data
+# digests (figures, hybrid, load, shard, clock) must equal the baseline
+# leg's; host wall times live outside those members and may legitimately
+# differ.
 #   baseline          SHARDS=1 BENCH_JOBS=1
 #   placement         SHARDS=4 BENCH_JOBS=4: worker and shard-domain counts
 #                     are host knobs and must never leak into the data
-#   BENCH_SCHED=ref   the heap scheduler must match the reference scan
-# The last two legs run with SHARDS=4 BENCH_JOBS=4.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -32,21 +31,14 @@ case "$base" in
 esac
 echo "smoke: baseline $base"
 
-leg() {
-  name=$1
-  shift
-  got=$(digests SHARDS=4 BENCH_JOBS=4 "$@")
-  for m in ${base#digests:}; do
-    case "$got " in
-    *" $m "*) ;;
-    *) echo "smoke: FAIL: $name: ${m%%=*} differs from baseline ($m; $got)" >&2
-       exit 1 ;;
-    esac
-  done
-  echo "smoke: $name: all five digests identical to baseline"
-}
-
-leg placement
-leg BENCH_SCHED=ref BENCH_SCHED=ref
+got=$(digests SHARDS=4 BENCH_JOBS=4)
+for m in ${base#digests:}; do
+  case "$got " in
+  *" $m "*) ;;
+  *) echo "smoke: FAIL: placement: ${m%%=*} differs from baseline ($m; $got)" >&2
+     exit 1 ;;
+  esac
+done
+echo "smoke: placement: all five digests identical to baseline"
 
 echo "smoke: OK"

@@ -525,9 +525,10 @@ let test_decode_consistency () =
     (codes_of decode_corpus)
 
 (* The base cycles every instruction is charged, spelled out per cost
-   class: the runner's table, indexed by the decoded class, must give
-   exactly this on every machine for every corpus instruction, and the
-   corpus must hold an instruction of every class. *)
+   class: [C.cost_table], the table [Runner.create] charges from, indexed
+   by the decoded class, must give exactly this on every machine for every
+   corpus instruction, and the corpus must hold an instruction of every
+   class. *)
 let test_runner_cost_tbl () =
   let expected (c : Htm_sim.Machine.costs) : Val.insn -> int = function
     | Val.Send _ | Val.Invokeblock _ | Val.Newinstance _ ->
@@ -542,8 +543,8 @@ let test_runner_cost_tbl () =
   let codes = codes_of decode_corpus in
   List.iter
     (fun (m : Htm_sim.Machine.t) ->
-      let t = Core.Runner.create (Core.Runner.config m) ~source:"nil" in
-      let seen = Array.map (fun _ -> false) t.Core.Runner.cost_tbl in
+      let tbl = C.cost_table m.costs in
+      let seen = Array.map (fun _ -> false) tbl in
       List.iter
         (fun (code : Val.code) ->
           let d = C.decode code in
@@ -553,13 +554,11 @@ let test_runner_cost_tbl () =
               seen.(cls) <- true;
               Alcotest.(check int)
                 (Printf.sprintf "%s: %s@%d" m.name code.Val.code_name pc)
-                (expected m.costs insn)
-                t.Core.Runner.cost_tbl.(cls))
+                (expected m.costs insn) tbl.(cls))
             code.Val.insns)
         codes;
       Alcotest.(check bool) "every cost class occurs" true
-        (Array.for_all Fun.id seen);
-      Rvm.Vm.release t.Core.Runner.vm)
+        (Array.for_all Fun.id seen))
     Htm_sim.Machine.[ zec12; xeon_e3; xeon_x5670 ]
 
 (* ---- guest corpus: pinned outputs and one cross-commit digest --------- *)

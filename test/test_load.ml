@@ -1,7 +1,7 @@
 (* The open-loop load tier: the fig_load family's JSON member must be a
    pure function of the simulated semantics — byte-identical across worker
-   counts and both schedulers (the digest-stability acceptance check the
-   smoke script runs at full scale). *)
+   counts (the digest-stability acceptance check the smoke script runs at
+   full scale). *)
 
 module J = Obs.Json
 
@@ -23,12 +23,6 @@ let test_jobs_stability () =
   Harness.Pool.set_global_jobs 1;
   Alcotest.(check bool) "BENCH_JOBS=1 and 4 serialise identically" true
     (one = four)
-
-let test_tier_stability () =
-  let base = panel_text () in
-  let ref_sched = Tutil.with_env "BENCH_SCHED" "ref" panel_text in
-  Alcotest.(check bool) "reference scheduler serialises identically" true
-    (base = ref_sched)
 
 (* The sweep's semantics, not just its stability: saturation must show up
    as achieved load capped below offered, with losses accounted. *)
@@ -59,7 +53,5 @@ let suite =
   [
     Alcotest.test_case "fig_load stable across worker counts" `Quick
       test_jobs_stability;
-    Alcotest.test_case "fig_load stable across sched/interp tiers" `Quick
-      test_tier_stability;
     Alcotest.test_case "saturation shape" `Quick test_saturation_shape;
   ]

@@ -113,100 +113,170 @@ let test_randomized_vs_model =
 
 (* ---- differential: heap + run-ahead vs the reference linear scan ---- *)
 
-let assert_same_run name (a : Core.Runner.result) (b : Core.Runner.result) =
-  Alcotest.(check int) (name ^ ": wall_cycles") a.wall_cycles b.wall_cycles;
-  Alcotest.(check int) (name ^ ": total_insns") a.total_insns b.total_insns;
-  Alcotest.(check string) (name ^ ": output") a.output b.output;
-  Alcotest.(check int)
-    (name ^ ": gil acquisitions")
-    a.gil_acquisitions b.gil_acquisitions;
-  Alcotest.(check int)
-    (name ^ ": txn begins")
-    a.htm_stats.Htm_sim.Stats.begins b.htm_stats.Htm_sim.Stats.begins;
-  Alcotest.(check int)
-    (name ^ ": txn commits")
-    a.htm_stats.Htm_sim.Stats.commits b.htm_stats.Htm_sim.Stats.commits;
-  Alcotest.(check int)
-    (name ^ ": requests completed")
-    a.requests_completed b.requests_completed
+(* What a run must agree on under both schedulers: its simulated totals and
+   output, or the exception it ended in. *)
+let fingerprint run =
+  match run () with
+  | (r : Core.Runner.result) ->
+      let b = r.breakdown and h = r.htm_stats and s = r.stm_stats in
+      Printf.sprintf
+        "wall=%d insns=%d gil=%d htm=%d/%d/%d stm=%d/%d gc=%d allocs=%d \
+         req=%d bd=%d/%d/%d/%d/%d/%d\n%s"
+        r.wall_cycles r.total_insns r.gil_acquisitions h.Htm_sim.Stats.begins
+        h.Htm_sim.Stats.commits (Htm_sim.Stats.aborts h) s.Stm.commits
+        (Stm.stats_aborts s) r.gc_runs r.allocs r.requests_completed
+        b.bd_txn_overhead b.bd_committed b.bd_aborted b.bd_gil_held
+        b.bd_gil_wait b.bd_other r.output
+  | exception Core.Runner.Stuck msg -> "Stuck: " ^ msg
+  | exception Core.Runner.Guest_failure msg -> "Guest_failure: " ^ msg
 
-let run_compute ~sched ~scheme (w : Workloads.Workload.t) ~threads =
-  let source = w.Workloads.Workload.source ~threads ~size:Workloads.Size.Test in
-  let cfg = Core.Runner.config ~scheme ~sched Htm_sim.Machine.zec12 in
-  Core.Runner.run_source ~setup:(w.Workloads.Workload.setup None) cfg ~source
+let check_same name run =
+  let heap = fingerprint (run Core.Runner.Sched_heap)
+  and ref_ = fingerprint (run Core.Runner.Sched_ref) in
+  Alcotest.(check string) name ref_ heap
+
+let workload name = Option.get (Workloads.Workload.find name)
+let size = Workloads.Size.Test
+
+let run_compute ?(machine = Htm_sim.Machine.zec12) ?opts ?clock ~scheme name
+    ~threads sched () =
+  let w = workload name in
+  let cfg = Core.Runner.config ?opts ?clock ~scheme ~sched machine in
+  Core.Runner.run_source ~setup:(w.setup None) cfg
+    ~source:(w.source ~threads ~size)
 
 let test_diff_compute () =
-  let workloads =
-    Workloads.Workload.micro
-    @ List.filter
-        (fun (w : Workloads.Workload.t) -> w.name = "cg" || w.name = "is")
-        Workloads.Workload.npb
-  in
   List.iter
     (fun (w : Workloads.Workload.t) ->
       List.iter
         (fun scheme ->
           List.iter
             (fun threads ->
-              let name =
-                Printf.sprintf "%s/%s/%dT" w.name
-                  (Core.Scheme.to_string scheme)
-                  threads
-              in
-              let heap =
-                run_compute ~sched:Core.Runner.Sched_heap ~scheme w ~threads
-              and ref_ =
-                run_compute ~sched:Core.Runner.Sched_ref ~scheme w ~threads
-              in
-              assert_same_run name heap ref_)
+              check_same
+                (Printf.sprintf "%s/%s/%dT" w.name
+                   (Core.Scheme.to_string scheme)
+                   threads)
+                (run_compute ~scheme w.name ~threads))
             [ 1; 2; 4 ])
         [ Core.Scheme.Gil_only; Core.Scheme.Htm_dynamic ])
-    workloads
+    (Workloads.Workload.micro
+    @ List.filter
+        (fun (w : Workloads.Workload.t) -> w.name = "cg" || w.name = "is")
+        Workloads.Workload.npb)
 
-(* The server path exercises netsim delivery, sleepers and acceptors; the
-   scheduler is selected through the BENCH_SCHED environment default, which
-   also covers the smoke script's plumbing. *)
-let test_diff_server () =
-  let w = Option.get (Workloads.Workload.find "webrick") in
-  let run kind =
-    Tutil.with_env "BENCH_SCHED"
-      (match kind with `Heap -> "heap" | `Ref -> "ref")
-      (fun () ->
-        let o =
-          Harness.Exp.run
-            (Harness.Exp.point ~workload:w ~machine:Htm_sim.Machine.xeon_e3
-               ~scheme:Core.Scheme.Htm_dynamic ~threads:3
-               ~size:Workloads.Size.Test ())
-        in
-        o.Harness.Exp.result)
+(* A server run, closed loop unless [arrivals] says otherwise; [horizon]
+   steps it through [Runner.advance] instead of one [Runner.run]. *)
+let run_server ?(machine = Htm_sim.Machine.zec12) ?opts ?clock ?subscription
+    ?(arrivals = Netsim.Closed) ?horizon ~scheme name ~clients sched () =
+  let w = workload name in
+  let requests = w.server_requests size in
+  let io =
+    match arrivals with
+    | Netsim.Closed -> Option.get w.make_io ~clients ~requests
+    | _ -> Option.get w.make_io_open ~clients ~requests ~arrivals ~mix:[]
   in
-  let heap = run `Heap and ref_ = run `Ref in
-  Alcotest.(check bool) "served requests" true (heap.requests_completed > 0);
-  assert_same_run "webrick/htm-dynamic/3c" heap ref_
+  let cfg =
+    Core.Runner.config ?opts ?clock ?subscription ~scheme ~sched machine
+  in
+  let t = Core.Runner.create ~io cfg ~source:(w.source ~threads:clients ~size) in
+  w.setup (Some io) t.vm;
+  let stop () = Netsim.done_all io in
+  match horizon with
+  | None -> Core.Runner.run ~stop t
+  | Some step ->
+      let rec go h =
+        match Core.Runner.advance ~stop t ~until:h with
+        | `Done r -> r
+        | `Paused -> go (h + step)
+      in
+      go step
 
-(* BENCH_SCHED names one of the two schedulers or is unset; anything else
-   must fail rather than quietly select the default. *)
-let test_env_parse () =
-  let kind v = Tutil.with_env "BENCH_SCHED" v Core.Runner.default_sched_kind in
+(* The [Shard.run] runner path: a balancer-fed socket that receives each
+   epoch's arrivals before the runner advances through it, and is closed
+   once the schedule is exhausted. *)
+let run_fed sched () =
+  let w = Workloads.Workload.webrick and clients = 4 and epoch = 20_000 in
+  let entries, _ =
+    Option.get w.make_schedule ~clients ~requests:(w.server_requests size)
+      ~arrivals:(Netsim.Poisson { rate = 400_000.0; seed = 0x10AD })
+      ~mix:[]
+  in
+  let io = Option.get w.make_io_fed () in
+  let cfg =
+    Core.Runner.config ~scheme:Core.Scheme.Htm_dynamic ~sched
+      Htm_sim.Machine.zec12
+  in
+  let t = Core.Runner.create ~io cfg ~source:(w.source ~threads:clients ~size) in
+  w.setup (Some io) t.vm;
+  let stop () = Netsim.done_all io in
+  let next = ref 0 in
+  let rec go h =
+    while
+      !next < Array.length entries && entries.(!next).Netsim.se_at <= h
+    do
+      let e = entries.(!next) in
+      Netsim.feed io ~at:e.se_at ~client:e.se_client ~request:e.se_request;
+      incr next
+    done;
+    if !next = Array.length entries then Netsim.close_feed io;
+    match Core.Runner.advance ~stop t ~until:h with
+    | `Done r -> r
+    | `Paused -> go (h + epoch)
+  in
+  go epoch
+
+(* One cell per runner path the reference scheduler must agree on: every
+   scheme, machine, clock and subscription variant, the netsim delivery
+   modes (closed loop, open loop, horizon-stepped, balancer-fed), and a
+   run that ends in a guest failure. *)
+let test_diff_cells () =
+  let hybrid = Harness.Figures.hybrid_machine
+  and gc_heavy = { Rvm.Options.default with Rvm.Options.heap_slots = 6_000 }
+  and poisson rate = Netsim.Poisson { rate; seed = 0x10AD } in
+  let open Core.Scheme in
   List.iter
-    (fun (v, expect) ->
-      Alcotest.(check bool) (Printf.sprintf "BENCH_SCHED=%S" v) true
-        (kind v = expect))
+    (fun (name, run) -> check_same name run)
     [
-      ("", Core.Runner.Sched_heap);
-      (" ", Core.Runner.Sched_heap);
-      ("heap", Core.Runner.Sched_heap);
-      ("HEAP", Core.Runner.Sched_heap);
-      ("ref", Core.Runner.Sched_ref);
-      ("REF", Core.Runner.Sched_ref);
-      ("scan", Core.Runner.Sched_ref);
-    ];
-  List.iter
-    (fun v ->
-      match kind v with
-      | _ -> Alcotest.failf "BENCH_SCHED=%S accepted" v
-      | exception Invalid_argument _ -> ())
-    [ "rf"; "heap-ref"; "linear" ]
+      ( "bt/xeon_e3/htm-dynamic/8T",
+        run_compute ~machine:Htm_sim.Machine.xeon_e3 ~scheme:Htm_dynamic "bt"
+          ~threads:8 );
+      ( "ft/x5670/fine-grained/4T",
+        run_compute ~machine:Htm_sim.Machine.xeon_x5670 ~scheme:Fine_grained
+          "ft" ~threads:4 );
+      ("mg/free-parallel/4T", run_compute ~scheme:Free_parallel "mg" ~threads:4);
+      ( "cg/htm-1/4T/cruby-baseline",
+        run_compute ~opts:Rvm.Options.cruby_baseline ~scheme:(Htm_fixed 1)
+          "cg" ~threads:4 );
+      ("lu/htm-16/12T", run_compute ~scheme:(Htm_fixed 16) "lu" ~threads:12);
+      ( "sp/hybrid/12T",
+        run_compute ~machine:hybrid ~scheme:Hybrid "sp" ~threads:12 );
+      ( "is/stm/4T",
+        run_compute ~machine:hybrid ~scheme:Stm_only "is" ~threads:4 );
+      ( "is/hybrid/4T/gv5",
+        run_compute ~machine:hybrid ~clock:Tm_clock.Gv5 ~scheme:Hybrid "is"
+          ~threads:4 );
+      ( "webrick/hybrid/4c/gv6",
+        run_server ~machine:hybrid ~clock:Tm_clock.Gv6 ~scheme:Hybrid "webrick"
+          ~clients:4 );
+      ( "webrick/hybrid/4c/lazy (guest failure)",
+        run_server ~machine:hybrid ~opts:gc_heavy
+          ~subscription:Htm_sim.Subscription.Lazy ~scheme:Hybrid "webrick"
+          ~clients:4 );
+      ( "webrick/hybrid/4c/lazy-safe",
+        run_server ~machine:Harness.Figures.clock_safe_machine ~opts:gc_heavy
+          ~subscription:Htm_sim.Subscription.Lazy_safe ~scheme:Hybrid
+          "webrick" ~clients:4 );
+      ( "webrick/gil/6c/poisson-9k",
+        run_server ~arrivals:(poisson 9000.0) ~scheme:Gil_only "webrick"
+          ~clients:6 );
+      ( "webrick/htm-dynamic/6c/poisson-4k/advance",
+        run_server ~arrivals:(poisson 4000.0) ~horizon:50_000
+          ~scheme:Htm_dynamic "webrick" ~clients:6 );
+      ( "rails/xeon_e3/htm-dynamic/4c",
+        run_server ~machine:Htm_sim.Machine.xeon_e3 ~scheme:Htm_dynamic
+          "rails" ~clients:4 );
+      ("webrick/fed/400k", run_fed);
+    ]
 
 let suite =
   [
@@ -215,7 +285,5 @@ let suite =
     Alcotest.test_case "mem + remove" `Quick test_mem_remove;
     test_randomized_vs_model;
     Alcotest.test_case "heap = ref scan (compute)" `Quick test_diff_compute;
-    Alcotest.test_case "heap = ref scan (server)" `Quick test_diff_server;
-    Alcotest.test_case "BENCH_SCHED rejects unknown values" `Quick
-      test_env_parse;
+    Alcotest.test_case "heap = ref scan (cell set)" `Quick test_diff_cells;
   ]

@@ -1,7 +1,7 @@
 (* The shard tier: N full VM instances behind the netsim load balancer.
    The merged result must be a pure function of the simulated semantics —
-   identical across the SHARDS placement knob, worker counts, and both
-   schedulers — and sharding must actually scale. *)
+   identical across the SHARDS placement knob and worker counts — and
+   sharding must actually scale. *)
 
 (* ---- Runner.advance vs Runner.run: pause/resume is invisible ---------- *)
 
@@ -179,13 +179,6 @@ let test_placement_stability () =
   let four = fingerprint (Harness.Shard.run ~jobs:4 cfg) in
   Alcotest.(check string) "SHARDS placement is invisible" one four
 
-let test_tier_stability () =
-  let cfg = shard_cfg ~shards:2 ~policy:Harness.Shard.Least_in_flight () in
-  let go () = fingerprint (Harness.Shard.run ~jobs:2 cfg) in
-  let base = go () in
-  let ref_sched = Tutil.with_env "BENCH_SCHED" "ref" go in
-  Alcotest.(check string) "reference scheduler identical" base ref_sched
-
 let test_round_robin_split () =
   let cfg = shard_cfg ~shards:3 () in
   let r = Harness.Shard.run ~jobs:1 cfg in
@@ -300,7 +293,6 @@ let suite =
   [
     Alcotest.test_case "advance ≡ run" `Quick test_advance_equals_run;
     Alcotest.test_case "placement stability" `Quick test_placement_stability;
-    Alcotest.test_case "tier stability" `Quick test_tier_stability;
     Alcotest.test_case "round-robin split" `Quick test_round_robin_split;
     Alcotest.test_case "least-in-flight balances" `Quick
       test_least_in_flight_balances;

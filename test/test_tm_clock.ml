@@ -172,7 +172,7 @@ let test_store_line_distinctness () =
   let r = Core.Runner.create cfg ~source:"puts 1" in
   let store = r.Core.Runner.vm.Rvm.Vm.store in
   let stm =
-    match r.Core.Runner.stm with
+    match Core.Runner.stm r with
     | Some s -> s
     | None -> Alcotest.fail "hybrid runner has no stm"
   in
