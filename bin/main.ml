@@ -3,6 +3,7 @@
      htm-gil run --workload cg --machine zec12 --scheme htm-dynamic -t 12
      htm-gil exec file.rb --scheme gil
      htm-gil fig fig5            (regenerate a figure from the paper)
+     htm-gil fig all --json r.json && htm-gil digests r.json
      htm-gil list                (available workloads)
 
    All execution is simulated: workloads run on the MiniRuby VM over the
@@ -168,23 +169,6 @@ let parse_arrivals rate mode =
           invalid_arg
             ("unknown arrival mode " ^ m ^ " (closed, poisson, burst:N)"))
 
-let load_document (l : Harness.Exp.load) =
-  Obs.Json.Obj
-    [
-      ("offered_rps", Obs.Json.Float l.Harness.Exp.offered_rps);
-      ("achieved_rps", Obs.Json.Float l.Harness.Exp.achieved_rps);
-      ("completed", Obs.Json.Int l.Harness.Exp.completed);
-      ("dropped", Obs.Json.Int l.Harness.Exp.dropped);
-      ("timed_out", Obs.Json.Int l.Harness.Exp.timed_out);
-      ("churned", Obs.Json.Int l.Harness.Exp.churned);
-      ("p50_cycles", Obs.Json.Int l.Harness.Exp.p50_cycles);
-      ("p95_cycles", Obs.Json.Int l.Harness.Exp.p95_cycles);
-      ("p99_cycles", Obs.Json.Int l.Harness.Exp.p99_cycles);
-      ("mean_cycles", Obs.Json.Float l.Harness.Exp.mean_cycles);
-      ("queue_peak", Obs.Json.Int l.Harness.Exp.queue_peak);
-      ("in_flight_peak", Obs.Json.Int l.Harness.Exp.in_flight_peak);
-    ]
-
 (* ---- observability flags (shared by run and exec) ---- *)
 
 let trace_arg =
@@ -233,17 +217,7 @@ let metrics_document (r : Core.Runner.result) =
              (Stm.stats_to_assoc r.stm_stats)) );
       ("metrics", Obs.Metrics.to_json r.metrics);
       ("abort_sites", Obs.Sites.to_json r.abort_sites);
-      ( "breakdown",
-        let b = r.breakdown in
-        Obs.Json.Obj
-          [
-            ("txn_overhead", Obs.Json.Int b.bd_txn_overhead);
-            ("committed", Obs.Json.Int b.bd_committed);
-            ("aborted", Obs.Json.Int b.bd_aborted);
-            ("gil_held", Obs.Json.Int b.bd_gil_held);
-            ("gil_wait", Obs.Json.Int b.bd_gil_wait);
-            ("other", Obs.Json.Int b.bd_other);
-          ] );
+      ("breakdown", Harness.Exp.breakdown_json r.breakdown);
       ("wall_cycles", Obs.Json.Int r.wall_cycles);
       ("total_insns", Obs.Json.Int r.total_insns);
     ]
@@ -285,6 +259,27 @@ let emit_observability ~trace ~trace_out ~metrics_json ~abort_report
          cell --@."
         kg kc
   end
+
+(* Guest input that fails ends the command with a message naming [origin]
+   (the source file, or the workload) and an exit code per cause. *)
+let exits =
+  Cmd.Exit.info 1 ~doc:"on a bad flag value."
+  :: Cmd.Exit.info 2 ~doc:"when the guest source does not lex, parse or compile."
+  :: Cmd.Exit.info 3 ~doc:"on a guest error, such as an undefined method."
+  :: Cmd.Exit.info 4
+       ~doc:"when the guest is stuck: deadlock, or the instruction budget ran out."
+  :: Cmd.Exit.defaults
+
+let guarded origin f =
+  let fail code =
+    Format.kfprintf (fun _ -> exit code) Format.err_formatter
+  in
+  try f () with
+  | Rvm.Lexer.Error (msg, line) | Rvm.Parser.Error (msg, line) ->
+      fail 2 "%s:%d: %s@." origin line msg
+  | Rvm.Compiler.Error msg -> fail 2 "%s: %s@." origin msg
+  | Core.Runner.Guest_failure msg -> fail 3 "%s: guest error: %s@." origin msg
+  | Core.Runner.Stuck msg -> fail 4 "%s: %s@." origin msg
 
 let parse_common machine scheme yield_points no_removal lazy_sweep refcount =
   let machine = parse Htm_sim.Machine.by_name machine in
@@ -423,6 +418,7 @@ let run_cmd =
         | _ ->
             Format.eprintf "--arrivals only applies to server workloads@.";
             exit 1);
+        guarded workload @@ fun () ->
         let mix = if mix then w.Workloads.Workload.mix else [] in
         (match (mix, arrivals) with
         | _ :: _, Netsim.Closed ->
@@ -461,7 +457,7 @@ let run_cmd =
           print_outcome ~quiet o;
           (match (latency_json, o.Harness.Exp.load) with
           | Some path, Some l ->
-              write_json_or_die path (load_document l);
+              write_json_or_die path (Harness.Exp.load_json l);
               Format.eprintf "latency -> %s@." path
           | Some _, None ->
               Format.eprintf "--latency-json only applies to server workloads@."
@@ -470,7 +466,7 @@ let run_cmd =
             o.Harness.Exp.result
         end
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run one workload under one scheme")
+  Cmd.v (Cmd.info "run" ~exits ~doc:"Run one workload under one scheme")
     Term.(
       const run $ workload_arg $ machine_arg $ scheme_arg $ threads_arg
       $ size_arg $ yield_arg $ baseline_opts_arg $ lazy_sweep_arg
@@ -493,33 +489,49 @@ let exec_cmd =
     let subscription =
       Option.map (parse Htm_sim.Subscription.of_string) subscription
     in
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let source = really_input_string ic n in
-    close_in ic;
+    let source = In_channel.with_open_bin file In_channel.input_all in
     let tracer = make_tracer ~trace ~trace_out in
     let cfg =
       Core.Runner.config ?tracer ?clock ?subscription ~scheme
         ~yield_points ~opts machine
     in
-    let r = Core.Runner.run_source cfg ~source in
+    let r = guarded file (fun () -> Core.Runner.run_source cfg ~source) in
     if not quiet then print_string r.Core.Runner.output;
     Format.printf "@.wall=%d cycles, %d instructions, %a@." r.wall_cycles
       r.total_insns Htm_sim.Stats.pp r.htm_stats;
     emit_observability ~trace ~trace_out ~metrics_json ~abort_report r
   in
-  Cmd.v (Cmd.info "exec" ~doc:"Execute a MiniRuby file on the simulated VM")
+  Cmd.v
+    (Cmd.info "exec" ~exits ~doc:"Execute a MiniRuby file on the simulated VM")
     Term.(
       const run $ file_arg $ machine_arg $ scheme_arg $ yield_arg
       $ baseline_opts_arg $ lazy_sweep_arg $ refcount_arg $ quiet_arg
       $ clock_arg $ subscription_arg $ trace_arg $ trace_out_arg
       $ metrics_json_arg $ abort_report_arg)
 
+(* Process peak RSS in MB ([VmHWM] from /proc/self/status), or [None] where
+   that file is missing. *)
+let peak_rss_mb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | l when String.starts_with ~prefix:"VmHWM:" l ->
+            Scanf.sscanf_opt (String.sub l 6 (String.length l - 6)) " %d"
+              (fun kb -> kb / 1024)
+        | _ -> scan ()
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) scan
+
 let fig_cmd =
+  let module F = Harness.Figures in
   let which_arg =
     let doc =
-      "Figure: fig4 fig5 fig6a fig6b fig7 fig8 fig9 hybrid load shard \
-       clock ablation overhead future-work refcount all."
+      "Figure family: "
+      ^ String.concat " " (List.map (fun f -> f.F.name) F.families)
+      ^ ", or all."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE" ~doc)
   in
@@ -527,40 +539,76 @@ let fig_cmd =
     let doc = "Problem size class for the sweep (test, s, w)." in
     Arg.(value & opt string "s" & info [ "size" ] ~docv:"SIZE" ~doc)
   in
-  let run which size =
-    let size = parse Workloads.Size.of_string size in
-    let fmt = Format.std_formatter in
-    let doit = function
-      | "fig4" -> ignore (Harness.Figures.fig4 ~size fmt)
-      | "fig5" -> ignore (Harness.Figures.fig5 ~size fmt)
-      | "fig6a" -> ignore (Harness.Figures.fig6a fmt)
-      | "fig6b" -> ignore (Harness.Figures.fig6b fmt)
-      | "fig7" -> ignore (Harness.Figures.fig7 ~size fmt)
-      | "fig8" -> ignore (Harness.Figures.fig8 ~size fmt)
-      | "fig9" -> ignore (Harness.Figures.fig9 ~size fmt)
-      | "hybrid" -> ignore (Harness.Figures.fig_hybrid ~size fmt)
-      | "load" -> ignore (Harness.Figures.fig_load ~size fmt)
-      | "shard" -> ignore (Harness.Figures.fig_shard ~size fmt)
-      | "clock" -> ignore (Harness.Figures.fig_clock ~size fmt)
-      | "ablation" -> ignore (Harness.Figures.ablation ~size fmt)
-      | "overhead" -> ignore (Harness.Figures.overhead ~size fmt)
-      | "future-work" -> ignore (Harness.Figures.future_work ~size fmt)
-      | "refcount" -> ignore (Harness.Figures.refcount ~size fmt)
-      | f ->
-          Format.eprintf "unknown figure %s@." f;
-          exit 1
+  let json_arg =
+    let doc =
+      "Also write the results file to $(docv): every family's series, with \
+       host seconds and peak RSS per family under $(b,host). $(b,digests) \
+       checks and digests it."
     in
-    if which = "all" then
-      List.iter doit
-        [
-          "fig4"; "fig5"; "fig6a"; "fig6b"; "fig7"; "fig8"; "fig9"; "hybrid";
-          "load"; "shard"; "clock"; "ablation"; "overhead"; "future-work";
-          "refcount";
-        ]
-    else doit which
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+  in
+  let run which size json =
+    let size = parse Workloads.Size.of_string size in
+    let families =
+      if which = "all" then F.families
+      else
+        match List.find_opt (fun f -> f.F.name = which) F.families with
+        | Some f -> [ f ]
+        | None ->
+            Format.eprintf "unknown figure %s@." which;
+            exit 1
+    in
+    let timed f =
+      let t0 = Unix.gettimeofday () in
+      let j = f.F.run size Format.std_formatter in
+      let secs = Unix.gettimeofday () -. t0 and rss = peak_rss_mb () in
+      Format.printf "@.[%s took %.1fs, peak RSS %s]@." f.F.name secs
+        (match rss with Some mb -> Printf.sprintf "%d MB" mb | None -> "n/a");
+      (f, j, secs, rss)
+    in
+    let runs = List.map timed families in
+    Option.iter
+      (fun path ->
+        write_json_or_die path (F.results ~size runs);
+        Format.eprintf "results -> %s@." path)
+      json
   in
   Cmd.v (Cmd.info "fig" ~doc:"Regenerate a figure from the paper")
-    Term.(const run $ which_arg $ size_arg)
+    Term.(const run $ which_arg $ size_arg $ json_arg)
+
+let digests_cmd =
+  let file_arg =
+    let doc = "Results file written by $(b,fig all --json)." in
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+  in
+  let run path =
+    let fail msg =
+      Format.eprintf "%s: %s@." path msg;
+      exit 1
+    in
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error msg ->
+        Format.eprintf "%s@." msg;
+        exit 1
+    | text -> (
+        match Obs.Json.of_string text with
+        | exception Obs.Json.Parse_error msg -> fail ("malformed JSON: " ^ msg)
+        | doc -> (
+            match Harness.Figures.digests doc with
+            | Ok line -> print_endline ("digests: " ^ line)
+            | Error problems -> fail (String.concat "; " problems)))
+  in
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:"when the file is unreadable, is not JSON, or lacks a member or series."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v
+    (Cmd.info "digests" ~exits
+       ~doc:
+         "Check that a results file holds every member and figure series, \
+          and print one FNV-1a digest per simulated-data member")
+    Term.(const run $ file_arg)
 
 let list_cmd =
   let run () =
@@ -578,4 +626,6 @@ let () =
         "Simulated reproduction of GIL elimination in Ruby via hardware \
          transactional memory (PPoPP'14)"
   in
-  exit (Cmd.eval (Cmd.group info [ run_cmd; exec_cmd; fig_cmd; list_cmd ]))
+  exit
+    (Cmd.eval
+       (Cmd.group info [ run_cmd; exec_cmd; fig_cmd; digests_cmd; list_cmd ]))

@@ -151,3 +151,36 @@ let verify_line outcome =
          | Some i ->
              i + 6 <= String.length l && String.sub l i 6 = "verify"
          | None -> false)
+
+(* ---- JSON writers: the one serialisation of each result type, shared by
+   the results file and the CLI's --latency-json / --metrics-json ---- *)
+
+let load_json l =
+  let module J = Obs.Json in
+  J.Obj
+    [
+      ("offered_rps", J.Float l.offered_rps);
+      ("achieved_rps", J.Float l.achieved_rps);
+      ("completed", J.Int l.completed);
+      ("dropped", J.Int l.dropped);
+      ("timed_out", J.Int l.timed_out);
+      ("churned", J.Int l.churned);
+      ("p50_cycles", J.Int l.p50_cycles);
+      ("p95_cycles", J.Int l.p95_cycles);
+      ("p99_cycles", J.Int l.p99_cycles);
+      ("mean_cycles", J.Float l.mean_cycles);
+      ("queue_peak", J.Int l.queue_peak);
+      ("in_flight_peak", J.Int l.in_flight_peak);
+    ]
+
+let breakdown_json (b : Core.Runner.breakdown) =
+  let module J = Obs.Json in
+  J.Obj
+    [
+      ("txn_overhead", J.Int b.bd_txn_overhead);
+      ("committed", J.Int b.bd_committed);
+      ("aborted", J.Int b.bd_aborted);
+      ("gil_held", J.Int b.bd_gil_held);
+      ("gil_wait", J.Int b.bd_gil_wait);
+      ("other", J.Int b.bd_other);
+    ]

@@ -72,3 +72,12 @@ val run : ?tracer:Obs.Trace.t -> point -> outcome
     scheduler events land in it (see {!Core.Runner.config}). *)
 
 val verify_line : outcome -> string option
+
+val load_json : load -> Obs.Json.t
+(** The request-latency summary as JSON, fields in declaration order: the
+    CLI's [--latency-json] document and, behind a scheme name, each point
+    of the results file's [load] member. *)
+
+val breakdown_json : Core.Runner.breakdown -> Obs.Json.t
+(** The cycle breakdown as JSON, shared by [--metrics-json] and the
+    results file. *)

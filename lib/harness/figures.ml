@@ -1,8 +1,10 @@
-(* One driver per figure in the paper's evaluation section. Each driver runs
-   the sweep, prints the same rows/series the paper plots, and returns the
-   raw data so tests and EXPERIMENTS.md generation can check shapes. *)
+(* One driver per figure family of the paper's evaluation section. Each
+   driver runs the sweep, prints the same rows/series the paper plots, and
+   returns the family's JSON; [families] tabulates them for the CLI's [fig]
+   and [digests] commands. *)
 
 open Htm_sim
+module J = Obs.Json
 
 let schemes_fig5 =
   [
@@ -35,7 +37,6 @@ type panel = {
   baseline_wall : int;  (** 1-thread GIL *)
   cells : (string * int, float) Hashtbl.t;  (** (scheme, threads) -> y *)
   aborts : (string * int, float) Hashtbl.t;
-  outcomes : (string * int, Exp.outcome) Hashtbl.t;
   metrics : Obs.Metrics.t;
       (** the points' registries, merged in (scheme, threads) grid order *)
 }
@@ -60,7 +61,6 @@ let run_panel ?(schemes = schemes_fig5) ?(size = Workloads.Size.S) ~machine
       baseline_wall = base.wall_cycles;
       cells = Hashtbl.create 64;
       aborts = Hashtbl.create 64;
-      outcomes = Hashtbl.create 64;
       metrics = Obs.Metrics.create ();
     }
   in
@@ -81,7 +81,6 @@ let run_panel ?(schemes = schemes_fig5) ?(size = Workloads.Size.S) ~machine
       let key = (Core.Scheme.to_string scheme, threads) in
       Hashtbl.replace panel.cells key (o.throughput /. base_thr);
       Hashtbl.replace panel.aborts key o.abort_ratio;
-      Hashtbl.replace panel.outcomes key o;
       Obs.Metrics.merge panel.metrics o.result.Core.Runner.metrics)
     combos outs;
   panel
@@ -97,9 +96,66 @@ let print_panel fmt panel ~schemes ~threads_list =
     ~cell:(fun row i ->
       Hashtbl.find_opt panel.cells (row, List.nth threads_list i))
 
+(* ---- JSON writers: plain data in a fixed field order, so a member's
+   serialisation (and its digest) is a pure function of the simulated
+   results ---- *)
+
+(* A panel's sweep as a flat point list, deterministically ordered. *)
+let panel_json ?(extra = []) p =
+  let points =
+    Hashtbl.fold (fun key v acc -> (key, v) :: acc) p.cells []
+    |> List.sort compare
+    |> List.map (fun ((scheme, threads), speedup) ->
+           let abort =
+             Option.value (Hashtbl.find_opt p.aborts (scheme, threads))
+               ~default:0.0
+           in
+           J.Obj
+             [
+               ("scheme", J.Str scheme);
+               ("threads", J.Int threads);
+               ("speedup", J.Float speedup);
+               ("abort_ratio", J.Float abort);
+             ])
+  in
+  J.Obj
+    ([
+       ("workload", J.Str p.workload);
+       ("machine", J.Str p.machine);
+       ("baseline_wall", J.Int p.baseline_wall);
+       ("points", J.List points);
+     ]
+    @ extra)
+
+let panels_json panels = J.List (List.map (fun p -> panel_json p) panels)
+
+let outcome_fields (o : Exp.outcome) =
+  let r = o.Exp.result in
+  [
+    ("wall_cycles", J.Int o.Exp.wall_cycles);
+    ("throughput", J.Float o.Exp.throughput);
+    ("abort_ratio", J.Float o.Exp.abort_ratio);
+    ("gil_acquisitions", J.Int r.Core.Runner.gil_acquisitions);
+    ("gc_runs", J.Int r.Core.Runner.gc_runs);
+    ("breakdown", Exp.breakdown_json r.Core.Runner.breakdown);
+  ]
+
+(* (bench, baseline outcome, changed outcome) rows of a two-arm ablation. *)
+let pair_series_json ~variant rows =
+  J.List
+    (List.map
+       (fun (name, baseline, changed) ->
+         J.Obj
+           [
+             ("bench", J.Str name);
+             ("baseline", J.Obj (outcome_fields baseline));
+             (variant, J.Obj (outcome_fields changed));
+           ])
+       rows)
+
 (* ---- Figure 4: microbenchmarks ------------------------------------------ *)
 
-let fig4 ?(size = Workloads.Size.S) fmt =
+let fig4 size fmt =
   Report.header fmt
     "Figure 4: While/Iterator microbenchmarks, zEC12, 12 threads";
   let machine = Machine.zec12 in
@@ -126,22 +182,22 @@ let fig4 ?(size = Workloads.Size.S) fmt =
       Format.fprintf fmt "%s: best HTM %.1fx over GIL at 12 threads@." p.workload
         (best /. gil))
     panels;
-  panels
+  panels_json panels
 
 (* ---- Figure 5: NPB throughput ------------------------------------------- *)
 
-let fig5 ?(size = Workloads.Size.S) ?(machines = [ Machine.zec12; Machine.xeon_e3 ])
-    ?(benchmarks = Workloads.Workload.npb_names) fmt =
-  List.concat_map
-    (fun machine ->
-      let threads_list = thread_counts machine in
-      List.map
-        (fun name ->
-          let p = run_panel ~machine ~threads_list ~size name in
-          print_panel fmt p ~schemes:schemes_fig5 ~threads_list;
-          p)
-        benchmarks)
-    machines
+let fig5 size fmt =
+  panels_json
+    (List.concat_map
+       (fun machine ->
+         let threads_list = thread_counts machine in
+         List.map
+           (fun name ->
+             let p = run_panel ~machine ~threads_list ~size name in
+             print_panel fmt p ~schemes:schemes_fig5 ~threads_list;
+             p)
+           Workloads.Workload.npb_names)
+       [ Machine.zec12; Machine.xeon_e3 ])
 
 (* ---- Figure 6(a): Haswell learning-predictor ramp ------------------------ *)
 
@@ -199,19 +255,32 @@ let fig6a ?(iters_per_phase = 10_000) fmt =
     points;
   points
 
+let fig6a_json points =
+  J.List
+    (List.map
+       (fun pt ->
+         J.Obj
+           [
+             ("iteration", J.Int pt.iteration);
+             ("written_kb", J.Int pt.written_kb);
+             ("success_pct", J.Float pt.success_pct);
+           ])
+       points)
+
 (* ---- Figure 6(b): BT with a bigger class on Xeon -------------------------- *)
 
-let fig6b fmt =
+(* The figure is about the longer run, so it ignores the size class. *)
+let fig6b _size fmt =
   Report.header fmt "Figure 6(b): BT class W on Xeon (longer run)";
   let machine = Machine.xeon_e3 in
   let threads_list = thread_counts machine in
   let p = run_panel ~machine ~threads_list ~size:Workloads.Size.W "bt" in
   print_panel fmt p ~schemes:schemes_fig5 ~threads_list;
-  p
+  panel_json p
 
 (* ---- Figure 7: WEBrick and Rails ------------------------------------------ *)
 
-let fig7 ?(size = Workloads.Size.S) fmt =
+let fig7 size fmt =
   let clients = [ 1; 2; 3; 4; 6 ] in
   let combos =
     [
@@ -220,26 +289,27 @@ let fig7 ?(size = Workloads.Size.S) fmt =
       ("rails", Machine.xeon_e3);
     ]
   in
-  List.map
-    (fun (name, machine) ->
-      let p = run_panel ~machine ~threads_list:clients ~size name in
-      print_panel fmt p ~schemes:schemes_fig5 ~threads_list:clients;
-      Report.series_table fmt
-        ~title:
-          (Printf.sprintf "%s on %s: HTM-dynamic abort ratio (%%)" name
-             machine.Machine.name)
-        ~xlabel:"clients" ~rows:[ "abort%" ]
-        ~xs:(List.map string_of_int clients)
-        ~cell:(fun _ i ->
-          Option.map
-            (fun a -> 100.0 *. a)
-            (Hashtbl.find_opt p.aborts ("HTM-dynamic", List.nth clients i)));
-      p)
-    combos
+  let panel (name, machine) =
+    let p = run_panel ~machine ~threads_list:clients ~size name in
+    print_panel fmt p ~schemes:schemes_fig5 ~threads_list:clients;
+    Report.series_table fmt
+      ~title:
+        (Printf.sprintf "%s on %s: HTM-dynamic abort ratio (%%)" name
+           machine.Machine.name)
+      ~xlabel:"clients" ~rows:[ "abort%" ]
+      ~xs:(List.map string_of_int clients)
+      ~cell:(fun _ i ->
+        Option.map
+          (fun a -> 100.0 *. a)
+          (Hashtbl.find_opt p.aborts ("HTM-dynamic", List.nth clients i)));
+    p
+  in
+  panels_json (List.map panel combos)
 
 (* ---- Figure 8: abort ratios and cycle breakdowns --------------------------- *)
 
-let fig8 ?(size = Workloads.Size.S) fmt =
+let fig8 size fmt =
+  let machines = [ Machine.zec12; Machine.xeon_e3 ] in
   let combos =
     List.concat_map
       (fun machine ->
@@ -249,7 +319,7 @@ let fig8 ?(size = Workloads.Size.S) fmt =
               (fun threads -> (machine, name, threads))
               (thread_counts machine))
           Workloads.Workload.npb_names)
-      [ Machine.zec12; Machine.xeon_e3 ]
+      machines
   in
   let outs =
     pmap
@@ -260,78 +330,83 @@ let fig8 ?(size = Workloads.Size.S) fmt =
       combos
   in
   let flat = List.combine combos outs in
-  let results =
-    List.concat_map
-      (fun machine ->
-        List.map
-          (fun name ->
-            let outs =
-              List.filter_map
-                (fun ((m, n, threads), o) ->
-                  if m.Machine.name = machine.Machine.name && n = name then
-                    Some (threads, o)
-                  else None)
-                flat
-            in
-            ((machine.Machine.name, name), outs))
-          Workloads.Workload.npb_names)
-      [ Machine.zec12; Machine.xeon_e3 ]
+  (* one bench's (threads, outcome) series on one machine *)
+  let series machine name =
+    List.filter_map
+      (fun ((m, n, threads), o) ->
+        if m.Machine.name = machine.Machine.name && n = name then
+          Some (threads, o)
+        else None)
+      flat
   in
   List.iter
-    (fun machine_name ->
+    (fun machine ->
       Report.header fmt
-        (Printf.sprintf "Figure 8: HTM-dynamic abort ratios (%%), %s" machine_name);
-      let threads_list =
-        if machine_name = "zEC12" then [ 1; 2; 4; 6; 8; 12 ] else [ 1; 2; 4; 6; 8 ]
-      in
+        (Printf.sprintf "Figure 8: HTM-dynamic abort ratios (%%), %s"
+           machine.Machine.name);
+      let threads_list = thread_counts machine in
       Format.fprintf fmt "%-16s" "bench \\ threads";
       List.iter (fun t -> Format.fprintf fmt "%10d" t) threads_list;
       Format.fprintf fmt "@.";
       List.iter
         (fun name ->
-          match List.assoc_opt (machine_name, name) results with
-          | None -> ()
-          | Some outs ->
-              Format.fprintf fmt "%-16s" name;
-              List.iter
-                (fun t ->
-                  match List.assoc_opt t outs with
-                  | Some o -> Format.fprintf fmt "%10.2f" (100.0 *. o.Exp.abort_ratio)
-                  | None -> Format.fprintf fmt "%10s" "-")
-                threads_list;
-              Format.fprintf fmt "@.")
+          let outs = series machine name in
+          Format.fprintf fmt "%-16s" name;
+          List.iter
+            (fun t ->
+              match List.assoc_opt t outs with
+              | Some o -> Format.fprintf fmt "%10.2f" (100.0 *. o.Exp.abort_ratio)
+              | None -> Format.fprintf fmt "%10s" "-")
+            threads_list;
+          Format.fprintf fmt "@.")
         Workloads.Workload.npb_names)
-    [ "zEC12"; "XeonE3-1275v3" ];
+    machines;
   (* cycle breakdowns at 12 threads on zEC12 *)
   Report.header fmt "Figure 8: cycle breakdowns, HTM-dynamic, 12 threads, zEC12";
   Format.fprintf fmt "%-8s %10s %10s %10s %10s %10s %10s@." "bench" "beg/end%"
     "success%" "aborted%" "gil-held%" "gil-wait%" "other%";
   List.iter
     (fun name ->
-      match List.assoc_opt ("zEC12", name) results with
+      match List.assoc_opt 12 (series Machine.zec12 name) with
       | None -> ()
-      | Some outs -> (
-          match List.assoc_opt 12 outs with
-          | None -> ()
-          | Some o ->
-              let b = o.Exp.result.Core.Runner.breakdown in
-              let total =
-                float_of_int
-                  (max 1
-                     (b.bd_txn_overhead + b.bd_committed + b.bd_aborted
-                    + b.bd_gil_held + b.bd_gil_wait + b.bd_other))
-              in
-              let pct x = 100.0 *. float_of_int x /. total in
-              Format.fprintf fmt "%-8s %10.1f %10.1f %10.1f %10.1f %10.1f %10.1f@."
-                name (pct b.bd_txn_overhead) (pct b.bd_committed)
-                (pct b.bd_aborted) (pct b.bd_gil_held) (pct b.bd_gil_wait)
-                (pct b.bd_other)))
+      | Some o ->
+          let b = o.Exp.result.Core.Runner.breakdown in
+          let total =
+            float_of_int
+              (max 1
+                 (b.bd_txn_overhead + b.bd_committed + b.bd_aborted
+                + b.bd_gil_held + b.bd_gil_wait + b.bd_other))
+          in
+          let pct x = 100.0 *. float_of_int x /. total in
+          Format.fprintf fmt "%-8s %10.1f %10.1f %10.1f %10.1f %10.1f %10.1f@."
+            name (pct b.bd_txn_overhead) (pct b.bd_committed)
+            (pct b.bd_aborted) (pct b.bd_gil_held) (pct b.bd_gil_wait)
+            (pct b.bd_other))
     Workloads.Workload.npb_names;
-  results
+  (* "workload" holds the machine and "machine" the bench: the labels are
+     swapped in every results file this member's digest pins *)
+  J.List
+    (List.concat_map
+       (fun machine ->
+         List.map
+           (fun name ->
+             J.Obj
+               [
+                 ("workload", J.Str machine.Machine.name);
+                 ("machine", J.Str name);
+                 ( "series",
+                   J.List
+                     (List.map
+                        (fun (threads, o) ->
+                          J.Obj (("threads", J.Int threads) :: outcome_fields o))
+                        (series machine name)) );
+               ])
+           Workloads.Workload.npb_names)
+       machines)
 
 (* ---- Figure 9: scalability comparison -------------------------------------- *)
 
-let fig9 ?(size = Workloads.Size.S) fmt =
+let fig9 size fmt =
   let threads_list = [ 1; 2; 4; 6; 8; 12 ] in
   let modes =
     [
@@ -398,7 +473,33 @@ let fig9 ?(size = Workloads.Size.S) fmt =
       let avg = List.fold_left ( +. ) 0.0 vals /. float_of_int (List.length vals) in
       Format.fprintf fmt "%s: average 12-thread scalability %.1fx@." label avg)
     all;
-  all
+  J.List
+    (List.map
+       (fun (label, rows) ->
+         J.Obj
+           [
+             ("bench", J.Str label);
+             ( "series",
+               J.List
+                 (List.map
+                    (fun (name, pts) ->
+                      J.Obj
+                        [
+                          ("name", J.Str name);
+                          ( "points",
+                            J.List
+                              (List.map
+                                 (fun (threads, v) ->
+                                   J.Obj
+                                     [
+                                       ("threads", J.Int threads);
+                                       ("speedup", J.Float v);
+                                     ])
+                                 pts) );
+                        ])
+                    rows) );
+           ])
+       all)
 
 (* ---- Hybrid TM: lock-only fallback vs software-transaction fallback ---------- *)
 
@@ -412,7 +513,10 @@ let schemes_hybrid =
    unaffected by the shrunken budget. *)
 let hybrid_machine = { Machine.zec12 with Machine.ws_lines = 8 }
 
-let fig_hybrid ?(size = Workloads.Size.S) fmt =
+(* Each panel's JSON carries its fallback counts; the member lives outside
+   "figures" with its own digest, so "figures" stays byte-identical to runs
+   that predate the STM subsystem (likewise load, shard and clock). *)
+let fig_hybrid size fmt =
   Report.header fmt
     "Hybrid TM: GIL fallback vs STM fallback (zEC12, store buffer /4)";
   let machine = hybrid_machine in
@@ -424,15 +528,22 @@ let fig_hybrid ?(size = Workloads.Size.S) fmt =
         run_panel ~schemes:schemes_hybrid ~machine ~threads_list ~size name)
       names
   in
-  List.iter
-    (fun p ->
-      print_panel fmt p ~schemes:schemes_hybrid ~threads_list;
-      let fb name = (Obs.Metrics.counter p.metrics name).Obs.Metrics.count in
-      Format.fprintf fmt
-        "%s: windows that fell back across the grid: %d to the GIL, %d to the STM@."
-        p.workload (fb "fallback.gil") (fb "fallback.stm"))
-    panels;
-  panels
+  J.List
+    (List.map
+       (fun p ->
+         print_panel fmt p ~schemes:schemes_hybrid ~threads_list;
+         let fb name = (Obs.Metrics.counter p.metrics name).Obs.Metrics.count in
+         Format.fprintf fmt
+           "%s: windows that fell back across the grid: %d to the GIL, %d to \
+            the STM@."
+           p.workload (fb "fallback.gil") (fb "fallback.stm");
+         panel_json p
+           ~extra:
+             [
+               ("fallback_gil", J.Int (fb "fallback.gil"));
+               ("fallback_stm", J.Int (fb "fallback.stm"));
+             ])
+       panels)
 
 (* ---- Throughput vs offered load (open-loop request-latency tier) ------------ *)
 
@@ -562,28 +673,13 @@ let print_load_panel fmt panel ~schemes =
           l.Exp.queue_peak)
     panel.lp_points
 
-(* The JSON member bench/tests digest: plain data, fixed field order, so the
-   serialisation is a pure function of the simulated results. *)
+(* A point is its scheme ahead of [Exp.load_json]'s fields; the stats'
+   [offered_rps] is the point's configured rate. *)
 let load_json panel =
-  let module J = Obs.Json in
   let point_json lp =
-    let l = lp.lp_stats in
-    J.Obj
-      [
-        ("scheme", J.Str lp.lp_scheme);
-        ("offered_rps", J.Float lp.lp_offered);
-        ("achieved_rps", J.Float l.Exp.achieved_rps);
-        ("completed", J.Int l.Exp.completed);
-        ("dropped", J.Int l.Exp.dropped);
-        ("timed_out", J.Int l.Exp.timed_out);
-        ("churned", J.Int l.Exp.churned);
-        ("p50_cycles", J.Int l.Exp.p50_cycles);
-        ("p95_cycles", J.Int l.Exp.p95_cycles);
-        ("p99_cycles", J.Int l.Exp.p99_cycles);
-        ("mean_cycles", J.Float l.Exp.mean_cycles);
-        ("queue_peak", J.Int l.Exp.queue_peak);
-        ("in_flight_peak", J.Int l.Exp.in_flight_peak);
-      ]
+    match Exp.load_json lp.lp_stats with
+    | J.Obj fields -> J.Obj (("scheme", J.Str lp.lp_scheme) :: fields)
+    | j -> j
   in
   J.Obj
     [
@@ -594,7 +690,7 @@ let load_json panel =
       ("points", J.List (List.map point_json panel.lp_points));
     ]
 
-let fig_load ?(size = Workloads.Size.S) fmt =
+let fig_load size fmt =
   Report.header fmt
     "Load figure: throughput and latency quantiles vs offered load (open loop)";
   let combos =
@@ -604,12 +700,13 @@ let fig_load ?(size = Workloads.Size.S) fmt =
       ("webrick", Machine.zec12, Some 8);
     ]
   in
-  List.map
-    (fun (name, machine, burst) ->
-      let p = run_load_panel ~machine ~size ?burst name in
-      print_load_panel fmt p ~schemes:schemes_load;
-      p)
-    combos
+  J.List
+    (List.map
+       (fun (name, machine, burst) ->
+         let p = run_load_panel ~machine ~size ?burst name in
+         print_load_panel fmt p ~schemes:schemes_load;
+         load_json p)
+       combos)
 
 (* ---- Sharded serving: aggregate throughput vs shard count -------------------- *)
 
@@ -739,7 +836,6 @@ let print_shard_panel fmt panel ~schemes =
    order, merged in shard order — the FNV digest over this is the
    placement/tier acceptance gate. *)
 let shard_json panel =
-  let module J = Obs.Json in
   let slice_json (s : Shard.shard_slice) =
     J.Obj
       [
@@ -805,16 +901,17 @@ let shard_json panel =
       ("points", J.List (List.map point_json panel.sp_points));
     ]
 
-let fig_shard ?(size = Workloads.Size.S) fmt =
+let fig_shard size fmt =
   Report.header fmt
     "Shard figure: aggregate served req/s and latency quantiles vs shard count";
   let combos = [ ("webrick", Machine.zec12); ("rails", Machine.xeon_e3) ] in
-  List.map
-    (fun (name, machine) ->
-      let p = run_shard_panel ~machine ~size name in
-      print_shard_panel fmt p ~schemes:schemes_shard;
-      p)
-    combos
+  J.List
+    (List.map
+       (fun (name, machine) ->
+         let p = run_shard_panel ~machine ~size name in
+         print_shard_panel fmt p ~schemes:schemes_shard;
+         shard_json p)
+       combos)
 
 (* ---- Commit-clock and subscription ablation ---------------------------------- *)
 
@@ -928,11 +1025,6 @@ let run_clock_panel ?(size = Workloads.Size.S) ?(threads = 4) workload_name =
     cl_points = pmap cell clock_variants;
   }
 
-let clock_cell panel ~clock ~subscription =
-  List.find_opt
-    (fun cp -> cp.cp_clock = clock && cp.cp_subscription = subscription)
-    panel.cl_points
-
 let print_clock_panel fmt panel =
   Report.header fmt
     (Printf.sprintf
@@ -954,7 +1046,6 @@ let print_clock_panel fmt panel =
 (* Deterministic JSON for the "clock" member: plain data, fixed field
    order — the FNV digest over this is the ablation's acceptance gate. *)
 let clock_json panel =
-  let module J = Obs.Json in
   let point_json cp =
     J.Obj
       [
@@ -984,22 +1075,24 @@ let clock_json panel =
       ("points", J.List (List.map point_json panel.cl_points));
     ]
 
-let fig_clock ?(size = Workloads.Size.S) fmt =
+let fig_clock size fmt =
   Report.header fmt
     "Clock figure: adaptive commit clocks and lazy subscription (hybrid TM)";
   (* WEBrick exercises the GC-heavy server path where lazy subscription is
      unsafe; IS is the STM-fallback-heavy compute panel (shared histogram +
      shrunken store buffer) where the clock schemes separate. *)
-  List.map
-    (fun name ->
-      let p = run_clock_panel ~size name in
-      print_clock_panel fmt p;
-      p)
-    [ "webrick"; "is" ]
+  J.List
+    (List.map
+       (fun name ->
+         let p = run_clock_panel ~size name in
+         print_clock_panel fmt p;
+         clock_json p)
+       [ "webrick"; "is" ])
 
 (* ---- Section 5.4 ablations -------------------------------------------------- *)
 
-let ablation ?(size = Workloads.Size.S) ?(threads = 8) fmt =
+let ablation size fmt =
+  let threads = 8 in
   Report.header fmt
     (Printf.sprintf
        "Section 5.4 ablations: HTM-dynamic on zEC12, %d threads (1 = 1-thread GIL)"
@@ -1047,14 +1140,26 @@ let ablation ?(size = Workloads.Size.S) ?(threads = 8) fmt =
       Format.fprintf fmt "%-8s %14.2f %14.2f %14.2f %14.2f@." name gil dyn
         orig_yields no_removal)
     rows;
-  rows
+  J.List
+    (List.map
+       (fun (bench, gil, dyn, orig_yields, no_removal) ->
+         J.Obj
+           [
+             ("bench", J.Str bench);
+             ("gil", J.Float gil);
+             ("htm_dynamic", J.Float dyn);
+             ("original_yield_points", J.Float orig_yields);
+             ("no_conflict_removal", J.Float no_removal);
+           ])
+       rows)
 
 (* ---- Section 5.6 future work: thread-local lazy sweeping --------------------- *)
 
 (* The paper's conclusion calls for eliminating the global free list by
    sweeping on a thread-local basis. [lib/rvm/heap.ml] implements it behind
    [Options.lazy_sweep]; this ablation measures what it buys. *)
-let future_work ?(size = Workloads.Size.S) ?(threads = 12) fmt =
+let future_work size fmt =
+  let threads = 12 in
   Report.header fmt
     (Printf.sprintf
        "Section 5.6 future work: thread-local lazy sweep, HTM-dynamic, zEC12, %d threads"
@@ -1083,7 +1188,7 @@ let future_work ?(size = Workloads.Size.S) ?(threads = 12) fmt =
         (100.0 *. eager.Exp.abort_ratio)
         (100.0 *. lzy.Exp.abort_ratio))
     rows;
-  rows
+  pair_series_json ~variant:"lazy_sweep" rows
 
 (* ---- Section 7: would this work for Python? ----------------------------------- *)
 
@@ -1091,7 +1196,8 @@ let future_work ?(size = Workloads.Size.S) ?(threads = 12) fmt =
    CPython's reference-counting GC "will cause many conflicts" (why RETCON
    exists). With refcount writes on every dispatch, every shared object's
    header becomes write-hot. *)
-let refcount ?(size = Workloads.Size.S) ?(threads = 8) fmt =
+let refcount size fmt =
+  let threads = 8 in
   Report.header fmt
     (Printf.sprintf
        "Section 7: CPython-style reference counting, HTM-dynamic, zEC12, %d threads"
@@ -1120,11 +1226,11 @@ let refcount ?(size = Workloads.Size.S) ?(threads = 8) fmt =
         (100.0 *. plain.Exp.abort_ratio)
         (100.0 *. rc.Exp.abort_ratio))
     rows;
-  rows
+  pair_series_json ~variant:"refcounted" rows
 
 (* ---- Section 5.6: single-thread overhead ------------------------------------- *)
 
-let overhead ?(size = Workloads.Size.S) fmt =
+let overhead size fmt =
   Report.header fmt
     "Section 5.6: single-thread overhead of HTM-dynamic vs GIL (zEC12)";
   Format.fprintf fmt "%-8s %12s@." "bench" "overhead(%)";
@@ -1153,4 +1259,105 @@ let overhead ?(size = Workloads.Size.S) fmt =
       Workloads.Workload.npb_names
   in
   List.iter (fun (name, ov) -> Format.fprintf fmt "%-8s %12.1f@." name ov) rows;
-  rows
+  J.List
+    (List.map
+       (fun (bench, pct) ->
+         J.Obj [ ("bench", J.Str bench); ("overhead_pct", J.Float pct) ])
+       rows)
+
+(* ---- the family table and the results file --------------------------------- *)
+
+type family = {
+  name : string;
+  member : string;
+  key : string;
+  run : Workloads.Size.t -> Format.formatter -> J.t;
+}
+
+(* In results-file order: the eleven "figures" series, then the four
+   families that own a member. *)
+let families =
+  let series name ?(key = name) run = { name; member = "figures"; key; run } in
+  let own name run = { name; member = name; key = name; run } in
+  [
+    series "fig4" fig4;
+    series "fig5" fig5;
+    series "fig6a" (fun _ fmt -> fig6a_json (fig6a fmt));
+    series "fig6b" fig6b;
+    series "fig7" fig7;
+    series "fig8" fig8;
+    series "fig9" fig9;
+    series "ablation" ablation;
+    series "overhead" overhead;
+    series "future-work" ~key:"future_work" future_work;
+    series "refcount" refcount;
+    own "hybrid" fig_hybrid;
+    own "load" fig_load;
+    own "shard" fig_shard;
+    own "clock" fig_clock;
+  ]
+
+let members =
+  "figures"
+  :: List.filter_map
+       (fun f -> if f.member = "figures" then None else Some f.member)
+       families
+
+let results ~size runs =
+  let series, own =
+    List.partition (fun (f, _, _, _) -> f.member = "figures") runs
+  in
+  let rss = function Some mb -> J.Int mb | None -> J.Null in
+  let host =
+    List.map (fun (f, _, secs, _) -> (f.key, J.Float secs)) runs
+    @ [
+        ( "peak_rss_mb",
+          J.Obj (List.map (fun (f, _, _, mb) -> (f.key, rss mb)) runs) );
+      ]
+  in
+  J.Obj
+    ([
+       ("producer", J.Str "bin/main.exe fig");
+       ("size", J.Str (Workloads.Size.to_string size));
+       ("jobs", J.Int (Pool.default_jobs ()));
+       ("figures", J.Obj (List.map (fun (f, j, _, _) -> (f.key, j)) series));
+     ]
+    @ List.map (fun (f, j, _, _) -> (f.member, j)) own
+    @ [ ("host", J.Obj host) ])
+
+(* FNV-1a 64 over a serialised member. *)
+let fnv64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  Printf.sprintf "%016Lx" !h
+
+let digests doc =
+  let missing_series figs =
+    List.filter_map
+      (fun f ->
+        if f.member = "figures" && J.member f.key figs = None then
+          Some (Printf.sprintf "no %S series in \"figures\"" f.key)
+        else None)
+      families
+  in
+  let problems =
+    List.concat_map
+      (fun m ->
+        match J.member m doc with
+        | None -> [ Printf.sprintf "no %S member" m ]
+        | Some figs when m = "figures" -> missing_series figs
+        | Some _ -> [])
+      members
+  in
+  if problems <> [] then Error problems
+  else
+    Ok
+      (String.concat " "
+         (List.map
+            (fun m ->
+              Printf.sprintf "%s=%s" m
+                (fnv64 (J.to_string (Option.get (J.member m doc)))))
+            members))

@@ -19,6 +19,11 @@ let activate t =
   Sym.activate t.syms;
   Value.activate_uid_state t.uids
 
+(* The lines the prelude and its separating newline occupy ahead of the
+   user's source: front-end errors report lines of the user's source. *)
+let prelude_lines =
+  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 Prelude.source
+
 let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine ~source =
   (* A fresh per-session interning context and uid counter, activated for
      the whole boot: everything this session assigns is a pure function of
@@ -31,7 +36,11 @@ let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine ~source 
   let vm = Vm.create ~opts ~htm_mode machine in
   Builtins.install vm;
   Vm.install_gc_hooks vm;
-  let program = Compiler.compile_string (Prelude.source ^ "\n" ^ source) in
+  let program =
+    try Compiler.compile_string (Prelude.source ^ "\n" ^ source) with
+    | Lexer.Error (msg, line) -> raise (Lexer.Error (msg, line - prelude_lines))
+    | Parser.Error (msg, line) -> raise (Parser.Error (msg, line - prelude_lines))
+  in
   Vm.load_program vm program;
   (* the toplevel self ("main"), allocated outside the guest heap *)
   let main_obj = Store.reserve_aligned vm.Vm.store Layout.slot_cells in

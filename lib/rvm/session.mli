@@ -22,3 +22,6 @@ val create :
   Htm_sim.Machine.t ->
   source:string ->
   t
+(** Compile the prelude and [source] as one unit and boot the VM.
+    @raise Lexer.Error or Parser.Error with a line of [source] (the
+    prelude's lines are not counted), or Compiler.Error. *)

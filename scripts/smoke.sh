@@ -1,9 +1,9 @@
 #!/bin/sh
-# Smoke pass: build, full test suite, the Gc allocation gates, then a quick
-# figure regeneration on two legs. The second leg's five simulated-data
-# digests (figures, hybrid, load, shard, clock) must equal the baseline
-# leg's; host wall times live outside those members and may legitimately
-# differ.
+# Smoke pass: build, the full test suite (allocation gates included), the
+# host-timing gates, then the whole figure pass at test size on two legs.
+# Each leg writes the results file and prints its five simulated-data
+# digests (figures, hybrid, load, shard, clock); the second leg's must equal
+# the baseline's. Host seconds and peak RSS sit outside those members.
 #   baseline          SHARDS=1 BENCH_JOBS=1
 #   placement         SHARDS=4 BENCH_JOBS=4: worker and shard-domain counts
 #                     are host knobs and must never leak into the data
@@ -12,33 +12,22 @@ cd "$(dirname "$0")/.."
 
 dune build
 dune runtest
+dune exec test/timing/timing.exe
 
-# allocation gates: transactional accesses and the interpreter step loops
-# must stay allocation-free in steady state
-dune exec bench/main.exe -- gates
-
-# Regenerate the figures under the given environment and print the
-# validated "digests: member=hex ..." line.
+# Regenerate every figure family under the given environment, then check
+# the results file and print its "digests: member=hex ..." line.
 digests() {
-  env BENCH_SIZE=test "$@" dune exec bench/main.exe -- figures >&2
-  dune exec bench/main.exe -- validate BENCH_results.json | grep '^digests:'
+  env "$@" dune exec bin/main.exe -- fig all --size test \
+    --json BENCH_results.json >&2 &&
+    dune exec bin/main.exe -- digests BENCH_results.json
 }
 
 base=$(digests SHARDS=1 BENCH_JOBS=1)
-case "$base" in
-*" figures="*" hybrid="*" load="*" shard="*" clock="*) ;;
-*) echo "smoke: FAIL: baseline: incomplete digests: $base" >&2; exit 1 ;;
-esac
-echo "smoke: baseline $base"
-
+echo "smoke: baseline  $base"
 got=$(digests SHARDS=4 BENCH_JOBS=4)
-for m in ${base#digests:}; do
-  case "$got " in
-  *" $m "*) ;;
-  *) echo "smoke: FAIL: placement: ${m%%=*} differs from baseline ($m; $got)" >&2
-     exit 1 ;;
-  esac
-done
-echo "smoke: placement: all five digests identical to baseline"
-
+echo "smoke: placement $got"
+if [ "$got" != "$base" ]; then
+  echo "smoke: FAIL: placement digests differ from the baseline's" >&2
+  exit 1
+fi
 echo "smoke: OK"

@@ -1,0 +1,66 @@
+#!/bin/sh
+# Bad input must be refused with a message and a documented exit code,
+# never an uncaught exception (cmdliner's exit 125):
+#   1  a bad flag value, or an unreadable or incomplete results file
+#   2  guest source that does not lex, parse or compile
+#   3  a guest error
+#   4  a stuck guest (deadlock)
+#   sh test/cli_bad_input.sh path/to/bin/main.exe
+main=$1
+status=0
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# check CODE MESSAGE ARGS...: the command exits CODE and its stderr
+# contains MESSAGE
+check() {
+  want=$1 msg=$2
+  shift 2
+  "$main" "$@" >/dev/null 2>"$tmp/err"
+  code=$?
+  if [ "$code" -ne "$want" ] || ! { [ -z "$msg" ] || grep -qF -- "$msg" "$tmp/err"; }; then
+    echo "cli_bad_input: exit $code (want $want, \"$msg\"): $*" >&2
+    sed 's/^/  /' "$tmp/err" >&2
+    status=1
+  fi
+}
+check 1 "" run -w cg -m nosuch
+check 1 "" run -w cg -s nosuch
+check 1 "" run -w cg --size xx
+check 1 "" run -w cg --yield-points bogus
+check 1 "" run -w cg --clock bogus
+check 1 "" run -w cg --subscription bogus
+check 1 "" run -w webrick --arrivals nosuch
+check 1 "" run -w webrick --arrivals poisson --offered-load 0
+check 1 "" run -w webrick --arrivals burst --offered-load=-1
+check 1 "" run -w webrick --arrivals burst:0
+check 1 "" run -w webrick --arrivals burst:-3
+check 1 "" run -w webrick --arrivals poisson --shards 2 --policy bogus
+check 1 "" exec "$0" -m nosuch
+check 1 "" exec "$0" -s nosuch
+check 1 "" fig fig4 --size xx
+
+# guest programs: the line is the user's, not the prelude's
+printf 'puts 1\nx = ' >"$tmp/parse.rb"
+printf 'puts 1\nfoo_undefined(2)\n' >"$tmp/guest.rb"
+printf 'm = Mutex.new\nm.lock\nt = Thread.new { m.lock }\nt.join\n' \
+  >"$tmp/stuck.rb"
+check 2 "$tmp/parse.rb:2: unexpected token" exec "$tmp/parse.rb"
+check 3 "undefined method 'foo_undefined'" exec "$tmp/guest.rb"
+check 4 "deadlock" exec "$tmp/stuck.rb"
+
+# results files: a complete one passes, each defect is named
+series='"fig4":[],"fig5":[],"fig6a":[],"fig6b":{},"fig7":[],"fig8":[],"fig9":[]'
+series="$series"',"ablation":[],"overhead":[],"future_work":[],"refcount":[]'
+own='"hybrid":[],"load":[],"shard":[]'
+printf '{"figures":{%s},%s,"clock":[]}' "$series" "$own" >"$tmp/ok.json"
+check 0 "" digests "$tmp/ok.json"
+check 1 "No such file" digests "$tmp/missing.json"
+head -c 60 "$tmp/ok.json" >"$tmp/truncated.json"
+check 1 "malformed JSON" digests "$tmp/truncated.json"
+printf '{"figures":{%s},%s}' "$series" "$own" >"$tmp/noclock.json"
+check 1 'no "clock" member' digests "$tmp/noclock.json"
+printf '{"figures":{%s},%s,"clock":[]}' "$(echo "$series" | sed 's/"fig9":\[\],//')" \
+  "$own" >"$tmp/nofig9.json"
+check 1 'no "fig9" series' digests "$tmp/nofig9.json"
+exit $status

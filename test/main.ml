@@ -37,4 +37,5 @@ let () =
       ("domain-audit", Test_domain_audit.suite);
       ("stm", Test_stm.suite);
       ("tm-clock", Test_tm_clock.suite);
+      ("alloc-gates", Test_alloc_gates.suite);
     ]
