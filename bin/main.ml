@@ -19,6 +19,12 @@ let parse f v =
     Format.eprintf "%s@." msg;
     exit 1
 
+(* A count flag's parser: [n] unless it is below [lo]. *)
+let at_least flag lo n =
+  if n < lo then
+    invalid_arg (Printf.sprintf "%s %d: must be at least %d" flag n lo)
+  else n
+
 let machine_arg =
   let doc = "Machine model: zec12, xeon, or x5670." in
   Arg.(value & opt string "zec12" & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc)
@@ -114,16 +120,12 @@ let offered_load_arg =
 
 let shards_arg =
   let doc =
-    "Serve the open-loop stream with $(docv) complete VM shards behind the \
-     netsim load balancer (0 = the single-VM path). The SHARDS environment \
-     variable only places shards onto worker domains; results are \
-     bit-identical at any value."
+    "Serve the open-loop stream with $(docv) complete VM shards, arrival i \
+     going to shard i mod $(docv) (0 = the single-VM path). BENCH_JOBS sets \
+     how many worker domains run them; results are bit-identical at any \
+     value."
   in
   Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
-
-let policy_arg =
-  let doc = "Shard balancing policy: round-robin or least-in-flight." in
-  Arg.(value & opt string "round-robin" & info [ "policy" ] ~docv:"POLICY" ~doc)
 
 let session_arg =
   let doc =
@@ -351,8 +353,8 @@ let print_outcome ~quiet (o : Harness.Exp.outcome) =
 
 let print_shard_result (r : Harness.Shard.result) =
   let us c = float_of_int c /. 1_000.0 in
-  Format.printf "@.-- %d shards, %s balancing --@." r.Harness.Shard.r_shards
-    (Harness.Shard.policy_to_string r.Harness.Shard.r_policy);
+  Format.printf "@.-- %d shards, round-robin balancing --@."
+    r.Harness.Shard.r_shards;
   Format.printf
     "  requests            %d issued: %d completed, %d dropped, %d timed out \
      (%d clients churned)@."
@@ -397,8 +399,8 @@ let run_cmd =
     Arg.(value & opt string "cg" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
   in
   let run workload machine scheme threads size yield_points no_removal lazy_sweep refcount quiet
-      clock subscription arrivals offered_load shards policy shared_session
-      mix latency_json trace trace_out metrics_json abort_report =
+      clock subscription arrivals offered_load shards shared_session mix
+      latency_json trace trace_out metrics_json abort_report =
     match Workloads.Workload.find workload with
     | None ->
         Format.eprintf "unknown workload %s@." workload;
@@ -408,6 +410,8 @@ let run_cmd =
           parse_common machine scheme yield_points no_removal lazy_sweep refcount
         in
         let size = parse Workloads.Size.of_string size in
+        let threads = parse (at_least "-t" 1) threads in
+        let shards = parse (at_least "--shards" 0) shards in
         let clock = Option.map (parse Tm_clock.scheme_of_string) clock in
         let subscription =
           Option.map (parse Htm_sim.Subscription.of_string) subscription
@@ -437,10 +441,9 @@ let run_cmd =
                 "--shards needs open-loop arrivals (--arrivals poisson or \
                  burst:N)@.";
               exit 1);
-          let policy = parse Harness.Shard.policy_of_string policy in
           let r =
             Harness.Shard.run
-              (Harness.Shard.config ~policy ~mix ~shared_session ~workload:w
+              (Harness.Shard.config ~mix ~shared_session ~workload:w
                  ~machine ~scheme ~shards ~clients:threads ~size ~arrivals
                  ~requests:(w.Workloads.Workload.server_requests size)
                  ())
@@ -471,9 +474,9 @@ let run_cmd =
       const run $ workload_arg $ machine_arg $ scheme_arg $ threads_arg
       $ size_arg $ yield_arg $ baseline_opts_arg $ lazy_sweep_arg
       $ refcount_arg $ quiet_arg $ clock_arg $ subscription_arg
-      $ arrivals_arg $ offered_load_arg $ shards_arg $ policy_arg
-      $ session_arg $ mix_arg $ latency_json_arg $ trace_arg $ trace_out_arg
-      $ metrics_json_arg $ abort_report_arg)
+      $ arrivals_arg $ offered_load_arg $ shards_arg $ session_arg $ mix_arg
+      $ latency_json_arg $ trace_arg $ trace_out_arg $ metrics_json_arg
+      $ abort_report_arg)
 
 let exec_cmd =
   let file_arg =

@@ -181,9 +181,6 @@ type state = {
   mutable total_insns : int;
   prng : Prng.t;  (** scheduling-only randomness (retry backoff) *)
   breakdown : breakdown;
-  mutable horizon : int;
-      (** virtual-time horizon for {!advance}: no step whose start clock
-          exceeds it begins; [max_int] for a plain {!run} *)
   (* observability *)
   tracer : Obs.Trace.t option;
   sites : Obs.Sites.t;
@@ -327,7 +324,6 @@ let create_state ?(io : Netsim.t option) cfg ~source =
         bd_gil_wait = 0;
         bd_other = 0;
       };
-    horizon = max_int;
     tracer = cfg.tracer;
     sites;
     last_tid = -1;
@@ -519,11 +515,16 @@ let charge_txn_overhead t (th : V.t) c =
   th.clock <- th.clock + c;
   t.breakdown.bd_txn_overhead <- t.breakdown.bd_txn_overhead + c
 
-(* The rollback closure run by the engine whenever this thread's transaction
-   dies (self-abort or victim of a conflict). The abort site — the bytecode
-   this thread was executing when it died — must be read before [V.restore]
-   rewinds the registers to the window start. *)
-let rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
+let stm_of t = match t.stm with Some s -> s | None -> assert false
+
+(* The rollback closure run by an engine whenever this thread's transaction
+   dies: a hardware self-abort or conflict victim, or a software window's
+   failed validation, GIL acquisition or explicit escape. [sw] names the
+   engine the window ran on, which supplies the abort line and the
+   footprint. The abort site — the bytecode this thread was executing when
+   it died — must be read before [V.restore] rewinds the registers to the
+   window start. *)
+let rollback_hook t ~sw (th : V.t) (reason : Txn.abort_reason) =
   let code = th.code.Rvm.Value.code_name and pc = th.pc in
   let op =
     if pc >= 0 && pc < Array.length th.code.insns then
@@ -534,11 +535,15 @@ let rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
   let wasted = Int.max 0 (th.clock - th.txn_start_clock) in
   t.breakdown.bd_aborted <- t.breakdown.bd_aborted + wasted;
   let htm = t.vm.Rvm.Vm.htm in
-  let line = Htm.abort_line htm th.ctx in
+  let line =
+    if sw then Stm.abort_line (stm_of t) th.ctx else Htm.abort_line htm th.ctx
+  in
   (* split the subscription-kill attribution the ablation cares about:
      GIL-word kills (TLE's lemming cost) vs commit-clock kills (the STM
-     publication cost GV5/GV6 exist to shrink) *)
-  (if line >= 0 then
+     publication cost GV5/GV6 exist to shrink). Hardware windows only:
+     [stm_commit] attributes a software window's GIL aborts to the GIL
+     word's line too, and those are no subscription kills. *)
+  (if (not sw) && line >= 0 then
      let store = t.vm.Rvm.Vm.store in
      if line = Store.line_of store t.vm.Rvm.Vm.g_gil then
        Obs.Metrics.incr t.m_kill_gil
@@ -550,19 +555,15 @@ let rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
   let reason_s = Txn.reason_to_string reason in
   Obs.Sites.record t.sites ~code ~pc ~op ~reason:reason_s ~line;
   Obs.Metrics.observe t.m_txn_aborted wasted;
-  if tracing t then
+  if tracing t then begin
+    let rs, ws =
+      if sw then Stm.footprint (stm_of t) th.ctx
+      else (Htm.txn_rs htm th.ctx, Htm.txn_ws htm th.ctx)
+    in
     emit t th
       (Obs.Event.Txn_abort
-         {
-           reason = reason_s;
-           cycles = wasted;
-           rs = Htm.txn_rs htm th.ctx;
-           ws = Htm.txn_ws htm th.ctx;
-           line;
-           code;
-           pc;
-           op;
-         });
+         { reason = reason_s; cycles = wasted; rs; ws; line; code; pc; op })
+  end;
   th.clock <- th.clock + (costs t).cyc_abort;
   (* a conflict victim can be any runnable thread: its clock just moved, so
      its heap key is stale until re-synced (self-aborts are skipped by the
@@ -587,35 +588,6 @@ let reset_retries t (th : V.t) =
   st.stm_retry_counter <- -1
 
 (* ---- the software fallback (lib/stm) ------------------------------------ *)
-
-let stm_of t = match t.stm with Some s -> s | None -> assert false
-
-(* The STM mirror of [rollback_hook]: run by [Stm.abort] whenever this
-   thread's software transaction dies (failed validation, a GIL
-   acquisition, or an explicit escape). *)
-let stm_rollback_hook t (th : V.t) (reason : Txn.abort_reason) =
-  let code = th.code.Rvm.Value.code_name and pc = th.pc in
-  let op =
-    if pc >= 0 && pc < Array.length th.code.insns then
-      Rvm.Bytecode.insn_name th.code.insns.(pc)
-    else "?"
-  in
-  V.restore th;
-  let wasted = Int.max 0 (th.clock - th.txn_start_clock) in
-  t.breakdown.bd_aborted <- t.breakdown.bd_aborted + wasted;
-  let stm = stm_of t in
-  let line = Stm.abort_line stm th.ctx in
-  let reason_s = Txn.reason_to_string reason in
-  Obs.Sites.record t.sites ~code ~pc ~op ~reason:reason_s ~line;
-  Obs.Metrics.observe t.m_txn_aborted wasted;
-  if tracing t then begin
-    let rs, ws = Stm.footprint stm th.ctx in
-    emit t th
-      (Obs.Event.Txn_abort
-         { reason = reason_s; cycles = wasted; rs; ws; line; code; pc; op })
-  end;
-  th.clock <- th.clock + (costs t).cyc_abort;
-  sched_sync t th
 
 (* Software-transaction begin, the [transaction_begin] mirror. Returns
    false if the thread parked. Like hardware windows, software windows obey
@@ -1173,8 +1145,8 @@ let assign_ctx t (th : V.t) =
   t.skip_yield.(th.tid) <- false;
   t.stm_mode.(th.tid) <- false;
   t.tle.(th.tid) <- fresh_tle ();
-  t.hw_rollback.(th.tid) <- rollback_hook t th;
-  t.sw_rollback.(th.tid) <- stm_rollback_hook t th;
+  t.hw_rollback.(th.tid) <- rollback_hook t ~sw:false th;
+  t.sw_rollback.(th.tid) <- rollback_hook t ~sw:true th;
   if grant_ctx t th then begin
     th.status <- V.Runnable;
     sched_sync t th;
@@ -1221,11 +1193,8 @@ let wake_acceptors t ~at =
   done
 
 (* Advance virtual time to the next sleeper deadline or arrival, waking the
-   due threads — but never past [until]: an event beyond the horizon (or an
-   open feed that may yet supply one) answers [false] so {!advance} can
-   pause instead. With [until = max_int] and no event at all this is a
-   deadlock, like the old unconditional raise. *)
-let advance_time t ~until =
+   due threads. With neither, nothing can ever run again: a deadlock. *)
+let advance_time t =
   let vm = t.vm in
   (* earliest sleeper / io wake: the sleeper queue is sorted, so the
      earliest deadline is its root instead of an O(n) fold *)
@@ -1237,36 +1206,24 @@ let advance_time t ~until =
     | _ -> max_int
   in
   let target = min sleeper arrival in
-  if target = max_int then begin
-    (* a fed arrival stream that is still open can deliver future work, so
-       a bounded advance pauses at the horizon instead of deadlocking *)
-    let feed_open =
-      match t.io with Some io -> Netsim.feed_may_grow io | None -> false
-    in
-    if feed_open && until < max_int then false
-    else
-      raise
-        (Stuck
-           (Printf.sprintf "deadlock: no runnable threads (live=%d)"
-              (Rvm.Vm.live_count vm)))
-  end
-  else if target > until then false
-  else begin
-    (* wake sleepers due, each at its own deadline ([target < max_int],
-       so the empty heap's [max_int] key ends the loop) *)
-    while Sched.min_key t.sleepq <= target do
-      let at = Sched.min_key t.sleepq in
-      wake t (Sched.take_min t.sleepq) ~at
-    done;
-    (* deliver connections *)
-    (match t.io with
-    | Some io when arrival <= target ->
-        ignore (Netsim.advance io ~now:target);
-        Obs.Metrics.gauge_max t.g_accept_queue_peak (Netsim.queue_depth io);
-        wake_acceptors t ~at:target
-    | _ -> ());
-    true
-  end
+  if target = max_int then
+    raise
+      (Stuck
+         (Printf.sprintf "deadlock: no runnable threads (live=%d)"
+            (Rvm.Vm.live_count vm)));
+  (* wake sleepers due, each at its own deadline ([target < max_int], so
+     the empty heap's [max_int] key ends the loop) *)
+  while Sched.min_key t.sleepq <= target do
+    let at = Sched.min_key t.sleepq in
+    wake t (Sched.take_min t.sleepq) ~at
+  done;
+  (* deliver connections *)
+  match t.io with
+  | Some io when arrival <= target ->
+      ignore (Netsim.advance io ~now:target);
+      Obs.Metrics.gauge_max t.g_accept_queue_peak (Netsim.queue_depth io);
+      wake_acceptors t ~at:target
+  | _ -> ()
 
 (* ---- the main loop ------------------------------------------------------ *)
 
@@ -1453,7 +1410,6 @@ let run_slice t ~stop (main : V.t) (th : V.t) =
       || (not (runnable th))
       || th.ctx < 0
       || t.total_insns >= t.cfg.max_insns
-      || th.clock > t.horizon
       || stop ()
       (* run ahead while this thread is still the scheduler's choice *)
       || Sched.preempts t.sched ~key:th.clock ~tid:th.tid
@@ -1488,8 +1444,8 @@ type thread_lines = {
 }
 
 (* Name the shared regions of Section 4.4 / 5.5 by cache line. The VM is
-   walked once, when a result is snapshotted (threads and arenas appear as
-   the run goes), and the names are kept as plain line numbers: a resolver
+   walked once, when the result is built (threads and arenas appear as the
+   run goes), and the names are kept as plain line numbers: a resolver
    that walked the live VM would keep its HTM line tables, heap and thread
    list alive for as long as any kept result does. First match wins, in the
    order below; threads newest first. *)
@@ -1552,8 +1508,7 @@ let line_resolver t =
               else None)
             threads
 
-(* The result record is a pure read of the runner's current state, so a
-   horizon-bounded [advance] can build it exactly when [run] would have. *)
+(* The result record, read off the runner's state at the end of a run. *)
 let result_of t =
   let vm = t.vm in
   let main = t.session.Rvm.Session.main in
@@ -1567,8 +1522,7 @@ let result_of t =
       Obs.Metrics.gauge_max t.g_accept_queue_peak (Netsim.queue_peak io);
       Obs.Metrics.gauge_max t.g_in_flight_peak (Netsim.in_flight_peak io)
   | None -> ());
-  (* mirror the clock scheme's counters into the registry (idempotent
-     sets, so repeated snapshots of a paused runner stay correct) *)
+  (* mirror the clock scheme's counters into the registry *)
   (match t.stm with
   | Some stm ->
       let c = Stm.clock stm in
@@ -1599,52 +1553,30 @@ let result_of t =
     trace = t.tracer;
   }
 
-(* Run events up to the virtual-time horizon [until]: every step whose
-   start clock is <= [until] executes (a step is atomic, so the clock may
-   overshoot by one step's cost — callers that compare state across shards
-   at a horizon must read virtual-time-stamped accessors, not raw
-   counters). Pausing and resuming never changes the executed instruction
-   sequence — every step goes to the runnable thread with the smallest
-   clock, ties to the larger tid — so a horizon-stepped run is
-   bit-identical to an unbounded one. *)
-let advance_state ?(stop = fun () -> false) t ~until =
-  (* several sessions may interleave on this domain (N shards on one
-     worker): make this session's interning/uid state the active one *)
+(* Run until the main thread finishes, [stop ()] turns true or the
+   instruction budget trips. *)
+let run_state ?(stop = fun () -> false) t =
+  (* several sessions may share a domain (N shards booted on one, run on
+     the pool's workers): make this session's interning/uid state the
+     active one *)
   Rvm.Session.activate t.session;
-  t.horizon <- until;
   drain_spawned t;
   let vm = t.vm in
   let main = t.session.Rvm.Session.main in
-  let paused = ref false in
-  let continue_run = ref true in
   (try
-     while !continue_run do
-       if finished main || stop () || t.total_insns >= t.cfg.max_insns then
-         continue_run := false
-       else
-         match pick t with
-         | th when th.V.clock > until ->
-             (* runnable, but its next step starts beyond the horizon: put
-                it back and pause *)
-             Sched.push t.sched ~key:th.V.clock th;
-             paused := true;
-             continue_run := false
-         | th -> run_slice t ~stop main th
-         | exception Idle ->
-             if not (advance_time t ~until) then begin
-               paused := true;
-               continue_run := false
-             end
+     while
+       not (finished main || stop () || t.total_insns >= t.cfg.max_insns)
+     do
+       match pick t with
+       | th -> run_slice t ~stop main th
+       | exception Idle -> advance_time t
      done
    with Rvm.Value.Guest_error msg ->
      raise (Guest_failure (msg ^ "\n--- guest output ---\n" ^ Rvm.Vm.output vm)));
-  if !paused then `Paused
-  else begin
-    if t.total_insns >= t.cfg.max_insns then
-      raise
-        (Stuck (Printf.sprintf "instruction budget exhausted (%d)" t.total_insns));
-    `Done (result_of t)
-  end
+  if t.total_insns >= t.cfg.max_insns then
+    raise
+      (Stuck (Printf.sprintf "instruction budget exhausted (%d)" t.total_insns));
+  result_of t
 
 (* ---- the public runner -------------------------------------------------- *)
 
@@ -1655,15 +1587,7 @@ let create ?io cfg ~source =
   { vm = st.vm; st }
 
 let stm t = t.st.stm
-let snapshot t = result_of t.st
-let advance ?stop t ~until = advance_state ?stop t.st ~until
-
-let run ?stop t =
-  match advance ?stop t ~until:max_int with
-  | `Done r -> r
-  | `Paused ->
-      (* unreachable: with an unbounded horizon nothing pauses *)
-      assert false
+let run ?stop t = run_state ?stop t.st
 
 (* Convenience one-shot entry point. *)
 let run_source ?io ?stop ?setup cfg ~source =

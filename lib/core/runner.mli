@@ -99,22 +99,9 @@ val stm : t -> Rvm.Value.t Stm.t option
 
 val run : ?stop:(unit -> bool) -> t -> result
 (** Run until the guest main thread finishes, [stop ()] turns true, or the
-    instruction budget trips. @raise Stuck, @raise Guest_failure. *)
-
-val advance : ?stop:(unit -> bool) -> t -> until:int -> [ `Done of result | `Paused ]
-(** Horizon-bounded {!run}: execute every step whose start clock is
-    [<= until], then answer [`Paused] (the clock may overshoot by one
-    step's cost — compare shard state at a horizon through virtual-time
-    stamps, never raw counters). Activates the session's interning/uid
-    context on entry, so N paused runners can interleave on one domain and
-    resume on any other. Pausing and resuming never changes the executed
-    instruction sequence. [`Done] carries the same result {!run} would
-    return; a runner whose netsim feed is still open ({!Netsim.feed} mode)
-    pauses when idle instead of raising [Stuck], since the balancer may
-    push more arrivals. [run t] = [advance t ~until:max_int]. *)
-
-val snapshot : t -> result
-(** The result record as of now (a pure read of runner state). *)
+    instruction budget trips. Activates the session's interning/uid context
+    on entry, so a runner created on one domain may run on another.
+    @raise Stuck, @raise Guest_failure. *)
 
 val run_source :
   ?io:Netsim.t ->

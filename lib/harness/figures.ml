@@ -729,7 +729,6 @@ type shard_point = {
 type shard_panel = {
   sp_workload : string;
   sp_machine : string;
-  sp_policy : string;
   sp_rate : float;
   sp_requests : int;
   sp_clients : int;
@@ -742,14 +741,14 @@ type shard_panel = {
 let shard_requests workload size =
   min 480 (8 * workload.Workloads.Workload.server_requests size)
 
-(* Cells run sequentially on purpose: Shard.run owns a worker pool sized
-   by the SHARDS placement knob (results are placement-invariant), and
-   keeping the outer loop off the BENCH_JOBS pool means the family never
-   nests pools — the shard member is byte-identical at any BENCH_JOBS x
-   SHARDS combination. Every cell runs with the shared session store on:
-   the replay is a post-hoc pure function of the completion logs, so the
-   serving results are exactly the shared-nothing ones and the session
-   counters give the contended-vs-shared-nothing ablation for free. *)
+(* Cells run sequentially on purpose: each Shard.run fans its shards out
+   over the BENCH_JOBS pool (results are placement-invariant), so keeping
+   the outer loop off that pool means the family never nests pools — the
+   shard member is byte-identical at any BENCH_JOBS. Every cell runs with
+   the shared session store on: the replay is a post-hoc pure function of
+   the completion logs, so the serving results are exactly the
+   shared-nothing ones and the session counters give the
+   contended-vs-shared-nothing ablation for free. *)
 let run_shard_panel ?(schemes = schemes_shard) ?(size = Workloads.Size.S)
     ?(clients = 8) ~machine workload_name =
   let workload = wl workload_name in
@@ -761,8 +760,8 @@ let run_shard_panel ?(schemes = schemes_shard) ?(size = Workloads.Size.S)
         List.map
           (fun shards ->
             let cfg =
-              Shard.config ~policy:Shard.Round_robin ~shared_session:true
-                ~workload ~machine ~scheme ~shards ~clients ~size
+              Shard.config ~shared_session:true ~workload ~machine ~scheme
+                ~shards ~clients ~size
                 ~arrivals:(Netsim.Poisson { rate; seed = load_seed })
                 ~requests ()
             in
@@ -777,7 +776,6 @@ let run_shard_panel ?(schemes = schemes_shard) ?(size = Workloads.Size.S)
   {
     sp_workload = workload_name;
     sp_machine = machine.Machine.name;
-    sp_policy = Shard.policy_to_string Shard.Round_robin;
     sp_rate = rate;
     sp_requests = requests;
     sp_clients = clients;
@@ -894,7 +892,8 @@ let shard_json panel =
     [
       ("workload", J.Str panel.sp_workload);
       ("machine", J.Str panel.sp_machine);
-      ("policy", J.Str panel.sp_policy);
+      (* the shard split; kept as a key because it is part of the digest *)
+      ("policy", J.Str "round-robin");
       ("rate_rps", J.Float panel.sp_rate);
       ("requests", J.Int panel.sp_requests);
       ("clients", J.Int panel.sp_clients);

@@ -110,5 +110,5 @@ val results :
 val digests : Obs.Json.t -> (string, string list) result
 (** [Ok "figures=<hex> hybrid=<hex> load=<hex> shard=<hex> clock=<hex>"] —
     an FNV-1a digest of each simulated-data member, all byte-identical at
-    any [BENCH_JOBS] and [SHARDS] — or [Error problems] naming every
+    any [BENCH_JOBS] — or [Error problems] naming every
     missing member and ["figures"] series. *)

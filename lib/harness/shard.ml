@@ -4,68 +4,33 @@
    load balancer.
 
    One global open-loop arrival schedule is generated up front
-   ([Netsim.schedule] — identical to what a single PR 6 socket would
-   produce) and split across per-shard [Netsim.Fed] sockets:
-
-   - [Round_robin] assigns arrival i to shard i mod N up front, feeds every
-     shard its whole sub-schedule and runs the shards to completion fully
-     in parallel — the shared-nothing scaling path.
-
-   - [Least_in_flight] drives the shards in lockstep virtual-time epochs:
-     at each barrier the balancer assigns the next epoch's arrivals to the
-     shard with the fewest outstanding requests. Outstanding counts are
-     computed from virtual-time-stamped observations
-     ([Netsim.completed_by] etc. at the barrier time), never raw counters:
-     a paused runner may overshoot the horizon by one step's cost, so raw
-     counters at a barrier include work stamped past it, while
-     stamp-filtered counts are pure functions of virtual time.
+   ([Netsim.schedule] — identical to what a single open-loop socket would
+   produce) and split round-robin: arrival i goes to shard i mod N. Each
+   shard's [Netsim.Fed] socket receives its whole sub-schedule, carrying
+   the global timestamps, and its feed is closed before the shard runs, so
+   every shard is one [Core.Runner.run] and the shards run to completion
+   fully in parallel — the shared-nothing scaling path.
 
    Per-shard results merge deterministically in shard order: metric
    registries via [Obs.Metrics.merge] (latency histogram buckets sum,
    gauges take maxima), HTM stats via [Stats.merge], STM stats by field
-   sums. How many worker domains drive the shards is the [SHARDS]
-   environment placement knob — results are bit-identical at any value.
+   sums. The shards run on the [BENCH_JOBS] worker pool; results are
+   bit-identical at any worker count.
 
    The optional shared session store is the contended-vs-shared-nothing
    ablation: one store + hybrid TM engine (Htm + Stm) shared by all
    shards, replayed from the completion logs after the serving runs. Each
-   epoch window in which a shard completed requests contributes one
-   hardware transaction updating the completed clients' session slots;
-   transactions across shards overlap in virtual time (all begin and
-   access before any commits), so conflicting slots produce real
+   fixed virtual-time window in which a shard completed requests
+   contributes one hardware transaction updating the completed clients'
+   session slots; transactions across shards overlap in virtual time (all
+   begin and access before any commits), so conflicting slots produce real
    requester-wins aborts, software-fallback retries and commit-clock
-   cascades — deterministic, because the replay order is (epoch window,
-   shard, conn id). *)
+   cascades — deterministic, because the replay order is (window, shard,
+   conn id). *)
 
 open Htm_sim
 
-type policy = Round_robin | Least_in_flight
-
-let policy_to_string = function
-  | Round_robin -> "round-robin"
-  | Least_in_flight -> "least-in-flight"
-
-let policy_of_string s =
-  match String.lowercase_ascii s with
-  | "round-robin" | "rr" -> Round_robin
-  | "least-in-flight" | "lif" -> Least_in_flight
-  | _ ->
-      invalid_arg
-        (Printf.sprintf
-           "unknown balancing policy %S (expected round-robin or \
-            least-in-flight)"
-           s)
-
-(* The SHARDS environment variable: how many worker domains drive the
-   shards. A placement knob like BENCH_JOBS — results are identical at any
-   value, only host wall time changes. *)
-let default_shard_jobs () =
-  match Sys.getenv_opt "SHARDS" with
-  | None | Some "" -> 1
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> min n 64
-      | _ -> invalid_arg "SHARDS must be a positive integer")
+type policy = Round_robin
 
 type config = {
   workload : Workloads.Workload.t;
@@ -76,17 +41,13 @@ type config = {
   size : Workloads.Size.t;
   arrivals : Netsim.arrivals;  (** the global schedule: Poisson or Burst *)
   requests : int;  (** total requests, split across the shards *)
-  policy : policy;
   mix : Netsim.mix;
   shared_session : bool;
-  epoch : int;  (** balancer epoch length, in virtual cycles *)
 }
 
-let config ?(policy = Round_robin) ?(mix = []) ?(shared_session = false)
-    ?(epoch = 250_000) ~workload ~machine ~scheme ~shards ~clients ~size
-    ~arrivals ~requests () =
+let config ?policy:(_ : policy option) ?(mix = []) ?(shared_session = false)
+    ~workload ~machine ~scheme ~shards ~clients ~size ~arrivals ~requests () =
   if shards < 1 then invalid_arg "Shard.config: shards < 1";
-  if epoch < 1 then invalid_arg "Shard.config: epoch < 1";
   (match arrivals with
   | Netsim.Poisson _ | Netsim.Burst _ -> ()
   | _ -> invalid_arg "Shard.config: the global schedule needs open-loop arrivals");
@@ -99,17 +60,15 @@ let config ?(policy = Round_robin) ?(mix = []) ?(shared_session = false)
     size;
     arrivals;
     requests;
-    policy;
     mix;
     shared_session;
-    epoch;
   }
 
 (* ---- the shared cross-shard session store ------------------------------- *)
 
 type session_stats = {
   mutable sn_updates : int;  (** session-slot updates attempted *)
-  mutable sn_waves : int;  (** replay waves (epoch windows with activity) *)
+  mutable sn_waves : int;  (** replay waves (windows with activity) *)
   mutable sn_htm_commits : int;
   mutable sn_htm_aborts : int;
   mutable sn_stm_commits : int;
@@ -119,11 +78,14 @@ type session_stats = {
 
 let n_session_slots = 16
 
+(* The replay's window, in virtual cycles: completions that finish in the
+   same window on one shard share a transaction. *)
+let session_window = 250_000
+
 (* Replay the shards' completion logs against one shared store mediated by
    the hybrid TM engine. [logs] holds each shard's (finish, conn_id,
-   client) completions, oldest first. Pure function of the logs and the
-   epoch length. *)
-let replay_session (machine : Machine.t) ~epoch logs =
+   client) completions, oldest first. Pure function of the logs. *)
+let replay_session (machine : Machine.t) logs =
   let store = Store.create ~dummy:0 ~line_cells:machine.Machine.line_cells 0 in
   let htm = Htm.create ~mode:Htm.Htm_mode machine store in
   let stm = Stm.create ~mk_clock:(fun c -> c) htm in
@@ -147,13 +109,13 @@ let replay_session (machine : Machine.t) ~epoch logs =
   in
   let n = Array.length logs in
   let n_ctx = max 1 (machine.Machine.n_cores * machine.Machine.smt) in
-  (* bucket completions by (epoch window, shard) *)
+  (* bucket completions by (window, shard) *)
   let windows = Hashtbl.create 64 in
   Array.iteri
     (fun s log ->
       List.iter
         (fun ((fin, _, _) as c) ->
-          let w = fin / epoch in
+          let w = fin / session_window in
           let key = (w, s) in
           Hashtbl.replace windows key
             (c :: Option.value (Hashtbl.find_opt windows key) ~default:[]))
@@ -288,7 +250,6 @@ type shard_slice = {
 
 type result = {
   r_shards : int;
-  r_policy : policy;
   r_issued : int;
   r_completed : int;
   r_dropped : int;
@@ -315,7 +276,6 @@ type shard_state = {
   io : Netsim.t;
   runner : Core.Runner.t;
   mutable assigned : int;
-  mutable finished : Core.Runner.result option;
 }
 
 let sum_stm (dst : Stm.stats) (src : Stm.stats) =
@@ -357,99 +317,34 @@ let run ?jobs (cfg : config) : result =
         let io = make_io_fed () in
         let runner = Core.Runner.create ~io rcfg ~source in
         w.Workloads.Workload.setup (Some io) runner.Core.Runner.vm;
-        { io; runner; assigned = 0; finished = None })
+        { io; runner; assigned = 0 })
   in
   let n = cfg.shards in
-  let pool = Pool.create (min (match jobs with Some j -> j | None -> default_shard_jobs ()) n) in
-  let feed_entry s (e : Netsim.sched_entry) =
-    Netsim.feed shards.(s).io ~at:e.Netsim.se_at ~client:e.Netsim.se_client
-      ~request:e.Netsim.se_request;
-    shards.(s).assigned <- shards.(s).assigned + 1
-  in
-  let finish_shard s =
-    match
-      Pool.map pool
-        (fun i ->
-          let sh = shards.(i) in
-          ( i,
-            Core.Runner.run
-              ~stop:(fun () -> Netsim.done_all sh.io)
-              sh.runner ))
-        s
-    with
-    | results -> List.iter (fun (i, r) -> shards.(i).finished <- Some r) results
-  in
-  (match cfg.policy with
-  | Round_robin ->
-      (* upfront assignment: arrival i -> shard i mod N. The whole
-         sub-schedule is known, so the shards run to completion fully in
-         parallel — no barriers at all. *)
-      Array.iteri (fun i e -> feed_entry (i mod n) e) entries;
-      Array.iter (fun sh -> Netsim.close_feed sh.io) shards;
-      finish_shard (List.init n Fun.id)
-  | Least_in_flight ->
-      (* lockstep epochs: assign the next window's arrivals against
-         stamp-based outstanding counts as of the barrier, then advance
-         every shard to the next horizon in parallel. *)
-      let n_entries = Array.length entries in
-      let idx = ref 0 in
-      let h = ref 0 in
-      let all_done = ref false in
-      while not !all_done do
-        let h_next = !h + cfg.epoch in
-        let est =
-          Array.init n (fun s ->
-              let sh = shards.(s) in
-              sh.assigned
-              - (Netsim.completed_by sh.io ~time:!h
-                + Netsim.dropped_by sh.io ~time:!h
-                + Netsim.timed_out_by sh.io ~time:!h))
-        in
-        while
-          !idx < n_entries && entries.(!idx).Netsim.se_at <= h_next
-        do
-          (* least outstanding, ties to the lowest shard id *)
-          let best = ref 0 in
-          for s = 1 to n - 1 do
-            if est.(s) < est.(!best) then best := s
-          done;
-          feed_entry !best entries.(!idx);
-          est.(!best) <- est.(!best) + 1;
-          incr idx
-        done;
-        if !idx >= n_entries then
-          Array.iter (fun sh -> Netsim.close_feed sh.io) shards;
-        let states =
-          Pool.map pool
-            (fun s ->
-              let sh = shards.(s) in
-              match sh.finished with
-              | Some _ -> (s, None, true)
-              | None -> (
-                  match
-                    Core.Runner.advance
-                      ~stop:(fun () -> Netsim.done_all sh.io)
-                      sh.runner ~until:h_next
-                  with
-                  | `Done r -> (s, Some r, true)
-                  | `Paused -> (s, None, false)))
-            (List.init n Fun.id)
-        in
-        List.iter
-          (fun (s, r, _) ->
-            match r with Some r -> shards.(s).finished <- Some r | None -> ())
-          states;
-        all_done := List.for_all (fun (_, _, d) -> d) states;
-        h := h_next
-      done);
-  Pool.shutdown pool;
-  (* ---- deterministic merge, in shard order ---- *)
-  let results =
-    Array.map
+  (* arrival i -> shard i mod N, assigned up front: every shard holds its
+     whole sub-schedule and a closed feed before it runs *)
+  Array.iteri
+    (fun i (e : Netsim.sched_entry) ->
+      let sh = shards.(i mod n) in
+      Netsim.feed sh.io ~at:e.se_at ~client:e.se_client ~request:e.se_request;
+      sh.assigned <- sh.assigned + 1)
+    entries;
+  Array.iter (fun sh -> Netsim.close_feed sh.io) shards;
+  let run_all pool =
+    Pool.map pool
       (fun sh ->
-        match sh.finished with Some r -> r | None -> assert false)
-      shards
+        Core.Runner.run ~stop:(fun () -> Netsim.done_all sh.io) sh.runner)
+      (Array.to_list shards)
   in
+  let results =
+    Array.of_list
+      (match jobs with
+      | None -> run_all (Pool.global ())
+      | Some j ->
+          let pool = Pool.create (min j n) in
+          Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+              run_all pool))
+  in
+  (* ---- deterministic merge, in shard order ---- *)
   let metrics = Obs.Metrics.create () in
   Array.iter
     (fun (r : Core.Runner.result) ->
@@ -508,7 +403,7 @@ let run ?jobs (cfg : config) : result =
   let session =
     if cfg.shared_session then
       Some
-        (replay_session cfg.machine ~epoch:cfg.epoch
+        (replay_session cfg.machine
            (Array.map (fun sh -> Netsim.completion_log sh.io) shards))
     else None
   in
@@ -521,7 +416,6 @@ let run ?jobs (cfg : config) : result =
   Array.iter (fun sh -> Rvm.Vm.release sh.runner.Core.Runner.vm) shards;
   {
     r_shards = n;
-    r_policy = cfg.policy;
     r_issued = total Netsim.issued;
     r_completed = completed;
     r_dropped = dropped;

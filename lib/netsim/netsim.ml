@@ -88,13 +88,9 @@ type t = {
       (** class-draw randomness, derived from the arrival seed but its own
           stream: enabling a mix never perturbs the arrival schedule, so
           mixed and unmixed runs compare under identical offered load *)
-  (* fed-arrivals state: the balancer's assigned sub-schedule *)
+  (* fed-arrivals state: the shard's assigned sub-schedule *)
   feed_q : (int * int * string) Queue.t;  (** (at, client, request) *)
   mutable feed_closed : bool;  (** no further [feed] calls will come *)
-  (* virtual-time stamps, so shard balancers can observe state "as of
-     cycle T" independently of how far any runner has overshot T *)
-  mutable drop_stamps : int list;  (** arrival cycle of each refused request *)
-  mutable timeout_stamps : int list;  (** [arrived + queue_timeout] of each expiry *)
   mutable completion_log : (int * int * int) list;
       (** (finish cycle, conn id, client) — conn ids give equal-stamp
           completions a deterministic total order *)
@@ -168,8 +164,6 @@ let create ?(think_cycles = 2_000) ?(request_limit = max_int)
       mix_prng = Htm_sim.Prng.create (seed lxor 0x6D6978 (* "mix" *));
       feed_q = Queue.create ();
       feed_closed = false;
-      drop_stamps = [];
-      timeout_stamps = [];
       completion_log = [];
     }
   in
@@ -268,11 +262,7 @@ let purge_expired t ~now =
         ignore (Queue.pop t.pending);
         c.closed <- true;
         Hashtbl.remove t.conns c.conn_id;
-        t.timed_out <- t.timed_out + 1;
-        (* the logical expiry instant, not the purge call's [now]: accept
-           always purges first, so whether a request times out is a pure
-           function of virtual time and the stamp must be too *)
-        t.timeout_stamps <- (c.arrived + t.queue_timeout) :: t.timeout_stamps
+        t.timed_out <- t.timed_out + 1
       end
       else continue_ := false
     done
@@ -320,12 +310,10 @@ let advance t ~now =
         (* the class draw happens for every issued arrival — dropped or not
            — so the class stream stays aligned with the gap stream *)
         let cls = if t.mix_total > 0 then draw_class t else -1 in
-        if Queue.length t.pending >= t.queue_cap then begin
+        if Queue.length t.pending >= t.queue_cap then
           (* bounded accept queue: the listener's backlog is full, the
              kernel refuses the connection *)
-          t.dropped <- t.dropped + 1;
-          t.drop_stamps <- at :: t.drop_stamps
-        end
+          t.dropped <- t.dropped + 1
         else begin
           let client = open_client t in
           let conn =
@@ -357,10 +345,8 @@ let advance t ~now =
         | Some (at, client, request) when at <= now ->
             ignore (Queue.pop t.feed_q);
             t.issued <- t.issued + 1;
-            if Queue.length t.pending >= t.queue_cap then begin
-              t.dropped <- t.dropped + 1;
-              t.drop_stamps <- at :: t.drop_stamps
-            end
+            if Queue.length t.pending >= t.queue_cap then
+              t.dropped <- t.dropped + 1
             else begin
               let conn =
                 {
@@ -431,8 +417,8 @@ let completed t = t.completed
 (* Every issued request is eventually completed, dropped or timed out; in
    the closed loop only completions happen, so this reduces to the old
    [completed >= request_limit]. Fed sockets have no request limit of
-   their own: they are done when the balancer has closed the feed and
-   everything assigned has been resolved. *)
+   their own: they are done when the feed is closed and everything
+   assigned has been resolved. *)
 let done_all t =
   match t.arrivals with
   | Closed | Poisson _ | Burst _ ->
@@ -456,7 +442,7 @@ let offered_load t =
   | Closed | Fed -> 0.0
   | Poisson { rate; _ } | Burst { rate; _ } -> rate
 
-(* --- the fed-arrivals interface used by the shard load balancer --- *)
+(* --- the fed-arrivals interface used by the shard tier --- *)
 
 let feed t ~at ~client ~request =
   (match t.arrivals with
@@ -466,31 +452,6 @@ let feed t ~at ~client ~request =
   Queue.add (at, client, request) t.feed_q
 
 let close_feed t = t.feed_closed <- true
-
-(* True while the balancer may still push arrivals: an idle runner must
-   pause rather than declare deadlock. *)
-let feed_may_grow t = t.arrivals = Fed && not t.feed_closed
-
-(* --- virtual-time-stamped observations ---
-
-   A shard runner paused at horizon H may have overshot H by the cost of
-   one run-ahead slice, and by *different amounts* under different
-   schedulers. Raw counters at a barrier are therefore placement- and
-   scheduler-dependent; counts filtered by stamp <= H are pure
-   functions of virtual time and safe for balancer decisions. *)
-
-let completed_by t ~time =
-  List.fold_left
-    (fun acc (fin, _, _) -> if fin <= time then acc + 1 else acc)
-    0 t.completion_log
-
-let dropped_by t ~time =
-  List.fold_left (fun acc at -> if at <= time then acc + 1 else acc) 0
-    t.drop_stamps
-
-let timed_out_by t ~time =
-  List.fold_left (fun acc at -> if at <= time then acc + 1 else acc) 0
-    t.timeout_stamps
 
 (* (finish cycle, conn id, client), oldest first. *)
 let completion_log t = List.rev t.completion_log

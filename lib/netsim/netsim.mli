@@ -12,10 +12,15 @@
     across schedulers and worker counts. Keep-alive client slots churn to
     fresh identities every [keepalive] requests; the accept queue holds at
     most [queue_cap] connections (arrivals beyond it count as dropped) and
-    queued requests expire after [queue_timeout] cycles un-accepted. Open-loop measurement avoids the closed loop's
-    coordinated omission: arrivals keep coming while the server struggles,
-    so queueing delay shows up in the latency tail instead of silently
-    throttling the load. *)
+    queued requests expire after [queue_timeout] cycles un-accepted.
+    Open-loop measurement avoids the closed loop's coordinated omission:
+    arrivals keep coming while the server struggles, so queueing delay
+    shows up in the latency tail instead of silently throttling the load.
+
+    Fed arrivals: the shard tier splits one global open-loop
+    {!schedule} round-robin across per-shard sockets, pushes each shard's
+    whole slice with {!feed} and calls {!close_feed} before the shard
+    runs. *)
 
 type arrivals =
   | Closed  (** the think-time closed loop *)
@@ -25,9 +30,8 @@ type arrivals =
       (** groups of [size] simultaneous arrivals, fronts exponentially
           spaced so the long-run offered load is still [rate] *)
   | Fed
-      (** arrivals pushed by a load balancer via {!feed}: the shard tier
-          splits one globally-generated schedule across N per-shard
-          sockets *)
+      (** arrivals pushed via {!feed}: the shard tier splits one
+          globally-generated schedule across N per-shard sockets *)
 
 type mix = (string * int * (int -> string)) list
 (** Weighted request classes [(name, weight, per-client builder)]. With a
@@ -139,41 +143,16 @@ val achieved_load : t -> float
 val mean_latency : t -> float
 (** Mean completion latency in cycles; 0 with no completions. *)
 
-(** {2 Fed arrivals — the shard load balancer's interface} *)
+(** {2 Fed arrivals — the shard tier's interface} *)
 
 val feed : t -> at:int -> client:int -> request:string -> unit
-(** Push one assigned arrival onto a [Fed] socket's backlog. The balancer
-    replays a time-sorted schedule, so calls must come in non-decreasing
-    [at] order. @raise Invalid_argument on a non-[Fed] socket or after
-    {!close_feed}. *)
+(** Push one assigned arrival onto a [Fed] socket's backlog. The shard
+    tier replays a time-sorted schedule, so calls must come in
+    non-decreasing [at] order. @raise Invalid_argument on a non-[Fed]
+    socket or after {!close_feed}. *)
 
 val close_feed : t -> unit
-(** No further {!feed} calls will come: lets {!done_all} turn true and
-    stops the runner pausing for more arrivals. *)
-
-val feed_may_grow : t -> bool
-(** True while the balancer may still push arrivals — an idle runner must
-    pause rather than declare deadlock. *)
-
-(** {2 Virtual-time-stamped observations}
-
-    A shard runner paused at horizon [H] may have overshot [H] by the cost
-    of one run-ahead slice, and by different amounts under different
-    schedulers. Raw counters compared at a barrier are therefore
-    placement- and scheduler-dependent; these stamp-filtered counts
-    are pure functions of virtual time and safe for balancer decisions
-    and merged digests. *)
-
-val completed_by : t -> time:int -> int
-(** Completions whose finish cycle is [<= time]. *)
-
-val dropped_by : t -> time:int -> int
-(** Queue-bound refusals whose arrival cycle is [<= time]. *)
-
-val timed_out_by : t -> time:int -> int
-(** Expiries whose logical expiry instant [arrived + queue_timeout] is
-    [<= time] (accept purges before popping, so expiry is a pure function
-    of virtual time). *)
+(** No further {!feed} calls will come: lets {!done_all} turn true. *)
 
 val completion_log : t -> (int * int * int) list
 (** [(finish cycle, conn id, client)] per completion, oldest first; conn

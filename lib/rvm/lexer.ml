@@ -66,6 +66,20 @@ let tokenize src =
   let last_tok () = match !toks with [] -> NEWLINE | t :: _ -> t.tok in
   let i = ref 0 in
   let peek k = if !i + k < n then src.[!i + k] else '\000' in
+  (* A sigil variable ([@@cvar], [@ivar], [$gvar]): skip the [len]-char
+     sigil, read the name, which must not be empty, and emit [mk name]. *)
+  let sigil_var len mk =
+    i := !i + len;
+    let start = !i in
+    while !i < n && is_ident_char src.[!i] do
+      incr i
+    done;
+    if !i = start then begin
+      let sigil = String.sub src (start - len) len in
+      raise (Error (sigil ^ " with no variable name", !line))
+    end;
+    emit (mk (String.sub src start (!i - start)))
+  in
   while !i < n do
     let c = src.[!i] in
     if c = ' ' || c = '\t' || c = '\r' then begin
@@ -184,30 +198,9 @@ let tokenize src =
       done;
       emit (SYMBOL (String.sub src start (!i - start)))
     end
-    else if c = '@' && peek 1 = '@' then begin
-      i := !i + 2;
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do
-        incr i
-      done;
-      emit (CVAR (String.sub src start (!i - start)))
-    end
-    else if c = '@' then begin
-      incr i;
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do
-        incr i
-      done;
-      emit (IVAR (String.sub src start (!i - start)))
-    end
-    else if c = '$' then begin
-      incr i;
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do
-        incr i
-      done;
-      emit (GVAR (String.sub src start (!i - start)))
-    end
+    else if c = '@' && peek 1 = '@' then sigil_var 2 (fun s -> CVAR s)
+    else if c = '@' then sigil_var 1 (fun s -> IVAR s)
+    else if c = '$' then sigil_var 1 (fun s -> GVAR s)
     else if is_lower c || is_upper c then begin
       let start = !i in
       while !i < n && is_ident_char src.[!i] do

@@ -13,8 +13,8 @@ type t = {
 }
 
 (* Make this session's interning and uid state the domain's active one.
-   The runner calls this on every entry, so N shard sessions can interleave
-   on one domain (or resume on different domains) without sharing state. *)
+   The runner calls this when a run starts, so N shard sessions can be
+   booted on one domain and run on others without sharing state. *)
 let activate t =
   Sym.activate t.syms;
   Value.activate_uid_state t.uids

@@ -12,9 +12,9 @@ type t = {
 
 val activate : t -> unit
 (** Make this session's interning context and uid counter the domain's
-    active ones. The runner calls it on every entry ([run]/[advance]), so
-    several sessions — e.g. N VM shards — can interleave on one domain or
-    migrate across domains without sharing state. *)
+    active ones. The runner calls it when a run starts, so several
+    sessions — e.g. N VM shards — can be booted on one domain and run on
+    others without sharing state. *)
 
 val create :
   ?opts:Options.t ->

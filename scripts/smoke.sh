@@ -4,9 +4,10 @@
 # Each leg writes the results file and prints its five simulated-data
 # digests (figures, hybrid, load, shard, clock); the second leg's must equal
 # the baseline's. Host seconds and peak RSS sit outside those members.
-#   baseline          SHARDS=1 BENCH_JOBS=1
-#   placement         SHARDS=4 BENCH_JOBS=4: worker and shard-domain counts
-#                     are host knobs and must never leak into the data
+#   baseline          BENCH_JOBS=1
+#   placement         BENCH_JOBS=4: the worker count (figure points and
+#                     shards alike) is a host knob and must never leak into
+#                     the data
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,9 +23,9 @@ digests() {
     dune exec bin/main.exe -- digests BENCH_results.json
 }
 
-base=$(digests SHARDS=1 BENCH_JOBS=1)
+base=$(digests BENCH_JOBS=1)
 echo "smoke: baseline  $base"
-got=$(digests SHARDS=4 BENCH_JOBS=4)
+got=$(digests BENCH_JOBS=4)
 echo "smoke: placement $got"
 if [ "$got" != "$base" ]; then
   echo "smoke: FAIL: placement digests differ from the baseline's" >&2

@@ -35,7 +35,9 @@ check 1 "" run -w webrick --arrivals poisson --offered-load 0
 check 1 "" run -w webrick --arrivals burst --offered-load=-1
 check 1 "" run -w webrick --arrivals burst:0
 check 1 "" run -w webrick --arrivals burst:-3
-check 1 "" run -w webrick --arrivals poisson --shards 2 --policy bogus
+check 1 "-t 0: must be at least 1" run -w cg -t 0 --size test
+check 1 "-t 0: must be at least 1" run -w webrick -t 0
+check 1 "--shards -2: must be at least 0" run -w webrick --arrivals poisson --shards=-2
 check 1 "" exec "$0" -m nosuch
 check 1 "" exec "$0" -s nosuch
 check 1 "" fig fig4 --size xx
@@ -46,6 +48,13 @@ printf 'puts 1\nfoo_undefined(2)\n' >"$tmp/guest.rb"
 printf 'm = Mutex.new\nm.lock\nt = Thread.new { m.lock }\nt.join\n' \
   >"$tmp/stuck.rb"
 check 2 "$tmp/parse.rb:2: unexpected token" exec "$tmp/parse.rb"
+# a bare sigil names no variable
+printf 'x = @@\nputs x.inspect\n' >"$tmp/cvar.rb"
+printf 'x = @\nputs x.inspect\n' >"$tmp/ivar.rb"
+printf 'x = $\nputs x.inspect\n' >"$tmp/gvar.rb"
+check 2 "$tmp/cvar.rb:1: @@ with no variable name" exec "$tmp/cvar.rb"
+check 2 "$tmp/ivar.rb:1: @ with no variable name" exec "$tmp/ivar.rb"
+check 2 "$tmp/gvar.rb:1: \$ with no variable name" exec "$tmp/gvar.rb"
 check 3 "undefined method 'foo_undefined'" exec "$tmp/guest.rb"
 check 4 "deadlock" exec "$tmp/stuck.rb"
 

@@ -160,14 +160,13 @@ let test_keepalive_churn () =
   in
   Alcotest.(check int) "fresh identities appear" 20 distinct
 
-(* ---- Fed arrivals: the shard balancer's interface ---- *)
+(* ---- Fed arrivals: the shard tier's interface ---- *)
 
 let test_fed_socket () =
   let t =
     Netsim.create ~arrivals:Netsim.Fed ~n_clients:1 (fun _ ->
         "GET / HTTP/1.1\r\n\r\n")
   in
-  Alcotest.(check bool) "feed may grow" true (Netsim.feed_may_grow t);
   Netsim.feed t ~at:100 ~client:0 ~request:"GET /a HTTP/1.1\r\n\r\n";
   Netsim.feed t ~at:300 ~client:1 ~request:"GET /b HTTP/1.1\r\n\r\n";
   Alcotest.(check bool) "not done while the feed is open" false
@@ -181,8 +180,6 @@ let test_fed_socket () =
       Netsim.close t c.Netsim.conn_id ~now:250
   | None -> Alcotest.fail "fed arrival not materialised");
   Netsim.close_feed t;
-  Alcotest.(check bool) "no growth after close_feed" false
-    (Netsim.feed_may_grow t);
   Alcotest.check_raises "feed after close rejected"
     (Invalid_argument "Netsim.feed: feed already closed") (fun () ->
       Netsim.feed t ~at:400 ~client:0 ~request:"x");
@@ -230,8 +227,7 @@ let test_schedule_matches_socket () =
         (Netsim.schedule ~arrivals:Netsim.Closed ~n_clients:1 ~requests:1
            (fun _ -> "x")))
 
-(* Virtual-time-stamped observations: pure functions of the stamp, however
-   far a runner overshot when it recorded them. *)
+(* Fed-socket accounting and the completion log's virtual-time stamps. *)
 let test_stamp_accessors () =
   let t =
     Netsim.create ~arrivals:Netsim.Fed ~queue_cap:1 ~queue_timeout:500
@@ -240,16 +236,15 @@ let test_stamp_accessors () =
   in
   Netsim.feed t ~at:100 ~client:0 ~request:"a";
   Netsim.feed t ~at:110 ~client:1 ~request:"b";
-  (* cap 1: the second arrival drops at its arrival instant *)
+  (* cap 1: the second arrival drops *)
   ignore (Netsim.advance t ~now:150);
-  Alcotest.(check int) "drop stamped at arrival" 1
-    (Netsim.dropped_by t ~time:110);
-  Alcotest.(check int) "no drops before it" 0 (Netsim.dropped_by t ~time:109);
+  Alcotest.(check int) "dropped at the full queue" 1 (Netsim.dropped t);
   (* the queued arrival expires 500 cycles after it arrived *)
+  ignore (Netsim.advance t ~now:599);
+  Alcotest.(check int) "not expired before its deadline" 0
+    (Netsim.timed_out t);
   ignore (Netsim.advance t ~now:2_000);
-  Alcotest.(check int) "timeout stamped at logical expiry" 1
-    (Netsim.timed_out_by t ~time:600);
-  Alcotest.(check int) "no expiry before it" 0 (Netsim.timed_out_by t ~time:599);
+  Alcotest.(check int) "expired past its deadline" 1 (Netsim.timed_out t);
   (* completions: stamp, total order, last_completion *)
   Netsim.feed t ~at:2_100 ~client:2 ~request:"c";
   Netsim.close_feed t;
@@ -257,8 +252,6 @@ let test_stamp_accessors () =
   (match Netsim.accept t ~now:2_200 with
   | Some c -> Netsim.close t c.Netsim.conn_id ~now:2_300
   | None -> Alcotest.fail "third arrival not materialised");
-  Alcotest.(check int) "completion stamped" 1 (Netsim.completed_by t ~time:2_300);
-  Alcotest.(check int) "not before" 0 (Netsim.completed_by t ~time:2_299);
   Alcotest.(check int) "last completion" 2_300 (Netsim.last_completion t);
   (match Netsim.completion_log t with
   | [ (fin, _, client) ] ->

@@ -164,10 +164,9 @@ let test_diff_compute () =
         (fun (w : Workloads.Workload.t) -> w.name = "cg" || w.name = "is")
         Workloads.Workload.npb)
 
-(* A server run, closed loop unless [arrivals] says otherwise; [horizon]
-   steps it through [Runner.advance] instead of one [Runner.run]. *)
+(* A server run, closed loop unless [arrivals] says otherwise. *)
 let run_server ?(machine = Htm_sim.Machine.zec12) ?opts ?clock ?subscription
-    ?(arrivals = Netsim.Closed) ?horizon ~scheme name ~clients sched () =
+    ?(arrivals = Netsim.Closed) ~scheme name ~clients sched () =
   let w = workload name in
   let requests = w.server_requests size in
   let io =
@@ -180,22 +179,12 @@ let run_server ?(machine = Htm_sim.Machine.zec12) ?opts ?clock ?subscription
   in
   let t = Core.Runner.create ~io cfg ~source:(w.source ~threads:clients ~size) in
   w.setup (Some io) t.vm;
-  let stop () = Netsim.done_all io in
-  match horizon with
-  | None -> Core.Runner.run ~stop t
-  | Some step ->
-      let rec go h =
-        match Core.Runner.advance ~stop t ~until:h with
-        | `Done r -> r
-        | `Paused -> go (h + step)
-      in
-      go step
+  Core.Runner.run ~stop:(fun () -> Netsim.done_all io) t
 
-(* The [Shard.run] runner path: a balancer-fed socket that receives each
-   epoch's arrivals before the runner advances through it, and is closed
-   once the schedule is exhausted. *)
+(* The [Shard.run] runner path: a fed socket that holds the whole schedule
+   and a closed feed before the run starts. *)
 let run_fed sched () =
-  let w = Workloads.Workload.webrick and clients = 4 and epoch = 20_000 in
+  let w = Workloads.Workload.webrick and clients = 4 in
   let entries, _ =
     Option.get w.make_schedule ~clients ~requests:(w.server_requests size)
       ~arrivals:(Netsim.Poisson { rate = 400_000.0; seed = 0x10AD })
@@ -208,27 +197,17 @@ let run_fed sched () =
   in
   let t = Core.Runner.create ~io cfg ~source:(w.source ~threads:clients ~size) in
   w.setup (Some io) t.vm;
-  let stop () = Netsim.done_all io in
-  let next = ref 0 in
-  let rec go h =
-    while
-      !next < Array.length entries && entries.(!next).Netsim.se_at <= h
-    do
-      let e = entries.(!next) in
-      Netsim.feed io ~at:e.se_at ~client:e.se_client ~request:e.se_request;
-      incr next
-    done;
-    if !next = Array.length entries then Netsim.close_feed io;
-    match Core.Runner.advance ~stop t ~until:h with
-    | `Done r -> r
-    | `Paused -> go (h + epoch)
-  in
-  go epoch
+  Array.iter
+    (fun (e : Netsim.sched_entry) ->
+      Netsim.feed io ~at:e.se_at ~client:e.se_client ~request:e.se_request)
+    entries;
+  Netsim.close_feed io;
+  Core.Runner.run ~stop:(fun () -> Netsim.done_all io) t
 
 (* One cell per runner path the reference scheduler must agree on: every
    scheme, machine, clock and subscription variant, the netsim delivery
-   modes (closed loop, open loop, horizon-stepped, balancer-fed), and a
-   run that ends in a guest failure. *)
+   modes (closed loop, open loop, fed), and a run that ends in a guest
+   failure. *)
 let test_diff_cells () =
   let hybrid = Harness.Figures.hybrid_machine
   and gc_heavy = { Rvm.Options.default with Rvm.Options.heap_slots = 6_000 }
@@ -269,9 +248,6 @@ let test_diff_cells () =
       ( "webrick/gil/6c/poisson-9k",
         run_server ~arrivals:(poisson 9000.0) ~scheme:Gil_only "webrick"
           ~clients:6 );
-      ( "webrick/htm-dynamic/6c/poisson-4k/advance",
-        run_server ~arrivals:(poisson 4000.0) ~horizon:50_000
-          ~scheme:Htm_dynamic "webrick" ~clients:6 );
       ( "rails/xeon_e3/htm-dynamic/4c",
         run_server ~machine:Htm_sim.Machine.xeon_e3 ~scheme:Htm_dynamic
           "rails" ~clients:4 );
