@@ -91,8 +91,8 @@ let subscription_arg =
      cell: eager (right after tbegin, the paper's protocol), lazy (defer \
      to the commit point — the published HyTM optimisation whose \
      unsafety the simulator reproduces: expect corrupted runs under GC \
-     pressure), or lazy-safe (lazy plus abort-all-hardware at GC start; \
-     needs a machine with the lazy_sub_safe capability). Defaults to \
+     pressure), or lazy-safe (lazy plus abort-all-hardware at GC start, \
+     the Dice et al. hardware fix; runs on any machine). Defaults to \
      eager."
   in
   Arg.(
@@ -111,17 +111,20 @@ let arrivals_arg =
 
 let offered_load_arg =
   let doc =
-    "Open-loop offered load in requests per second of virtual time (used \
-     with --arrivals poisson or burst:N)."
+    "Open-loop offered load in requests per second of virtual time (needs \
+     --arrivals poisson or burst:N). Defaults to 4000."
   in
-  Arg.(value & opt float 4_000.0 & info [ "offered-load" ] ~docv:"RPS" ~doc)
+  Arg.(
+    value & opt (some float) None & info [ "offered-load" ] ~docv:"RPS" ~doc)
 
 (* ---- shard-tier flags (server workloads, open-loop arrivals) ---- *)
 
 let shards_arg =
   let doc =
     "Serve the open-loop stream with $(docv) complete VM shards, arrival i \
-     going to shard i mod $(docv) (0 = the single-VM path). BENCH_JOBS sets \
+     going to shard i mod $(docv) (0 = the single-VM path). Every shard \
+     honours every simulation flag; --trace, --trace-out, --metrics-json, \
+     --latency-json and --abort-report are refused with it. BENCH_JOBS sets \
      how many worker domains run them; results are bit-identical at any \
      value."
   in
@@ -131,21 +134,23 @@ let session_arg =
   let doc =
     "Also replay the shards' completions against one shared cross-shard \
      session store mediated by the hybrid TM engine (the \
-     contended-vs-shared-nothing ablation)."
+     contended-vs-shared-nothing ablation). Needs --shards."
   in
   Arg.(value & flag & info [ "shared-session" ] ~doc)
 
 let mix_arg =
   let doc =
     "Draw each open-loop request from the workload's weighted class mix \
-     (static/ORM/regex) instead of the single default request."
+     (static/ORM/regex) instead of the single default request (server \
+     workloads, open-loop arrivals)."
   in
   Arg.(value & flag & info [ "mix" ] ~doc)
 
 let latency_json_arg =
   let doc =
     "Write the run's request-latency summary (offered vs achieved load, \
-     drop/timeout accounting, p50/p95/p99 latency) to $(docv) as JSON."
+     drop/timeout accounting, p50/p95/p99 latency) to $(docv) as JSON \
+     (server workloads, without --shards)."
   in
   Arg.(value & opt (some string) None & info [ "latency-json" ] ~docv:"FILE" ~doc)
 
@@ -265,7 +270,8 @@ let emit_observability ~trace ~trace_out ~metrics_json ~abort_report
 (* Guest input that fails ends the command with a message naming [origin]
    (the source file, or the workload) and an exit code per cause. *)
 let exits =
-  Cmd.Exit.info 1 ~doc:"on a bad flag value."
+  Cmd.Exit.info 1
+    ~doc:"on a bad flag value, or a combination of flags that cannot apply."
   :: Cmd.Exit.info 2 ~doc:"when the guest source does not lex, parse or compile."
   :: Cmd.Exit.info 3 ~doc:"on a guest error, such as an undefined method."
   :: Cmd.Exit.info 4
@@ -401,73 +407,87 @@ let run_cmd =
   let run workload machine scheme threads size yield_points no_removal lazy_sweep refcount quiet
       clock subscription arrivals offered_load shards shared_session mix
       latency_json trace trace_out metrics_json abort_report =
-    match Workloads.Workload.find workload with
-    | None ->
-        Format.eprintf "unknown workload %s@." workload;
-        exit 1
-    | Some w ->
-        let machine, scheme, yield_points, opts =
-          parse_common machine scheme yield_points no_removal lazy_sweep refcount
-        in
-        let size = parse Workloads.Size.of_string size in
-        let threads = parse (at_least "-t" 1) threads in
-        let shards = parse (at_least "--shards" 0) shards in
-        let clock = Option.map (parse Tm_clock.scheme_of_string) clock in
-        let subscription =
-          Option.map (parse Htm_sim.Subscription.of_string) subscription
-        in
-        let arrivals = parse (parse_arrivals offered_load) arrivals in
-        (match (arrivals, w.Workloads.Workload.kind) with
-        | Netsim.Closed, _ | _, Workloads.Workload.Server -> ()
-        | _ ->
-            Format.eprintf "--arrivals only applies to server workloads@.";
-            exit 1);
-        guarded workload @@ fun () ->
-        let mix = if mix then w.Workloads.Workload.mix else [] in
-        (match (mix, arrivals) with
-        | _ :: _, Netsim.Closed ->
-            Format.eprintf
-              "--mix needs open-loop arrivals (--arrivals poisson/burst:N)@.";
-            exit 1
-        | _ :: _, _ when w.Workloads.Workload.mix = [] ->
-            Format.eprintf "workload %s has no request mix@." workload;
-            exit 1
-        | _ -> ());
-        if shards > 0 then begin
-          (match arrivals with
-          | Netsim.Poisson _ | Netsim.Burst _ -> ()
-          | _ ->
-              Format.eprintf
-                "--shards needs open-loop arrivals (--arrivals poisson or \
-                 burst:N)@.";
-              exit 1);
-          let r =
-            Harness.Shard.run
-              (Harness.Shard.config ~mix ~shared_session ~workload:w
-                 ~machine ~scheme ~shards ~clients:threads ~size ~arrivals
-                 ~requests:(w.Workloads.Workload.server_requests size)
-                 ())
-          in
-          print_shard_result r
-        end
-        else begin
-          let tracer = make_tracer ~trace ~trace_out in
-          let o =
-            Harness.Exp.run ?tracer
-              (Harness.Exp.point ?clock ?subscription ~yield_points ~opts
-                 ~arrivals ~mix ~workload:w ~machine ~scheme ~threads ~size ())
-          in
-          print_outcome ~quiet o;
-          (match (latency_json, o.Harness.Exp.load) with
-          | Some path, Some l ->
-              write_json_or_die path (Harness.Exp.load_json l);
-              Format.eprintf "latency -> %s@." path
-          | Some _, None ->
-              Format.eprintf "--latency-json only applies to server workloads@."
-          | None, _ -> ());
-          emit_observability ~trace ~trace_out ~metrics_json ~abort_report
-            o.Harness.Exp.result
-        end
+    let w =
+      match Workloads.Workload.find workload with
+      | Some w -> w
+      | None ->
+          Format.eprintf "unknown workload %s@." workload;
+          exit 1
+    in
+    let machine, scheme, yield_points, opts =
+      parse_common machine scheme yield_points no_removal lazy_sweep refcount
+    in
+    let size = parse Workloads.Size.of_string size in
+    let threads = parse (at_least "-t" 1) threads in
+    let shards = parse (at_least "--shards" 0) shards in
+    let clock = Option.map (parse Tm_clock.scheme_of_string) clock in
+    let subscription =
+      Option.map (parse Htm_sim.Subscription.of_string) subscription
+    in
+    let arrivals =
+      parse
+        (parse_arrivals (Option.value offered_load ~default:4_000.0))
+        arrivals
+    in
+    let server = w.Workloads.Workload.kind = Workloads.Workload.Server in
+    let open_loop =
+      match arrivals with Netsim.Poisson _ | Netsim.Burst _ -> true | _ -> false
+    in
+    let sharded = shards > 0 in
+    (* every combination that cannot apply is refused, never dropped *)
+    List.iter
+      (fun (refused, msg) ->
+        if refused then begin
+          Format.eprintf "%s@." msg;
+          exit 1
+        end)
+      [
+        (open_loop && not server, "--arrivals only applies to server workloads");
+        ( offered_load <> None && not open_loop,
+          "--offered-load needs open-loop arrivals (--arrivals poisson or \
+           burst:N)" );
+        ( mix && w.Workloads.Workload.mix = [],
+          "--mix: workload " ^ workload ^ " has no request mix" );
+        ( mix && not open_loop,
+          "--mix needs open-loop arrivals (--arrivals poisson/burst:N)" );
+        ( latency_json <> None && not server,
+          "--latency-json only applies to server workloads" );
+        ( sharded && not open_loop,
+          "--shards needs open-loop arrivals (--arrivals poisson or burst:N)" );
+        (shared_session && not sharded, "--shared-session needs --shards");
+        (sharded && trace, "--trace does not apply with --shards");
+        (sharded && trace_out <> None, "--trace-out does not apply with --shards");
+        ( sharded && metrics_json <> None,
+          "--metrics-json does not apply with --shards" );
+        ( sharded && latency_json <> None,
+          "--latency-json does not apply with --shards" );
+        (sharded && abort_report, "--abort-report does not apply with --shards");
+      ];
+    let p =
+      Harness.Exp.point ?clock ?subscription
+        ?tracer:(make_tracer ~trace ~trace_out)
+        ~yield_points ~opts ~arrivals
+        ~mix:(if mix then w.Workloads.Workload.mix else [])
+        ~workload:w ~machine ~scheme ~threads ~size ()
+    in
+    guarded workload @@ fun () ->
+    if sharded then
+      print_shard_result
+        (Harness.Shard.run
+           (Harness.Shard.of_point ~shared_session ~shards
+              ~requests:(w.Workloads.Workload.server_requests size)
+              p))
+    else begin
+      let o = Harness.Exp.run p in
+      print_outcome ~quiet o;
+      (match (latency_json, o.Harness.Exp.load) with
+      | Some path, Some l ->
+          write_json_or_die path (Harness.Exp.load_json l);
+          Format.eprintf "latency -> %s@." path
+      | _ -> ());
+      emit_observability ~trace ~trace_out ~metrics_json ~abort_report
+        o.Harness.Exp.result
+    end
   in
   Cmd.v (Cmd.info "run" ~exits ~doc:"Run one workload under one scheme")
     Term.(

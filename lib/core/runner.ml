@@ -43,7 +43,6 @@ type config = {
   scheme : Scheme.kind;
   yield_points : Yield_points.set;
   opts : Rvm.Options.t;
-  txlen_params : Txlen.params option;  (** default: per-machine *)
   max_insns : int;  (** safety stop *)
   tracer : Obs.Trace.t option;
       (** event-trace sink shared by the runner, the GIL and the heap; None
@@ -59,10 +58,10 @@ type config = {
 }
 
 let config ?(scheme = Scheme.Htm_dynamic) ?(yield_points = Yield_points.Extended)
-    ?(opts = Rvm.Options.default) ?txlen_params ?(max_insns = 400_000_000)
+    ?(opts = Rvm.Options.default) ?(max_insns = 400_000_000)
     ?tracer ?(sched = Sched_heap) ?(clock = Tm_clock.Gv1)
     ?(subscription = Subscription.Eager) machine =
-  { machine; scheme; yield_points; opts; txlen_params; max_insns; tracer;
+  { machine; scheme; yield_points; opts; max_insns; tracer;
     sched; clock; subscription }
 
 type breakdown = {
@@ -249,25 +248,9 @@ let create_state ?(io : Netsim.t option) cfg ~source =
     | Scheme.Htm_fixed n -> Txlen.Constant n
     | _ -> Txlen.Dynamic
   in
-  let params =
-    match cfg.txlen_params with
-    | Some p -> p
-    | None -> Txlen.params_for cfg.machine
-  in
   let gil = Gil.create vm in
   gil.Gil.tracer <- cfg.tracer;
   vm.Rvm.Vm.heap.Rvm.Heap.tracer <- cfg.tracer;
-  (* Lazy_safe models Dice et al.'s hardware fix — it only exists on
-     machines whose descriptor advertises the capability. *)
-  if
-    cfg.subscription = Subscription.Lazy_safe
-    && not cfg.machine.Machine.lazy_sub_safe
-  then
-    invalid_arg
-      (Printf.sprintf
-         "Runner.create: machine %s does not support safe lazy subscription \
-          (Machine.lazy_sub_safe is false)"
-         cfg.machine.Machine.name);
   Htm.set_subscription vm.Rvm.Vm.htm cfg.subscription;
   (* the software fallback engine: created (and its commit-clock cell
      reserved) only for the schemes that can use it, so every other
@@ -291,7 +274,7 @@ let create_state ?(io : Netsim.t option) cfg ~source =
     gil;
     stm;
     stm_budget = Stm.Budget.create ();
-    txlen = Txlen.create ~params txlen_mode;
+    txlen = Txlen.create ~params:(Txlen.params_for cfg.machine) txlen_mode;
     session;
     io;
     sched = Sched.create ~dummy:main;

@@ -23,7 +23,6 @@ val config :
   ?scheme:Scheme.kind ->
   ?yield_points:Yield_points.set ->
   ?opts:Rvm.Options.t ->
-  ?txlen_params:Txlen.params ->
   ?max_insns:int ->
   ?tracer:Obs.Trace.t ->
   ?sched:sched_kind ->
@@ -32,17 +31,18 @@ val config :
   Htm_sim.Machine.t ->
   config
 (** A run's inputs. [scheme] defaults to [Htm_dynamic], [yield_points] to
-    [Extended], [txlen_params] to the machine's, [max_insns] (the safety
-    stop) to 400M and [sched] to [Sched_heap]. [tracer] is the event-trace
-    sink shared by the runner, the GIL and the heap; without one every
-    instrumentation site stays at one branch. [clock] is the global
-    commit-clock scheme the STM publishes under ([Tm_clock.Gv1]; irrelevant
-    for schemes without a software fallback). [subscription] is how
-    hardware windows subscribe to the GIL word and the commit-clock cell
-    ([Subscription.Eager]): [Lazy] defers both reads to the window's commit
-    point, reproducing the unsafety Alistarh et al. describe; [Lazy_safe]
-    additionally aborts all hardware windows when GC starts and requires
-    [Machine.lazy_sub_safe = true] ({!create} rejects it otherwise). *)
+    [Extended], [max_insns] (the safety stop) to 400M and [sched] to
+    [Sched_heap]; the transaction-length parameters are the machine's.
+    [tracer] is the event-trace sink shared by the runner, the GIL and the
+    heap; without one every instrumentation site stays at one branch.
+    [clock] is the global commit-clock scheme the STM publishes under
+    ([Tm_clock.Gv1]; irrelevant for schemes without a software fallback).
+    [subscription] is how hardware windows subscribe to the GIL word and
+    the commit-clock cell ([Subscription.Eager]): [Lazy] defers both reads
+    to the window's commit point, reproducing the unsafety Alistarh et al.
+    describe; [Lazy_safe] additionally aborts all hardware windows when GC
+    starts (Dice et al.'s hardware fix: choosing it states that the
+    machine has it). *)
 
 type breakdown = {
   mutable bd_txn_overhead : int;  (** TBEGIN/TEND instructions *)

@@ -1,35 +1,34 @@
 (** Running one experiment point: a (workload, machine, scheme, threads,
-    size) tuple, returning normalised metrics. *)
+    size) tuple, returning normalised metrics. A point is the one
+    description of a run: {!boot} is the one place in the harness where it
+    becomes a {!Core.Runner.t}, for a single VM and for every shard of
+    {!Shard.run} alike. *)
 
-type point = {
+type point = private {
   workload : Workloads.Workload.t;
-  machine : Htm_sim.Machine.t;
-  scheme : Core.Scheme.kind;
-  threads : int;
+  machine : Htm_sim.Machine.t;  (** as in [cfg], which is abstract *)
+  scheme : Core.Scheme.kind;  (** as in [cfg], which is abstract *)
+  threads : int;  (** worker threads, or concurrent clients for servers *)
   size : Workloads.Size.t;
-  yield_points : Core.Yield_points.set;
-  opts : Rvm.Options.t;
   arrivals : Netsim.arrivals;
       (** [Closed] (default) = the paper's closed loop; [Poisson]/[Burst]
           = open-loop offered load (server workloads only) *)
   mix : Netsim.mix;
       (** weighted request classes for open-loop server runs; [[]]
           (default) keeps the workload's single default request *)
-  clock : Tm_clock.scheme;
-      (** commit-clock scheme for the STM fallback; defaults to
-          [Tm_clock.Gv1] *)
-  subscription : Htm_sim.Subscription.t;
-      (** hardware-window subscription policy; defaults to
-          [Subscription.Eager] *)
+  cfg : Core.Runner.config;
+      (** every run-level knob: scheme, machine, yield points, options,
+          commit clock, subscription and tracer *)
 }
 
 val point :
   ?yield_points:Core.Yield_points.set ->
   ?opts:Rvm.Options.t ->
-  ?arrivals:Netsim.arrivals ->
-  ?mix:Netsim.mix ->
   ?clock:Tm_clock.scheme ->
   ?subscription:Htm_sim.Subscription.t ->
+  ?tracer:Obs.Trace.t ->
+  ?arrivals:Netsim.arrivals ->
+  ?mix:Netsim.mix ->
   workload:Workloads.Workload.t ->
   machine:Htm_sim.Machine.t ->
   scheme:Core.Scheme.kind ->
@@ -37,6 +36,12 @@ val point :
   size:Workloads.Size.t ->
   unit ->
   point
+(** The knobs go to {!Core.Runner.config} unchanged, defaults included;
+    [tracer] receives the run's txn / GIL / GC / scheduler events. *)
+
+val boot : point -> io:Netsim.t option -> Core.Runner.t
+(** Create the point's runner over [io] (a server workload's socket) and
+    run the workload's [setup] on its VM. *)
 
 (** The request-latency summary of one server run: offered vs achieved
     load, the loss accounting, and latency quantiles estimated from the
@@ -67,9 +72,9 @@ type outcome = {
   load : load option;  (** [Some] exactly for server runs *)
 }
 
-val run : ?tracer:Obs.Trace.t -> point -> outcome
-(** [tracer] is threaded into the runner config: the run's txn / GIL / GC /
-    scheduler events land in it (see {!Core.Runner.config}). *)
+val run : point -> outcome
+(** Boot the point (over a closed-loop or open-loop socket for server
+    workloads), run it to completion and release its VM. *)
 
 val verify_line : outcome -> string option
 

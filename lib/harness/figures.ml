@@ -383,8 +383,6 @@ let fig8 size fmt =
             (pct b.bd_aborted) (pct b.bd_gil_held) (pct b.bd_gil_wait)
             (pct b.bd_other))
     Workloads.Workload.npb_names;
-  (* "workload" holds the machine and "machine" the bench: the labels are
-     swapped in every results file this member's digest pins *)
   J.List
     (List.concat_map
        (fun machine ->
@@ -392,8 +390,8 @@ let fig8 size fmt =
            (fun name ->
              J.Obj
                [
-                 ("workload", J.Str machine.Machine.name);
-                 ("machine", J.Str name);
+                 ("workload", J.Str name);
+                 ("machine", J.Str machine.Machine.name);
                  ( "series",
                    J.List
                      (List.map
@@ -478,14 +476,14 @@ let fig9 size fmt =
        (fun (label, rows) ->
          J.Obj
            [
-             ("bench", J.Str label);
+             ("mode", J.Str label);
              ( "series",
                J.List
                  (List.map
                     (fun (name, pts) ->
                       J.Obj
                         [
-                          ("name", J.Str name);
+                          ("bench", J.Str name);
                           ( "points",
                             J.List
                               (List.map
@@ -760,10 +758,10 @@ let run_shard_panel ?(schemes = schemes_shard) ?(size = Workloads.Size.S)
         List.map
           (fun shards ->
             let cfg =
-              Shard.config ~shared_session:true ~workload ~machine ~scheme
-                ~shards ~clients ~size
-                ~arrivals:(Netsim.Poisson { rate; seed = load_seed })
-                ~requests ()
+              Shard.of_point ~shared_session:true ~shards ~requests
+                (Exp.point ~workload ~machine ~scheme ~threads:clients ~size
+                   ~arrivals:(Netsim.Poisson { rate; seed = load_seed })
+                   ())
             in
             {
               sp_scheme = Core.Scheme.to_string scheme;
@@ -914,23 +912,19 @@ let fig_shard size fmt =
 
 (* ---- Commit-clock and subscription ablation ---------------------------------- *)
 
-(* The capability variant of the hybrid machine: Dice et al.'s hardware fix
-   for lazy subscription (abort-all-on-quiesce), advertised through the
-   descriptor flag [Runner.create] checks before accepting [Lazy_safe]. *)
-let clock_safe_machine = { hybrid_machine with Machine.lazy_sub_safe = true }
-
 (* The grid: clock schemes under eager subscription (the clock ablation
    proper), then lazy and safe-lazy subscription under GV1 (the safety
-   ablation). Lazy runs on the stock machine reproduce the real hazard —
-   a GC concurrent with unsubscribed zombie windows — so a cell is allowed
-   to fail; the failure class is part of the recorded (and digested) data. *)
+   ablation), every cell on [hybrid_machine]. Lazy runs reproduce the
+   real hazard — a GC concurrent with unsubscribed zombie windows — so a
+   cell is allowed to fail; the failure class is part of the recorded (and
+   digested) data. *)
 let clock_variants =
   [
-    (Tm_clock.Gv1, Subscription.Eager, hybrid_machine);
-    (Tm_clock.Gv5, Subscription.Eager, hybrid_machine);
-    (Tm_clock.Gv6, Subscription.Eager, hybrid_machine);
-    (Tm_clock.Gv1, Subscription.Lazy, hybrid_machine);
-    (Tm_clock.Gv1, Subscription.Lazy_safe, clock_safe_machine);
+    (Tm_clock.Gv1, Subscription.Eager);
+    (Tm_clock.Gv5, Subscription.Eager);
+    (Tm_clock.Gv6, Subscription.Eager);
+    (Tm_clock.Gv1, Subscription.Lazy);
+    (Tm_clock.Gv1, Subscription.Lazy_safe);
   ]
 
 type clock_point = {
@@ -961,7 +955,8 @@ type clock_panel = {
 
 let run_clock_panel ?(size = Workloads.Size.S) ?(threads = 4) workload_name =
   let workload = wl workload_name in
-  let cell (clock, subscription, machine) =
+  let machine = hybrid_machine in
+  let cell (clock, subscription) =
     let label_c = Tm_clock.scheme_to_string clock
     and label_s = Subscription.to_string subscription in
     let zero outcome =
@@ -1019,7 +1014,7 @@ let run_clock_panel ?(size = Workloads.Size.S) ?(threads = 4) workload_name =
   in
   {
     cl_workload = workload_name;
-    cl_machine = hybrid_machine.Machine.name;
+    cl_machine = machine.Machine.name;
     cl_threads = threads;
     cl_points = pmap cell clock_variants;
   }

@@ -34,11 +34,6 @@ val hybrid_machine : Htm_sim.Machine.t
 (** zEC12 with a quarter of the store-buffer budget, so capacity overflow
     (and therefore the fallback path) dominates. *)
 
-val clock_safe_machine : Htm_sim.Machine.t
-(** {!hybrid_machine} with [Machine.lazy_sub_safe = true]: the descriptor
-    variant advertising Dice et al.'s hardware fix, required for the
-    [Lazy_safe] cell of the clock family. *)
-
 val offered_loads : string -> float list
 (** The offered-load sweep (req/s) for a workload name, chosen to straddle
     every scheme's closed-loop capacity. *)

@@ -33,36 +33,24 @@ open Htm_sim
 type policy = Round_robin
 
 type config = {
-  workload : Workloads.Workload.t;
-  machine : Machine.t;
-  scheme : Core.Scheme.kind;
+  point : Exp.point;
   shards : int;
-  clients : int;  (** keep-alive slots of the global schedule *)
-  size : Workloads.Size.t;
-  arrivals : Netsim.arrivals;  (** the global schedule: Poisson or Burst *)
   requests : int;  (** total requests, split across the shards *)
-  mix : Netsim.mix;
   shared_session : bool;
 }
 
-let config ?policy:(_ : policy option) ?(mix = []) ?(shared_session = false)
-    ~workload ~machine ~scheme ~shards ~clients ~size ~arrivals ~requests () =
-  if shards < 1 then invalid_arg "Shard.config: shards < 1";
-  (match arrivals with
+let of_point ?(shared_session = false) ~shards ~requests (point : Exp.point) =
+  if shards < 1 then invalid_arg "Shard.of_point: shards < 1";
+  (match point.arrivals with
   | Netsim.Poisson _ | Netsim.Burst _ -> ()
-  | _ -> invalid_arg "Shard.config: the global schedule needs open-loop arrivals");
-  {
-    workload;
-    machine;
-    scheme;
-    shards;
-    clients;
-    size;
-    arrivals;
-    requests;
-    mix;
-    shared_session;
-  }
+  | _ ->
+      invalid_arg "Shard.of_point: the global schedule needs open-loop arrivals");
+  { point; shards; requests; shared_session }
+
+let config ?policy:(_ : policy option) ~workload ~machine ~scheme ~shards
+    ~clients ~size ~arrivals ~requests () =
+  of_point ~shards ~requests
+    (Exp.point ~arrivals ~workload ~machine ~scheme ~threads:clients ~size ())
 
 (* ---- the shared cross-shard session store ------------------------------- *)
 
@@ -292,7 +280,8 @@ let sum_stm (dst : Stm.stats) (src : Stm.stats) =
   dst.ws_max <- max dst.ws_max src.Stm.ws_max
 
 let run ?jobs (cfg : config) : result =
-  let w = cfg.workload in
+  let p = cfg.point in
+  let w = p.workload in
   let make_schedule =
     match w.Workloads.Workload.make_schedule with
     | Some f -> f
@@ -304,20 +293,13 @@ let run ?jobs (cfg : config) : result =
     | None -> invalid_arg "Shard.run: workload has no fed socket"
   in
   let entries, churned =
-    make_schedule ~clients:cfg.clients ~requests:cfg.requests
-      ~arrivals:cfg.arrivals ~mix:cfg.mix
+    make_schedule ~clients:p.threads ~requests:cfg.requests
+      ~arrivals:p.arrivals ~mix:p.mix
   in
-  let rcfg =
-    Core.Runner.config ~scheme:cfg.scheme
-      ~yield_points:Core.Yield_points.Extended cfg.machine
-  in
-  let source = w.Workloads.Workload.source ~threads:cfg.clients ~size:cfg.size in
   let shards =
     Array.init cfg.shards (fun _ ->
         let io = make_io_fed () in
-        let runner = Core.Runner.create ~io rcfg ~source in
-        w.Workloads.Workload.setup (Some io) runner.Core.Runner.vm;
-        { io; runner; assigned = 0 })
+        { io; runner = Exp.boot p ~io:(Some io); assigned = 0 })
   in
   let n = cfg.shards in
   (* arrival i -> shard i mod N, assigned up front: every shard holds its
@@ -403,7 +385,7 @@ let run ?jobs (cfg : config) : result =
   let session =
     if cfg.shared_session then
       Some
-        (replay_session cfg.machine
+        (replay_session p.machine
            (Array.map (fun sh -> Netsim.completion_log sh.io) shards))
     else None
   in

@@ -17,26 +17,27 @@ type policy =
           benchmark ledger (bench/ledger/) passes it, and that directory
           changes only together with the benchmark. *)
 
-type config = {
-  workload : Workloads.Workload.t;
-  machine : Htm_sim.Machine.t;
-  scheme : Core.Scheme.kind;
+type config = private {
+  point : Exp.point;
+      (** what every shard boots, and the global schedule's clients
+          ([point.threads]), arrivals and mix *)
   shards : int;
-  clients : int;  (** keep-alive slots of the global schedule *)
-  size : Workloads.Size.t;
-  arrivals : Netsim.arrivals;  (** the global schedule: Poisson or Burst *)
   requests : int;  (** total requests, split across the shards *)
-  mix : Netsim.mix;
   shared_session : bool;
       (** also replay the shards' completions against one shared session
           store mediated by the hybrid TM engine (the
           contended-vs-shared-nothing ablation) *)
 }
 
+val of_point :
+  ?shared_session:bool -> shards:int -> requests:int -> Exp.point -> config
+(** Serve [point]'s open-loop stream with [shards] VMs, each booted by
+    {!Exp.boot} and so honouring every knob the point carries. The point
+    must carry no tracer: the shards run on several domains at once.
+    @raise Invalid_argument on [shards < 1] or closed-loop/fed arrivals. *)
+
 val config :
   ?policy:policy ->
-  ?mix:Netsim.mix ->
-  ?shared_session:bool ->
   workload:Workloads.Workload.t ->
   machine:Htm_sim.Machine.t ->
   scheme:Core.Scheme.kind ->
@@ -47,7 +48,9 @@ val config :
   requests:int ->
   unit ->
   config
-(** @raise Invalid_argument on [shards < 1] or closed-loop/fed arrivals. *)
+(** {!of_point} of a point with default knobs and [threads = clients]. Kept
+    because the benchmark ledger (bench/ledger/) calls it, and that
+    directory changes only together with the benchmark. *)
 
 (** Counters of the shared session-store replay: per fixed virtual-time
     window, each shard with completions runs one hardware transaction over

@@ -40,12 +40,6 @@ type t = {
   malloc_thread_local : bool;
       (** true = HEAPPOOLS-style thread-local malloc; false models the
           default z/OS allocator that conflicts under transactions *)
-  lazy_sub_safe : bool;
-      (** the Dice et al. hardware extension that makes lazy lock
-          subscription safe: commit-point subscription is validated in
-          hardware before speculative state can escape, so doomed
-          transactions cannot act on inconsistent views. No shipping
-          machine has it — every stock description says false *)
   costs : costs;
 }
 
@@ -89,7 +83,6 @@ let zec12 =
     learning = false;
     tls_fast = false;
     malloc_thread_local = false;
-    lazy_sub_safe = false;
     costs = { default_costs with cyc_tls = 14 };
   }
 
@@ -107,7 +100,6 @@ let xeon_e3 =
     learning = true;
     tls_fast = true;
     malloc_thread_local = true;
-    lazy_sub_safe = false;
     costs = default_costs;
   }
 
@@ -125,7 +117,6 @@ let xeon_x5670 =
     learning = false;
     tls_fast = true;
     malloc_thread_local = true;
-    lazy_sub_safe = false;
     costs = default_costs;
   }
 

@@ -40,10 +40,6 @@ type t = {
   malloc_thread_local : bool;
       (** false models z/OS where even HEAPPOOLS leaves malloc conflict
           points (Sections 5.2 and 5.5) *)
-  lazy_sub_safe : bool;
-      (** the Dice et al. hardware extension that makes lazy lock
-          subscription safe; false on every stock machine — the runner
-          refuses [Subscription.Lazy_safe] without it *)
   costs : costs;
 }
 

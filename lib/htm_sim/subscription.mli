@@ -10,8 +10,8 @@
     before its commit-point check runs. The simulator reproduces that
     hazard faithfully. [Lazy_safe] models their proposed hardware fix
     (commit-point subscription validated in hardware before any
-    speculative state can influence control flow) and is only accepted on
-    machines whose {!Machine.t.lazy_sub_safe} capability flag is set. *)
+    speculative state can influence control flow); choosing it states that
+    the hardware has that extension, so it runs on any machine. *)
 
 type t = Eager | Lazy | Lazy_safe
 

@@ -41,7 +41,6 @@ type conn = {
   conn_id : int;
   client : int;
   request : string;
-  mutable response : string list;  (** chunks, newest first *)
   arrived : int;  (** cycle the request hit the accept queue *)
   mutable accepted_at : int;  (** cycle the server accepted it (0 = never) *)
   mutable first_byte_at : int;  (** cycle of the first response write *)
@@ -287,7 +286,6 @@ let advance t ~now =
               conn_id = t.next_conn_id;
               client = c;
               request = t.make_request c;
-              response = [];
               arrived = max now t.client_free_at.(c);
               accepted_at = 0;
               first_byte_at = 0;
@@ -321,7 +319,6 @@ let advance t ~now =
               conn_id = t.next_conn_id;
               client;
               request = class_request t cls client;
-              response = [];
               arrived = at;
               accepted_at = 0;
               first_byte_at = 0;
@@ -353,7 +350,6 @@ let advance t ~now =
                   conn_id = t.next_conn_id;
                   client;
                   request;
-                  response = [];
                   arrived = at;
                   accepted_at = 0;
                   first_byte_at = 0;
@@ -383,14 +379,12 @@ let accept ?now ?(tid = -1) t =
 
 let conn t id = Hashtbl.find_opt t.conns id
 
-let write ?now t id chunk =
-  match conn t id with
-  | Some c ->
-      (match now with
-      | Some n when c.first_byte_at = 0 -> c.first_byte_at <- n
-      | _ -> ());
-      c.response <- chunk :: c.response
-  | None -> ()
+(* Only the first write's time matters to the simulation; the bytes are
+   not kept. *)
+let write ?now t id (_ : string) =
+  match (conn t id, now) with
+  | Some c, Some n when c.first_byte_at = 0 -> c.first_byte_at <- n
+  | _ -> ()
 
 (* Closing the connection completes the request. A closed-loop client reads
    the response and schedules its next send; open-loop arrivals are not

@@ -45,7 +45,6 @@ type conn = {
   conn_id : int;
   client : int;
   request : string;
-  mutable response : string list;  (** chunks, newest first *)
   arrived : int;  (** cycle the request hit the accept queue *)
   mutable accepted_at : int;  (** cycle the server accepted it (0 = never) *)
   mutable first_byte_at : int;  (** cycle of the first response write *)
@@ -90,8 +89,8 @@ val accept : ?now:int -> ?tid:int -> t -> conn option
 val conn : t -> int -> conn option
 
 val write : ?now:int -> t -> int -> string -> unit
-(** Append a response chunk; [now] stamps [first_byte_at] on the first
-    write. *)
+(** Write a response chunk: [now] stamps [first_byte_at] on the first
+    write. The bytes are not kept. *)
 
 val close : t -> int -> now:int -> unit
 (** Completes the request (closed-loop clients schedule their next send)

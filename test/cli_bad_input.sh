@@ -1,7 +1,8 @@
 #!/bin/sh
 # Bad input must be refused with a message and a documented exit code,
 # never an uncaught exception (cmdliner's exit 125):
-#   1  a bad flag value, or an unreadable or incomplete results file
+#   1  a bad flag value, flags that cannot apply together, or an
+#      unreadable or incomplete results file
 #   2  guest source that does not lex, parse or compile
 #   3  a guest error
 #   4  a stuck guest (deadlock)
@@ -38,6 +39,17 @@ check 1 "" run -w webrick --arrivals burst:-3
 check 1 "-t 0: must be at least 1" run -w cg -t 0 --size test
 check 1 "-t 0: must be at least 1" run -w webrick -t 0
 check 1 "--shards -2: must be at least 0" run -w webrick --arrivals poisson --shards=-2
+# flags that cannot apply are refused, never dropped
+sharded="run -w webrick --arrivals poisson --size test --shards 2"
+check 1 "--trace does not apply with --shards" $sharded --trace
+check 1 "--trace-out does not apply with --shards" $sharded --trace-out "$tmp/t.json"
+check 1 "--abort-report does not apply with --shards" $sharded --abort-report
+check 1 "--metrics-json does not apply with --shards" $sharded --metrics-json "$tmp/m.json"
+check 1 "--latency-json does not apply with --shards" $sharded --latency-json "$tmp/l.json"
+check 1 "--shared-session needs --shards" run -w webrick --arrivals poisson --shared-session
+check 1 "--mix: workload cg has no request mix" run -w cg --mix
+check 1 "--latency-json only applies to server workloads" run -w cg --latency-json "$tmp/l.json"
+check 1 "--offered-load needs open-loop arrivals" run -w webrick --offered-load 9000
 check 1 "" exec "$0" -m nosuch
 check 1 "" exec "$0" -s nosuch
 check 1 "" fig fig4 --size xx
@@ -57,6 +69,9 @@ check 2 "$tmp/ivar.rb:1: @ with no variable name" exec "$tmp/ivar.rb"
 check 2 "$tmp/gvar.rb:1: \$ with no variable name" exec "$tmp/gvar.rb"
 check 3 "undefined method 'foo_undefined'" exec "$tmp/guest.rb"
 check 4 "deadlock" exec "$tmp/stuck.rb"
+# lazy-safe subscription runs on any machine
+printf 'puts 1\n' >"$tmp/one.rb"
+check 0 "" exec "$tmp/one.rb" --subscription lazy-safe
 
 # results files: a complete one passes, each defect is named
 series='"fig4":[],"fig5":[],"fig6a":[],"fig6b":{},"fig7":[],"fig8":[],"fig9":[]'

@@ -7,8 +7,8 @@
 
 let machine = Htm_sim.Machine.zec12
 
-let small_point () =
-  Harness.Exp.point
+let small_point ?tracer () =
+  Harness.Exp.point ?tracer
     ~workload:(Harness.Figures.wl "while")
     ~machine ~scheme:Core.Scheme.Htm_dynamic ~threads:2
     ~size:Workloads.Size.Test ()
@@ -17,7 +17,7 @@ let small_point () =
    handle the run left active. *)
 let run_and_collect () =
   let tracer = Obs.Trace.create () in
-  let o = Harness.Exp.run ~tracer (small_point ()) in
+  let o = Harness.Exp.run (small_point ~tracer ()) in
   let vm = Rvm.Vm.create machine in
   let pages = Htm_sim.Store.retire vm.Rvm.Vm.store in
   ( o.Harness.Exp.result.Core.Runner.metrics,

@@ -242,7 +242,7 @@ let test_diff_cells () =
           ~subscription:Htm_sim.Subscription.Lazy ~scheme:Hybrid "webrick"
           ~clients:4 );
       ( "webrick/hybrid/4c/lazy-safe",
-        run_server ~machine:Harness.Figures.clock_safe_machine ~opts:gc_heavy
+        run_server ~machine:hybrid ~opts:gc_heavy
           ~subscription:Htm_sim.Subscription.Lazy_safe ~scheme:Hybrid
           "webrick" ~clients:4 );
       ( "webrick/gil/6c/poisson-9k",

@@ -5,14 +5,12 @@
 (* ---- the shard fleet ---------------------------------------------------- *)
 
 let shard_cfg ?(shards = 2) ?(shared_session = false) ?(rate = 6000.0)
-    ?(requests = 60) ?mix () =
-  Harness.Shard.config ~shared_session
-    ?mix
-    ~workload:Workloads.Workload.webrick ~machine:Htm_sim.Machine.zec12
-    ~scheme:Core.Scheme.Htm_dynamic ~shards ~clients:4
-    ~size:Workloads.Size.Test
-    ~arrivals:(Netsim.Poisson { rate; seed = 0x10AD })
-    ~requests ()
+    ?(requests = 60) () =
+  Harness.Shard.of_point ~shared_session ~shards ~requests
+    (Harness.Exp.point
+       ~arrivals:(Netsim.Poisson { rate; seed = 0x10AD })
+       ~workload:Workloads.Workload.webrick ~machine:Htm_sim.Machine.zec12
+       ~scheme:Core.Scheme.Htm_dynamic ~threads:4 ~size:Workloads.Size.Test ())
 
 (* A canonical text form of everything the shard digest will cover. *)
 let fingerprint (r : Harness.Shard.result) =
@@ -100,6 +98,82 @@ let test_shared_session () =
       Alcotest.(check string) "replay deterministic" (fingerprint r)
         (fingerprint r2)
 
+(* ---- one shard is the single-VM run ------------------------------------ *)
+
+(* Every shard boots its point the way [Exp.run] does, so a one-shard run
+   of a point must equal the single-VM run of the same point under every
+   knob the point carries. The cell's 60 requests never fill the 64-slot
+   accept queue, so no drop can shift client identities between the
+   open-loop socket and the fed one. A run that raises (lazy subscription
+   may corrupt a run) must raise the same way on both paths. *)
+let test_one_shard_is_the_vm () =
+  let w = Workloads.Workload.webrick and size = Workloads.Size.Test in
+  let point ?yield_points ?opts ?clock ?subscription () =
+    Harness.Exp.point ?yield_points ?opts ?clock ?subscription
+      ~arrivals:(Netsim.Poisson { rate = 4000.0; seed = 0x10AD })
+      ~workload:w ~machine:Htm_sim.Machine.zec12 ~scheme:Core.Scheme.Hybrid
+      ~threads:4 ~size ()
+  in
+  let summary wall htm completed dropped timed_out p95 =
+    Printf.sprintf "wall=%d htm=[%s] served=%d/%d/%d p95=%d" wall
+      (String.concat ","
+         (List.map
+            (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+            (Htm_sim.Stats.to_assoc htm)))
+      completed dropped timed_out p95
+  in
+  let guarded f =
+    try f () with
+    | Core.Runner.Stuck _ -> "stuck"
+    | Core.Runner.Guest_failure _ -> "guest-failure"
+  in
+  let single p =
+    guarded (fun () ->
+        let o = Harness.Exp.run p in
+        let l = Option.get o.Harness.Exp.load in
+        summary o.Harness.Exp.wall_cycles
+          o.Harness.Exp.result.Core.Runner.htm_stats l.Harness.Exp.completed
+          l.Harness.Exp.dropped l.Harness.Exp.timed_out
+          l.Harness.Exp.p95_cycles)
+  in
+  let one_shard p =
+    guarded (fun () ->
+        let r =
+          Harness.Shard.run ~jobs:1
+            (Harness.Shard.of_point ~shards:1
+               ~requests:(w.Workloads.Workload.server_requests size)
+               p)
+        in
+        summary r.Harness.Shard.r_wall_cycles r.Harness.Shard.r_htm
+          r.Harness.Shard.r_completed r.Harness.Shard.r_dropped
+          r.Harness.Shard.r_timed_out r.Harness.Shard.r_p95_cycles)
+  in
+  let d = Rvm.Options.default in
+  let settings =
+    [
+      ("defaults", point ());
+      ("clock gv5", point ~clock:Tm_clock.Gv5 ());
+      ("lazy subscription", point ~subscription:Htm_sim.Subscription.Lazy ());
+      ("original yield points", point ~yield_points:Core.Yield_points.Original ());
+      ("cruby baseline", point ~opts:Rvm.Options.cruby_baseline ());
+      ("lazy sweep", point ~opts:{ d with Rvm.Options.lazy_sweep = true } ());
+      ( "refcount writes",
+        point ~opts:{ d with Rvm.Options.refcount_writes = true } () );
+      ( "gv6, lazy-safe",
+        point ~clock:Tm_clock.Gv6 ~subscription:Htm_sim.Subscription.Lazy_safe
+          () );
+    ]
+  in
+  let default = single (snd (List.hd settings)) in
+  List.iter
+    (fun (name, p) ->
+      let vm = single p in
+      if name <> "defaults" then
+        Alcotest.(check bool) (name ^ ": the knob moves the run") true
+          (vm <> default);
+      Alcotest.(check string) (name ^ ": one shard = one VM") vm (one_shard p))
+    settings
+
 (* ---- request mixes ------------------------------------------------------ *)
 
 let test_mix_draw () =
@@ -148,6 +222,8 @@ let suite =
     Alcotest.test_case "round-robin split" `Quick test_round_robin_split;
     Alcotest.test_case "shared-nothing scaling" `Slow test_scaling;
     Alcotest.test_case "shared session store" `Quick test_shared_session;
+    Alcotest.test_case "one shard is the single-VM run" `Quick
+      test_one_shard_is_the_vm;
     Alcotest.test_case "mix: deterministic class draw" `Quick test_mix_draw;
     Alcotest.test_case "mix: served end-to-end" `Quick test_mix_served;
   ]

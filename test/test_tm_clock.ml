@@ -4,8 +4,8 @@
    GIL word, the clock cell and its stat mirrors on distinct cache lines,
    the GV5/GV6 serializability fuzz against the same shadow executor the
    GV1 engine is checked with, and the lazy-subscription safety ablation:
-   plain [Lazy] must demonstrably corrupt a GC-heavy run, [Lazy_safe] (on
-   a machine advertising the hardware fix) and [Eager] must not. *)
+   plain [Lazy] must demonstrably corrupt a GC-heavy run, [Lazy_safe] (the
+   hardware fix) and [Eager] must not. *)
 
 open Htm_sim
 
@@ -362,14 +362,13 @@ let test_fuzz_gv6 () =
 
 let gc_opts = { Rvm.Options.default with Rvm.Options.heap_slots = 6_000 }
 
-let webrick_run ?(machine = Harness.Figures.hybrid_machine) ?clock ?subscription
-    () =
+let webrick_run ?clock ?subscription () =
   let w = Option.get (Workloads.Workload.find "webrick") in
   let o =
     Harness.Exp.run
       (Harness.Exp.point ?clock ?subscription ~opts:gc_opts ~workload:w
-         ~machine ~scheme:Core.Scheme.Hybrid ~threads:4
-         ~size:Workloads.Size.Test ())
+         ~machine:Harness.Figures.hybrid_machine ~scheme:Core.Scheme.Hybrid
+         ~threads:4 ~size:Workloads.Size.Test ())
   in
   o.Harness.Exp.result
 
@@ -422,24 +421,12 @@ let test_lazy_safe_is_safe () =
      hardware transaction first — guest-visible behaviour must match the
      eager reference exactly *)
   let reference = webrick_run ~subscription:Subscription.Eager () in
-  let r =
-    webrick_run ~machine:Harness.Figures.clock_safe_machine
-      ~subscription:Subscription.Lazy_safe ()
-  in
+  let r = webrick_run ~subscription:Subscription.Lazy_safe () in
   Alcotest.(check string) "lazy-safe output matches eager"
     reference.Core.Runner.output r.Core.Runner.output;
   Alcotest.(check int) "lazy-safe requests match eager"
     reference.Core.Runner.requests_completed
     r.Core.Runner.requests_completed
-
-let test_lazy_safe_needs_capability () =
-  let cfg =
-    Core.Runner.config ~scheme:Core.Scheme.Hybrid
-      ~subscription:Subscription.Lazy_safe Harness.Figures.hybrid_machine
-  in
-  match Core.Runner.create cfg ~source:"puts 1" with
-  | _ -> Alcotest.fail "lazy-safe accepted on a machine without the capability"
-  | exception Invalid_argument _ -> ()
 
 let suite =
   [
@@ -462,6 +449,4 @@ let suite =
       test_lazy_subscription_unsafe;
     Alcotest.test_case "lazy-safe matches the eager reference" `Slow
       test_lazy_safe_is_safe;
-    Alcotest.test_case "lazy-safe requires the machine capability" `Quick
-      test_lazy_safe_needs_capability;
   ]
