@@ -19,8 +19,12 @@ val create :
 val capacity : 'a t -> int
 (** The page table's span, in cells: addresses below it need no growth. *)
 
+val page_cells : int
+(** Cells per page of the backing. *)
+
 val resident_cells : 'a t -> int
-(** Cells backed by pages of their own (pages that have been written). *)
+(** Cells backed by pages of their own (pages that have been written): a
+    multiple of {!page_cells}. *)
 
 val brk : 'a t -> int
 (** First unreserved address. *)

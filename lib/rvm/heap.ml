@@ -7,6 +7,16 @@
 
 open Htm_sim
 
+(* How far the boot arena has been linked (see heap.mli): slots at or past
+   [next] still read as the store's shared zero page. *)
+type frontier = {
+  mutable next : int;
+      (** address of the first unwritten slot, which starts a segment;
+          [max_int] once the arena is fully written *)
+  mutable seg : int;  (** index of the segment that starts at [next] *)
+  mutable stop : int;  (** end address of the boot arena *)
+}
+
 type t = {
   store : Value.t Store.t;
   htm : Value.t Htm.t;
@@ -29,14 +39,15 @@ type t = {
   mutable allocs : int;
   mutable refills : int;
   mutable slot_buf : int array;
-      (** reusable scratch for free-slot address runs (arena linking, sweep);
-          grown to the largest run seen, never shrunk — keeps the per-GC and
-          per-boot work out of caml_make_vect, which otherwise dominates the
-          host profile of a figure sweep *)
+      (** reusable scratch for free-slot address runs (growth, sweep);
+          grown to the largest run seen, never shrunk — keeps the per-GC
+          work out of caml_make_vect *)
+  frontier : frontier;
   (* lazy-sweep state (Section 5.6's proposed thread-local sweeping) *)
   lazy_cursor : int;  (** store cell: next slot ordinal to sweep *)
   mutable lazy_slots : int array;
-      (** ordinal -> slot address, rebuilt after each mark phase *)
+      (** ordinal -> slot address, built on the first claim and rebuilt
+          when growth adds an arena *)
   (* observability: installed by the runner; None costs one branch per GC *)
   mutable tracer : Obs.Trace.t option;
   mutable gc_pause_hist : Obs.Metrics.histogram option;
@@ -64,22 +75,29 @@ let int_of = function
   | Value.VInt i -> i
   | v -> Value.guest_error "heap: expected int cell, got %s" (Value.to_string v)
 
+let header_for_alloc h class_id =
+  if h.opts.lazy_sweep then Layout.with_mark (Layout.header_of_class class_id)
+  else Layout.header_of_class class_id
+
+(* Length of segment [k] of a linking with [left] slots still to place.
+   Lengths vary around the nominal bulk size so that threads allocating at
+   identical rates do not exhaust their local lists in lockstep and
+   stampede the global head together. *)
+let seg_len h k left =
+  let seg_base = max 4 h.opts.free_list_refill in
+  max 1 (min left ((seg_base / 2) + ((k * 5 * seg_base / 8) mod seg_base)))
+
 (* Link the first [n] slots of [arr] (address order) into the global free
-   list, in front of the
-   current head. The list carries two structures at once:
+   list, in front of the current head. The list carries two structures at
+   once:
    - a plain slot chain through cell +1 (original CRuby allocation);
    - a segment overlay for bulk refills: every [free_list_refill]-th slot is
      a segment head whose cell +2 points to the next segment head and whose
      cell +3 holds the segment length. Detaching a whole segment costs a
      handful of accesses instead of walking 256 nodes, which is how the
      "bulk move" of Section 4.4 stays transaction-friendly.
-   Plain stores: only ever called at boot or under the GIL (GC / growth). *)
-let header_for_alloc h class_id =
-  if h.opts.lazy_sweep then Layout.with_mark (Layout.header_of_class class_id)
-  else Layout.header_of_class class_id
-
+   Plain stores: only ever called under the GIL (GC / growth). *)
 let link_free_slots h arr n =
-  let seg_base = max 4 h.opts.free_list_refill in
   let old_head = int_of (Store.get h.store h.g_free_head) in
   if n > 0 then begin
     for i = 0 to n - 1 do
@@ -88,15 +106,9 @@ let link_free_slots h arr n =
       Store.set h.store (slot + 1)
         (Value.vint (if i + 1 < n then arr.(i + 1) else old_head))
     done;
-    (* Segment lengths vary around the nominal bulk size so that threads
-       allocating at identical rates do not exhaust their local lists in
-       lockstep and stampede the global head together. *)
     let i = ref 0 and k = ref 0 in
     while !i < n do
-      let len =
-        min (n - !i) ((seg_base / 2) + ((!k * 5 * seg_base / 8) mod seg_base))
-      in
-      let len = max 1 len in
+      let len = seg_len h !k (n - !i) in
       let slot = arr.(!i) in
       let next_seg = if !i + len < n then arr.(!i + len) else old_head in
       Store.set h.store (slot + 2) (Value.vint next_seg);
@@ -109,11 +121,45 @@ let link_free_slots h arr n =
   let c = int_of (Store.get h.store h.g_free_count) in
   Store.set h.store h.g_free_count (Value.vint (c + n))
 
+(* Write the frontier's segments up to the one holding [addr], with the
+   cells [link_free_slots] writes for them when it links the whole boot
+   arena in front of the empty list: with [chain], every slot's free header
+   and chain link, and always each segment's overlay. Plain boot-time
+   stores: the cells were never written, so no window has read or logged
+   them. *)
+let advance_frontier h ~chain addr =
+  let fr = h.frontier and store = h.store in
+  while fr.next <= addr && fr.next < fr.stop do
+    let slot = fr.next in
+    let len = seg_len h fr.seg ((fr.stop - slot) / Layout.slot_cells) in
+    let next_seg = slot + (len * Layout.slot_cells) in
+    if chain then
+      for i = 0 to len - 1 do
+        let s = slot + (i * Layout.slot_cells) in
+        let nx = s + Layout.slot_cells in
+        Store.set store s Layout.free_header;
+        Store.set store (s + 1) (Value.vint (if nx < fr.stop then nx else 0))
+      done;
+    Store.set store (slot + 2) (Value.vint (if next_seg < fr.stop then next_seg else 0));
+    Store.set store (slot + 3) (Value.vint len);
+    fr.seg <- fr.seg + 1;
+    fr.next <- (if next_seg < fr.stop then next_seg else max_int)
+  done
+
+(* Run before every engine read of a free-list cell at [addr]. *)
+let[@inline] materialise_through h addr =
+  if addr >= h.frontier.next then advance_frontier h ~chain:true addr
+
+let unwritten_from h = h.frontier.next
+
 let slot_buf h n =
   if Array.length h.slot_buf < n then h.slot_buf <- Array.make n 0;
   h.slot_buf
 
+(* Growth: write out the rest of the boot arena, then link the new one
+   eagerly in front of the current head. *)
 let add_arena h n_slots =
+  materialise_through h max_int;
   let base = Store.reserve_aligned h.store (n_slots * Layout.slot_cells) in
   h.arenas <- (base, n_slots) :: h.arenas;
   h.total_slots <- h.total_slots + n_slots;
@@ -123,22 +169,22 @@ let add_arena h n_slots =
   done;
   link_free_slots h buf n_slots
 
-(* Rebuild the ordinal -> slot address map the lazy sweeper walks, and
-   reset the shared cursor. Called at boot and after every mark phase,
-   always under the GIL. *)
-let rebuild_lazy_order h =
-  let n = h.total_slots in
-  let arr = Array.make (max 1 n) 0 in
-  let i = ref 0 in
-  List.iter
-    (fun (base, n_slots) ->
-      for k = 0 to n_slots - 1 do
-        arr.(!i) <- base + (k * Layout.slot_cells);
-        incr i
-      done)
-    (List.rev h.arenas);
-  h.lazy_slots <- arr;
-  Store.set h.store h.lazy_cursor (Value.vint 0)
+(* The ordinal -> slot address map the lazy sweeper walks: built on the
+   first claim and rebuilt only when growth has added slots. *)
+let lazy_order h =
+  if Array.length h.lazy_slots <> h.total_slots then begin
+    let arr = Array.make h.total_slots 0 in
+    let i = ref 0 in
+    List.iter
+      (fun (base, n_slots) ->
+        for k = 0 to n_slots - 1 do
+          arr.(!i) <- base + (k * Layout.slot_cells);
+          incr i
+        done)
+      (List.rev h.arenas);
+    h.lazy_slots <- arr
+  end;
+  h.lazy_slots
 
 let create store htm (opts : Options.t) classes =
   let cell () =
@@ -164,6 +210,7 @@ let create store htm (opts : Options.t) classes =
       allocs = 0;
       refills = 0;
       slot_buf = [||];
+      frontier = { next = max_int; seg = 0; stop = 0 };
       lazy_cursor = cell ();
       lazy_slots = [||];
       tracer = None;
@@ -171,8 +218,18 @@ let create store htm (opts : Options.t) classes =
     }
   in
   if not opts.ephemeral_alloc then begin
-    add_arena h opts.heap_slots;
-    if opts.lazy_sweep then rebuild_lazy_order h
+    (* reserve the boot arena and publish its head and count; its links are
+       written as the allocator reaches them *)
+    let n = opts.heap_slots in
+    let base = Store.reserve_aligned store (n * Layout.slot_cells) in
+    h.arenas <- [ (base, n) ];
+    h.total_slots <- n;
+    if n > 0 then begin
+      Store.set store h.g_free_head (Value.vint base);
+      h.frontier.next <- base;
+      h.frontier.stop <- base + (n * Layout.slot_cells)
+    end;
+    Store.set store h.g_free_count (Value.vint n)
   end;
   h
 
@@ -274,6 +331,12 @@ let gc_mark h roots_fn =
    lists are invalidated by the caller before sweeping. *)
 let gc_sweep h =
   let store = h.store in
+  (* slots past the frontier were never written, so never allocated: they
+     are free without a read. Their boot overlay goes in first, so that a
+     stale segment pointer (a zombie window's restored head) still finds
+     what an eager boot left there; the relink writes their other cells. *)
+  let unwritten = h.frontier.next in
+  advance_frontier h ~chain:false max_int;
   (* [h.arenas] is newest-first; walk oldest-first so the scratch buffer
      fills in ascending address order, exactly the order the old
      prepend-a-list construction produced *)
@@ -283,17 +346,22 @@ let gc_sweep h =
     (fun (base, n_slots) ->
       for i = 0 to n_slots - 1 do
         let slot = base + (i * Layout.slot_cells) in
-        let hd = Store.get store slot in
-        if Layout.is_free_header hd then begin
+        if slot >= unwritten then begin
           buf.(!n_free) <- slot;
           incr n_free
         end
-        else if Layout.is_marked hd then Store.set store slot (Layout.without_mark hd)
-        else begin
-          Store.set store slot Layout.free_header;
-          buf.(!n_free) <- slot;
-          incr n_free
-        end
+        else
+          let hd = Store.get store slot in
+          if Layout.is_free_header hd then begin
+            buf.(!n_free) <- slot;
+            incr n_free
+          end
+          else if Layout.is_marked hd then Store.set store slot (Layout.without_mark hd)
+          else begin
+            Store.set store slot Layout.free_header;
+            buf.(!n_free) <- slot;
+            incr n_free
+          end
       done)
     (List.rev h.arenas);
   Store.set store h.g_free_head (Value.vint 0);
@@ -345,6 +413,7 @@ let pop_global h ~ctx =
   let head = int_of (g_read h ~ctx h.g_free_head) in
   if head = 0 then None
   else begin
+    materialise_through h head;
     let next = int_of (g_read h ~ctx (head + 1)) in
     g_write h ~ctx h.g_free_head (Value.vint next);
     let c = int_of (g_read h ~ctx h.g_free_count) in
@@ -361,6 +430,7 @@ let refill_local h (th : Vmthread.t) =
   let head = int_of (g_read h ~ctx h.g_free_head) in
   if head = 0 then false
   else begin
+    materialise_through h head;
     let next_seg = int_of (g_read h ~ctx (head + 2)) in
     let count = int_of (g_read h ~ctx (head + 3)) in
     g_write h ~ctx h.g_free_head (Value.vint next_seg);
@@ -383,6 +453,7 @@ let pop_local h (th : Vmthread.t) =
     let head = int_of (g_read h ~ctx lh) in
     if head = 0 then None
     else begin
+      materialise_through h head;
       let next = int_of (g_read h ~ctx (head + 1)) in
       g_write h ~ctx lh (Value.vint next);
       g_write h ~ctx lc (Value.vint (c - 1));
@@ -399,15 +470,18 @@ let lazy_chunk = 64
    swept. *)
 let lazy_refill h (th : Vmthread.t) =
   let ctx = th.ctx in
-  let total = Array.length h.lazy_slots in
+  let slots = lazy_order h in
+  let total = Array.length slots in
   let ord = int_of (g_read h ~ctx h.lazy_cursor) in
   if ord >= total then false
   else begin
     let stop = min total (ord + lazy_chunk) in
     g_write h ~ctx h.lazy_cursor (Value.vint stop);
+    (* ordinals ascend with addresses, so this covers the whole chunk *)
+    materialise_through h slots.(stop - 1);
     let head = ref 0 and count = ref 0 in
     for i = stop - 1 downto ord do
-      let slot = h.lazy_slots.(i) in
+      let slot = slots.(i) in
       let hd = g_read h ~ctx slot in
       if Layout.is_free_header hd then begin
         g_write h ~ctx (slot + 1) (Value.vint !head);
@@ -438,7 +512,7 @@ let run_mark_phase h (th : Vmthread.t) =
   let marked = gc_mark h h.gc_roots in
   if marked > h.total_slots * 4 / 5 then
     add_arena h (max h.opts.heap_slots (h.total_slots * 4 / 5));
-  rebuild_lazy_order h;
+  Store.set h.store h.lazy_cursor (Value.vint 0);
   let costs = (Htm.machine h.htm).costs in
   let cost = marked * costs.cyc_gc_per_slot in
   note_gc_pause h th ~start_clock:th.clock ~cost;

@@ -3,6 +3,15 @@
     refills (Section 4.4), stop-the-world mark-and-sweep GC that always runs
     with the GIL held, and a malloc area for array/string/hash payloads. *)
 
+type frontier
+(** How far the boot arena has been linked. {!create} reserves the arena
+    but writes only the free-list head and count; the arena's free headers,
+    chain links and segment overlay are written segment by segment as the
+    allocator first reaches them ({!materialise_through}), with exactly the
+    values an eager link of the whole arena writes. Host-side state: it
+    only moves forward, never lives in the store, and no rollback undoes
+    it. *)
+
 type t = {
   store : Value.t Htm_sim.Store.t;
   htm : Value.t Htm_sim.Htm.t;
@@ -20,7 +29,8 @@ type t = {
   mutable allocs : int;
   mutable refills : int;
   mutable slot_buf : int array;
-      (** reusable scratch for free-slot address runs (arena linking, sweep) *)
+      (** reusable scratch for free-slot address runs (growth, sweep) *)
+  frontier : frontier;
   lazy_cursor : int;  (** shared sweep-cursor cell (lazy-sweep mode) *)
   mutable lazy_slots : int array;
   mutable tracer : Obs.Trace.t option;
@@ -35,6 +45,8 @@ val create :
   Options.t ->
   Klass.table ->
   t
+(** Reserve the [heap_slots]-slot boot arena and write only the free-list
+    head (its first slot) and count; see {!frontier}. *)
 
 val malloc : t -> Vmthread.t -> int -> int
 (** Allocate [n] payload cells (array/string/hash data). Thread-local
@@ -56,8 +68,29 @@ val run_gc : t -> Vmthread.t -> int
     cost. Caller must hold the GIL (no live transactions). *)
 
 val add_arena : t -> int -> unit
+(** Grow the heap by [n] slots: the growth path, never the boot path.
+    Writes out the rest of the boot arena first, then links the new arena
+    eagerly in front of the current free-list head. Plain stores; under the
+    GIL. *)
+
+val materialise_through : t -> int -> unit
+(** [materialise_through h addr] writes every not-yet-written boot-arena
+    segment up to the one holding [addr], with plain boot-time stores. The
+    allocator runs it before every engine read of a free-list cell, so each
+    read and each undo-log capture sees the eagerly linked content.
+    [materialise_through h max_int] writes out the whole arena. *)
+
+val unwritten_from : t -> int
+(** Address of the first boot-arena slot not yet written; [max_int] once
+    the whole arena is. *)
+
 val gc_mark : t -> ((int -> unit) -> unit) -> int
+(** Mark every object reachable from the given roots; returns how many. *)
+
 val gc_sweep : t -> int
+(** Rebuild the free list from every unmarked slot; returns the free count.
+    Slots past the frontier count as free without being read, and the
+    whole arena is written afterwards. *)
 
 val run_mark_phase : t -> Vmthread.t -> int
 (** Lazy-sweep mode (Section 5.6's proposed thread-local sweeping): mark

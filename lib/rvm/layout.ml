@@ -61,12 +61,14 @@ let class_id_of_header = function
 let is_free_header = function Value.VInt -1 -> true | _ -> false
 let is_marked = function Value.VInt h -> h >= 0 && h land 1 = 1 | _ -> false
 
+(* Through [Value.vint]: class headers sit inside its intern range unless
+   the refcount meta bit is set, so marking and unmarking allocate nothing. *)
 let with_mark = function
-  | Value.VInt h when h >= 0 -> Value.VInt (h lor 1)
+  | Value.VInt h when h >= 0 -> Value.vint (h lor 1)
   | v -> v
 
 let without_mark = function
-  | Value.VInt h when h >= 0 -> Value.VInt (h land lnot 1)
+  | Value.VInt h when h >= 0 -> Value.vint (h land lnot 1)
   | v -> v
 
 (* Cells needed to back [len] bytes of string payload. *)

@@ -139,6 +139,42 @@ let test_slices () =
     /. (slices r_long -. slices r_short));
   gate "instruction at 12 threads" ~budget:0.01 w
 
+(* A boot links no heap arena up front: [Runner.create] allocates a bounded
+   number of words and owns a handful of store pages, however many slots
+   the arena holds. Both readings are exact counts. Linking the default
+   200,000-slot arena at boot read 420,769 words and 392 pages here; the
+   on-demand boot reads 35,392 words, most of them the prelude's compile,
+   and 3 pages. *)
+let test_boot () =
+  let cfg = Core.Runner.config ~scheme:Core.Scheme.Gil_only Htm_sim.Machine.zec12 in
+  let create () = Core.Runner.create cfg ~source:"puts 1" in
+  Rvm.Vm.release (create ()).Core.Runner.vm;
+  (* warm: intern table, domain pools *)
+  let t = ref None in
+  let w = words (fun () -> t := Some (create ())) in
+  let store = (Option.get !t).Core.Runner.vm.Rvm.Vm.store in
+  let pages = Htm_sim.Store.resident_cells store / Htm_sim.Store.page_cells in
+  Rvm.Vm.release (Option.get !t).Core.Runner.vm;
+  Printf.printf "%d store pages resident after boot (budget 16)\n" pages;
+  if pages > 16 then Alcotest.failf "%d store pages resident after boot, over 16" pages;
+  gate "boot" ~budget:65_536. w
+
+(* Marking interns the marked header, so the worklist cons is a mark's only
+   allocation. *)
+let test_mark () =
+  let cfg = Core.Runner.config ~scheme:Core.Scheme.Gil_only Htm_sim.Machine.zec12 in
+  let t =
+    Core.Runner.create cfg
+      ~source:"$keep = []\ni = 0\nwhile i < 10000\n  $keep << [i]\n  i += 1\nend"
+  in
+  ignore (Core.Runner.run t);
+  let heap = t.Core.Runner.vm.Rvm.Vm.heap in
+  let marked = ref 0 in
+  let w = words (fun () -> marked := Rvm.Heap.gc_mark heap heap.Rvm.Heap.gc_roots) in
+  Rvm.Vm.release t.Core.Runner.vm;
+  if !marked < 10_000 then Alcotest.failf "only %d objects marked" !marked;
+  gate "marked object" ~budget:3.5 (w /. float_of_int !marked)
+
 let suite =
   [
     Alcotest.test_case "htm access" `Quick test_htm_access;
@@ -146,4 +182,6 @@ let suite =
     Alcotest.test_case "interpreted instruction" `Quick test_step;
     Alcotest.test_case "instruction, intern range" `Quick test_step_interned;
     Alcotest.test_case "one-instruction slices" `Quick test_slices;
+    Alcotest.test_case "boot" `Quick test_boot;
+    Alcotest.test_case "gc mark" `Quick test_mark;
   ]
