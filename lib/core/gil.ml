@@ -15,7 +15,6 @@ type t = {
           spin_and_gil_acquire callers alike); release wakes all of them and
           they re-contend, so no stale queue entries can exist *)
   mutable next_timer : int;
-  timer_interval : int;
   mutable free_since : int;
       (** virtual time of the last release: acquisitions may not begin
           earlier, so GIL-held intervals never overlap in simulated time *)
@@ -25,13 +24,14 @@ type t = {
 
 (* CRuby's timer thread ticks every 250 ms; scaled to the simulation's pace
    (virtual 1 GHz, workloads scaled ~50x down) we use 250k cycles. *)
-let create ?(timer_interval = 250_000) vm =
+let timer_interval = 250_000
+
+let create vm =
   {
     vm;
     owner = -1;
     waiters = [];
     next_timer = timer_interval;
-    timer_interval;
     free_since = 0;
     acquisitions = 0;
     tracer = None;
@@ -69,7 +69,7 @@ let take t (th : Rvm.Vmthread.t) =
   Htm.write t.vm.Rvm.Vm.htm ~ctx:th.ctx t.vm.Rvm.Vm.g_gil_owner (Rvm.Value.vint th.tid);
   (* the interpreter caches the running thread in globals (conflict #1) or
      in thread-local storage once the Section 4.4 fix is applied *)
-  if t.vm.Rvm.Vm.opts.tls_current_thread then begin
+  if t.vm.Rvm.Vm.opts.conflict_removal then begin
     th.clock <- th.clock + costs.cyc_tls;
     Htm.write t.vm.Rvm.Vm.htm ~ctx:th.ctx
       (th.struct_base + Rvm.Vmthread.st_tls_current)
@@ -104,5 +104,5 @@ let should_yield t (th : Rvm.Vmthread.t) =
 
 let bump_timer t (th : Rvm.Vmthread.t) =
   while t.next_timer <= th.clock do
-    t.next_timer <- t.next_timer + t.timer_interval
+    t.next_timer <- t.next_timer + timer_interval
   done

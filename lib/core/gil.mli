@@ -10,7 +10,6 @@ type t = {
   mutable owner : int;  (** tid, -1 when free *)
   mutable waiters : Rvm.Vmthread.t list;
   mutable next_timer : int;
-  timer_interval : int;
   mutable free_since : int;
   mutable acquisitions : int;
   mutable tracer : Obs.Trace.t option;
@@ -18,8 +17,9 @@ type t = {
           trace events (installed by the runner) *)
 }
 
-val create : ?timer_interval:int -> Rvm.Vm.t -> t
-(** [timer_interval] models CRuby's 250 ms timer-thread tick. *)
+val create : Rvm.Vm.t -> t
+(** A free lock whose timer ticks every 250,000 cycles, CRuby's 250 ms
+    timer-thread tick at the simulation's pace. *)
 
 val read_acquired : t -> Rvm.Vmthread.t -> bool
 (** Engine read of the lock word — inside a transaction this subscribes the
@@ -29,8 +29,9 @@ val held_by : t -> Rvm.Vmthread.t -> bool
 
 val take : t -> Rvm.Vmthread.t -> unit
 (** Acquire the free lock: writes the lock word (aborting subscribed
-    transactions), publishes the running thread (globals or TLS per the
-    Section 4.4 option), charges costs and enforces virtual-time order. *)
+    transactions), publishes the running thread (in TLS under the Section
+    4.4 conflict removals, else in a global), charges costs and enforces
+    virtual-time order. *)
 
 val release : t -> Rvm.Vmthread.t -> Rvm.Vmthread.t list
 (** Release; returns every parked waiter to wake (they re-contend). *)

@@ -170,7 +170,7 @@ type state = {
           allocates one *)
   mutable park_clock : int array;
   cost_tbl : int array;
-      (** base cycles per [Rvm.Compiler.Dcode] cost class on this machine *)
+      (** base cycles per [Rvm.Value.dcode] cost class on this machine *)
   (* wait queues *)
   mutex_waiters : (int, V.t Queue.t) Hashtbl.t;
   cond_waiters : (int, (V.t * int) Queue.t) Hashtbl.t;
@@ -234,13 +234,6 @@ let no_rollback (_ : Txn.abort_reason) = ()
 
 let create_state ?(io : Netsim.t option) cfg ~source =
   let opts = Scheme.adjust_options cfg.scheme cfg.opts in
-  (* z/OS HEAPPOOLS (Section 5.2) still leaves conflict points in malloc
-     (Section 5.5): model it as much smaller thread-local chunks, so the
-     global bump pointer is touched far more often than on Linux *)
-  let opts =
-    if cfg.machine.Machine.malloc_thread_local then opts
-    else { opts with Rvm.Options.malloc_chunk = min opts.Rvm.Options.malloc_chunk 256 }
-  in
   let session = Rvm.Session.create ~opts ~htm_mode:(Scheme.htm_mode cfg.scheme) cfg.machine ~source in
   let vm = session.Rvm.Session.vm in
   let txlen_mode =
@@ -570,6 +563,37 @@ let reset_retries t (th : V.t) =
   st.first_retry <- true;
   st.stm_retry_counter <- -1
 
+(* Enter the GIL: take it if it is free, otherwise queue for it and park.
+   Returns whether [th] holds it. *)
+let gil_enter t (th : V.t) =
+  if Gil.held_by t.gil th then true
+  else if t.gil.owner = -1 then begin
+    Gil.take t.gil th;
+    t.outside.(th.tid) <- false;
+    true
+  end
+  else begin
+    Gil.enqueue_waiter t.gil th;
+    park t th (V.On_mutex (-1));
+    t.outside.(th.tid) <- true;
+    false
+  end
+
+(* Publish the running thread at a window begin (Section 4.4 conflict #1):
+   in its TLS cell under the conflict removals, else in the shared global.
+   The write joins the window's footprint. *)
+let publish_running t (th : V.t) =
+  let vm = t.vm in
+  if vm.Rvm.Vm.opts.conflict_removal then begin
+    if not t.cfg.machine.tls_fast then th.clock <- th.clock + (costs t).cyc_tls;
+    Htm.write vm.Rvm.Vm.htm ~ctx:th.ctx
+      (th.struct_base + V.st_tls_current)
+      (Rvm.Value.vint th.tid)
+  end
+  else
+    Htm.write vm.Rvm.Vm.htm ~ctx:th.ctx vm.Rvm.Vm.g_current_thread
+      (Rvm.Value.vint th.tid)
+
 (* ---- the software fallback (lib/stm) ------------------------------------ *)
 
 (* Software-transaction begin, the [transaction_begin] mirror. Returns
@@ -582,21 +606,14 @@ let stm_begin t (th : V.t) =
   if Rvm.Vm.live_count vm <= 1 then begin
     (* no concurrency needed: revert to the GIL *)
     if Gil.held_by t.gil th then true
-    else if t.gil.owner = -1 then begin
-      Gil.take t.gil th;
-      t.outside.(th.tid) <- false;
+    else if gil_enter t th then begin
       t.skip_yield.(th.tid) <- true;
       st.stm_retry_counter <- -1;
       set_yield_counter t th
         (Txlen.set_transaction_length t.txlen ~code:th.code ~pc:th.pc);
       true
     end
-    else begin
-      Gil.enqueue_waiter t.gil th;
-      park t th (V.On_mutex (-1));
-      t.outside.(th.tid) <- true;
-      false
-    end
+    else false
   end
   else if t.gil.owner <> -1 then begin
     Gil.enqueue_waiter t.gil th;
@@ -625,15 +642,7 @@ let stm_begin t (th : V.t) =
     (* these writes route into the redo log: the engine dispatches
        [Htm.read]/[Htm.write] to the STM for software-active contexts *)
     set_yield_counter t th len;
-    (if vm.Rvm.Vm.opts.tls_current_thread then begin
-       if not t.cfg.machine.tls_fast then th.clock <- th.clock + (costs t).cyc_tls;
-       Htm.write vm.Rvm.Vm.htm ~ctx:th.ctx
-         (th.struct_base + V.st_tls_current)
-         (Rvm.Value.vint th.tid)
-     end
-     else
-       Htm.write vm.Rvm.Vm.htm ~ctx:th.ctx vm.Rvm.Vm.g_current_thread
-         (Rvm.Value.vint th.tid));
+    publish_running t th;
     t.outside.(th.tid) <- false;
     t.skip_yield.(th.tid) <- true;
     true
@@ -646,19 +655,12 @@ let gil_fallback t (th : V.t) ~cause =
   Obs.Sites.record_fallback t.sites ~target:"gil" ~cause;
   Obs.Metrics.incr t.m_fb_gil;
   t.stm_mode.(th.tid) <- false;
-  if t.gil.owner = -1 then begin
-    Gil.take t.gil th;
-    t.outside.(th.tid) <- false;
+  if gil_enter t th then begin
     t.skip_yield.(th.tid) <- true;
     reset_retries t th;
     (* window length is unchanged when reverting to the GIL *)
     set_yield_counter t th
       (Txlen.set_transaction_length t.txlen ~code:th.code ~pc:th.pc)
-  end
-  else begin
-    Gil.enqueue_waiter t.gil th;
-    park t th (V.On_mutex (-1));
-    t.outside.(th.tid) <- true
   end
 
 (* Software-transaction commit: validate the read set, publish the redo log
@@ -722,20 +724,13 @@ let rec transaction_begin t (th : V.t) =
   if Rvm.Vm.live_count vm <= 1 then begin
     (* no concurrency needed: revert to the GIL (lines 2-3) *)
     if Gil.held_by t.gil th then true
-    else if t.gil.owner = -1 then begin
-      Gil.take t.gil th;
-      t.outside.(th.tid) <- false;
+    else if gil_enter t th then begin
       t.skip_yield.(th.tid) <- true;
       set_yield_counter t th
         (Txlen.set_transaction_length t.txlen ~code:th.code ~pc:th.pc);
       true
     end
-    else begin
-      Gil.enqueue_waiter t.gil th;
-      park t th (V.On_mutex (-1));
-      t.outside.(th.tid) <- true;
-      false
-    end
+    else false
   end
   else begin
     let len = Txlen.set_transaction_length t.txlen ~code:th.code ~pc:th.pc in
@@ -755,16 +750,7 @@ let rec transaction_begin t (th : V.t) =
       Htm.tbegin vm.Rvm.Vm.htm ~ctx:th.ctx ~rollback:t.hw_rollback.(th.tid);
       emit t th Obs.Event.Txn_begin;
       set_yield_counter t th len;
-      (* publish the running thread (Section 4.4 conflict #1) *)
-      (if vm.Rvm.Vm.opts.tls_current_thread then begin
-         if not t.cfg.machine.tls_fast then th.clock <- th.clock + (costs t).cyc_tls;
-         Htm.write vm.Rvm.Vm.htm ~ctx:th.ctx
-           (th.struct_base + V.st_tls_current)
-           (Rvm.Value.vint th.tid)
-       end
-       else
-         Htm.write vm.Rvm.Vm.htm ~ctx:th.ctx vm.Rvm.Vm.g_current_thread
-           (Rvm.Value.vint th.tid));
+      publish_running t th;
       (match t.cfg.subscription with
       | Subscription.Eager ->
           (* subscribe to the GIL (line 15); abort if it got acquired
@@ -1020,20 +1006,6 @@ let transaction_yield t (th : V.t) =
 
 (* ---- the GIL-only scheme ------------------------------------------------ *)
 
-let gil_enter t (th : V.t) =
-  if Gil.held_by t.gil th then true
-  else if t.gil.owner = -1 then begin
-    Gil.take t.gil th;
-    t.outside.(th.tid) <- false;
-    true
-  end
-  else begin
-    Gil.enqueue_waiter t.gil th;
-    park t th (V.On_mutex (-1));
-    t.outside.(th.tid) <- true;
-    false
-  end
-
 (* At a yield point under the pure GIL: release + sched_yield + reacquire
    when the timer tick has passed and someone is waiting (Section 3.2). *)
 let gil_yield_point t (th : V.t) =
@@ -1270,16 +1242,15 @@ let[@inline] step_prologue t (th : V.t) =
    the pre-yield pc, even when a failed software commit inside
    [transaction_yield] rolled the registers back to an older pc; so the
    cost class is latched before stage 3, and [Rvm.Interp.step] then runs
-   whatever instruction the registers name. Inlined, as are
-   [step_prologue] and [Rvm.Vm.dcode]: all three run once per
-   instruction. *)
+   whatever instruction the registers name. Inlined, as is
+   [step_prologue]: both run once per instruction. *)
 let[@inline] step_thread t (th : V.t) =
   let vm = t.vm in
   step_prologue t th;
   if runnable th then begin
-    let d = Rvm.Vm.dcode vm th.code in
+    let d = th.code.Rvm.Value.dcode in
     let pc = th.pc in
-    let cost_class = Array.unsafe_get d.Rvm.Compiler.Dcode.cost pc in
+    let cost_class = Array.unsafe_get d.cost pc in
     (* 3. yield point *)
     (match t.cfg.scheme with
     | Scheme.Gil_only ->

@@ -68,7 +68,6 @@ let htm_mode = function
    allocation counter, its residual internal bottleneck. *)
 let adjust_options kind (opts : Rvm.Options.t) : Rvm.Options.t =
   match kind with
-  | Fine_grained ->
-      { opts with ephemeral_alloc = true; alloc_coherence_counter = true }
-  | Free_parallel -> { opts with ephemeral_alloc = true }
+  | Fine_grained -> { opts with alloc = Tlab_counted }
+  | Free_parallel -> { opts with alloc = Tlab }
   | Gil_only | Htm_fixed _ | Htm_dynamic | Hybrid | Stm_only -> opts

@@ -150,7 +150,7 @@ let grow_line_tables t cap_cells =
    writers -1) over their whole length. *)
 type line_tables = int array * int array
 
-let create ?(mode = Htm_mode) ?(seed = 42) ?recycled machine store =
+let create ?(mode = Htm_mode) ?recycled machine store =
   let n = max 1 (Machine.n_ctx machine) in
   if n > max_contexts then
     invalid_arg
@@ -187,7 +187,7 @@ let create ?(mode = Htm_mode) ?(seed = 42) ?recycled machine store =
       active = 0;
       occupied = Array.make n false;
       suspicion = Array.make n 0.0;
-      prng = Prng.create seed;
+      prng = Prng.create 42;
       stats = Stats.create ();
       step_extra_cycles = 0;
       step_accesses = 0;

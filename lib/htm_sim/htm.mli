@@ -27,7 +27,6 @@ type line_tables
 
 val create :
   ?mode:mode ->
-  ?seed:int ->
   ?recycled:line_tables ->
   Machine.t ->
   'a Store.t ->

@@ -1,6 +1,7 @@
-(* The event-trace sink: one fixed-capacity ring per guest thread. Disabled
-   is the default and costs one bool check per instrumentation site; enabled
-   costs one ring push per event. *)
+(* The event-trace sink: one fixed-capacity ring per guest thread. A sink
+   is created enabled unless [~enabled:false]; enabled, it costs one ring
+   push per event, disabled one bool check per instrumentation site, and
+   no sink at all (the runner's default) one branch. *)
 
 let default_capacity = 65_536
 

@@ -7,6 +7,87 @@ exception Error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
+(* ---- bytecode pre-decode: the runner's per-pc tables ----
+
+   [Value.dcode] holds, per pc of a code, what the runner consults before
+   every instruction: the cost class ([cost_table] turns it into cycles)
+   and membership in both yield-point sets. This section is the only
+   definition of both, and [make_code] attaches the tables to every code
+   when it is made. *)
+
+(* Cost classes; [cost_table] gives each one's cycles on a machine. *)
+let cost_plain = 0
+let cost_send = 1
+let cost_thread = 2
+let cost_alloc = 3
+let cost_def = 4
+
+let cost_class_of : insn -> int = function
+  | Send _ | Invokeblock _ | Newinstance _ -> cost_send
+  | Newthread _ -> cost_thread
+  | Newarray _ | Newarray_sized | Newhash _ | Newstring _ | Newrange _ ->
+      cost_alloc
+  | Defclass _ | Defmethod _ -> cost_def
+  | _ -> cost_plain
+
+(* Base interpreter cycles per cost class, before memory-access charges;
+   indexed by the [cost_*] ids above. *)
+let cost_table (c : Htm_sim.Machine.costs) =
+  [|
+    c.cyc_insn;
+    c.cyc_insn + c.cyc_send;
+    c.cyc_insn + (10 * c.cyc_send);
+    c.cyc_insn + c.cyc_alloc;
+    4 * c.cyc_insn;
+  |]
+
+(* Yield-point sets (Sections 3.2 and 4.2). Original CRuby places yield
+   points at loop back-edges and method/block exits. The paper adds
+   getlocal, getinstancevariable, getclassvariable, send and the
+   opt_plus/minus/mult/aref bytecodes, because the original points are too
+   coarse for the HTM footprint — with the extended set, more than half of
+   all executed bytecodes are yield points in the NPB. *)
+let yields_original : insn -> bool = function
+  | Jump _ | Branchif _ | Branchunless _ -> true  (* loop back-edges *)
+  | Leave | Return_insn | Break_insn -> true  (* method/block exits *)
+  | _ -> false
+
+let yields_extended (i : insn) =
+  match i with
+  | Getlocal _ | Getivar _ | Getcvar _ -> true
+  | Send _ | Newinstance _ | Invokeblock _ -> true
+  | Opt_plus | Opt_minus | Opt_mult | Opt_aref -> true
+  | _ -> yields_original i
+
+(* Tabulate one bytecode array. O(n). *)
+let decode_insns insns =
+  let n = Array.length insns in
+  let cost = Array.make n 0
+  and yield_orig = Bytes.make n '\000'
+  and yield_ext = Bytes.make n '\000' in
+  for pc = 0 to n - 1 do
+    let i = insns.(pc) in
+    cost.(pc) <- cost_class_of i;
+    if yields_original i then Bytes.set yield_orig pc '\001';
+    if yields_extended i then Bytes.set yield_ext pc '\001'
+  done;
+  { cost; yield_orig; yield_ext }
+
+let decode (code : code) = decode_insns code.insns
+
+(* Every code object is made here: a fresh uid and its decoded tables,
+   which never go stale because [insns] never changes. *)
+let make_code ~name ~kind ~arity ~nlocals insns =
+  {
+    code_name = name;
+    uid = Value.fresh_code_uid ();
+    kind;
+    arity;
+    nlocals;
+    insns;
+    dcode = decode_insns insns;
+  }
+
 type scope = {
   parent : scope option;
   locals : (string, int) Hashtbl.t;
@@ -237,14 +318,8 @@ and compile_block e (b : Ast.block) : code =
   List.iter (fun p -> ignore (declare_local be.scope p)) b.blk_params;
   compile_body_value be b.blk_body;
   emit be Leave;
-  {
-    code_name = "block";
-    uid = Value.fresh_code_uid ();
-    kind = Block;
-    arity = List.length b.blk_params;
-    nlocals = be.scope.n_locals;
-    insns = Array.sub be.insns 0 be.count;
-  }
+  make_code ~name:"block" ~kind:Block ~arity:(List.length b.blk_params)
+    ~nlocals:be.scope.n_locals (Array.sub be.insns 0 be.count)
 
 and compile_asgn e lhs rhs =
   match lhs with
@@ -503,14 +578,8 @@ and compile_method e name params body =
   List.iter (fun p -> ignore (declare_local me.scope p)) params;
   compile_body_value me body;
   emit me Leave;
-  {
-    code_name = name;
-    uid = Value.fresh_code_uid ();
-    kind = Method;
-    arity = List.length params;
-    nlocals = me.scope.n_locals;
-    insns = Array.sub me.insns 0 me.count;
-  }
+  make_code ~name ~kind:Method ~arity:(List.length params)
+    ~nlocals:me.scope.n_locals (Array.sub me.insns 0 me.count)
 
 let compile_program (prog : Ast.t) : program =
   let caches = ref 0 in
@@ -518,108 +587,9 @@ let compile_program (prog : Ast.t) : program =
   compile_body_value e prog;
   emit e Leave;
   let main =
-    {
-      code_name = "<main>";
-      uid = Value.fresh_code_uid ();
-      kind = Toplevel;
-      arity = 0;
-      nlocals = e.scope.n_locals;
-      insns = Array.sub e.insns 0 e.count;
-    }
+    make_code ~name:"<main>" ~kind:Toplevel ~arity:0 ~nlocals:e.scope.n_locals
+      (Array.sub e.insns 0 e.count)
   in
   { main; n_caches = !caches }
 
 let compile_string src = compile_program (Parser.parse src)
-
-(* ---- bytecode pre-decode: the runner's per-pc tables ----
-
-   [Dcode.t] holds, per pc of a [Value.code], what the runner consults
-   before every instruction: the cost class ([cost_table] turns it into
-   cycles) and membership in both yield-point sets. This module is the
-   only definition of both. pcs are the original bytecode pcs, so abort
-   attribution, txlen tables and Obs sites index the same instructions the
-   interpreter executes. *)
-
-module Dcode = struct
-  (* Cost classes; [cost_table] gives each one's cycles on a machine. *)
-  let cost_plain = 0
-  let cost_send = 1
-  let cost_thread = 2
-  let cost_alloc = 3
-  let cost_def = 4
-
-  type t = {
-    src : Value.code;  (** physical-identity guard for the per-VM cache *)
-    cost : int array;  (** cost class per pc *)
-    yield_orig : Bytes.t;  (** '\001' where the original set yields *)
-    yield_ext : Bytes.t;  (** '\001' where the extended set yields *)
-  }
-end
-
-let cost_class_of : insn -> int =
-  let open Dcode in
-  function
-  | Send _ | Invokeblock _ | Newinstance _ -> cost_send
-  | Newthread _ -> cost_thread
-  | Newarray _ | Newarray_sized | Newhash _ | Newstring _ | Newrange _ ->
-      cost_alloc
-  | Defclass _ | Defmethod _ -> cost_def
-  | _ -> cost_plain
-
-(* Base interpreter cycles per cost class, before memory-access charges;
-   indexed by the [Dcode.cost_*] ids above. *)
-let cost_table (c : Htm_sim.Machine.costs) =
-  [|
-    c.cyc_insn;
-    c.cyc_insn + c.cyc_send;
-    c.cyc_insn + (10 * c.cyc_send);
-    c.cyc_insn + c.cyc_alloc;
-    4 * c.cyc_insn;
-  |]
-
-(* Yield-point sets (Sections 3.2 and 4.2). Original CRuby places yield
-   points at loop back-edges and method/block exits. The paper adds
-   getlocal, getinstancevariable, getclassvariable, send and the
-   opt_plus/minus/mult/aref bytecodes, because the original points are too
-   coarse for the HTM footprint — with the extended set, more than half of
-   all executed bytecodes are yield points in the NPB. *)
-let yields_original : insn -> bool = function
-  | Jump _ | Branchif _ | Branchunless _ -> true  (* loop back-edges *)
-  | Leave | Return_insn | Break_insn -> true  (* method/block exits *)
-  | _ -> false
-
-let yields_extended (i : insn) =
-  match i with
-  | Getlocal _ | Getivar _ | Getcvar _ -> true
-  | Send _ | Newinstance _ | Invokeblock _ -> true
-  | Opt_plus | Opt_minus | Opt_mult | Opt_aref -> true
-  | _ -> yields_original i
-
-(* Tabulate one method's bytecode array. O(n); run once per [code] and
-   cached per VM (see [Vm.dcode]). *)
-let decode (code : Value.code) : Dcode.t =
-  let insns = code.insns in
-  let n = Array.length insns in
-  let cost = Array.make n 0
-  and yield_orig = Bytes.make n '\000'
-  and yield_ext = Bytes.make n '\000' in
-  for pc = 0 to n - 1 do
-    let i = insns.(pc) in
-    cost.(pc) <- cost_class_of i;
-    if yields_original i then Bytes.set yield_orig pc '\001';
-    if yields_extended i then Bytes.set yield_ext pc '\001'
-  done;
-  { Dcode.src = code; cost; yield_orig; yield_ext }
-
-(* Never matches a real code (fresh uids are >= 0 and [src] is compared
-   physically): the cache's hole value, so lookups skip an option. *)
-let dcode_dummy =
-  decode
-    {
-      code_name = "<none>";
-      uid = -1;
-      kind = Toplevel;
-      arity = 0;
-      nlocals = 0;
-      insns = [||];
-    }

@@ -1,9 +1,9 @@
 (* The guest heap: a slot arena with a global free list (the paper's second
-   conflict source), optional thread-local free lists with bulk refill
-   (Section 4.4), stop-the-world mark-and-sweep GC that always runs with the
-   GIL held, and a malloc area for array/string/hash payloads that is either
-   one global bump pointer (z/OS default, a conflict hotspot) or per-thread
-   chunked (HEAPPOOLS / glibc arenas). *)
+   conflict source), thread-local free lists with bulk refill under the
+   Section 4.4 conflict removals, stop-the-world mark-and-sweep GC that
+   always runs with the GIL held, and a malloc area for array/string/hash
+   payloads that is either one global bump pointer (the original, a
+   conflict hotspot) or per-thread chunked (HEAPPOOLS / glibc arenas). *)
 
 open Htm_sim
 
@@ -79,13 +79,17 @@ let header_for_alloc h class_id =
   if h.opts.lazy_sweep then Layout.with_mark (Layout.header_of_class class_id)
   else Layout.header_of_class class_id
 
+(* Nominal number of slots a bulk refill moves from the global list. *)
+let free_list_refill = 256
+
 (* Length of segment [k] of a linking with [left] slots still to place.
    Lengths vary around the nominal bulk size so that threads allocating at
    identical rates do not exhaust their local lists in lockstep and
    stampede the global head together. *)
-let seg_len h k left =
-  let seg_base = max 4 h.opts.free_list_refill in
-  max 1 (min left ((seg_base / 2) + ((k * 5 * seg_base / 8) mod seg_base)))
+let seg_len k left =
+  max 1
+    (min left
+       ((free_list_refill / 2) + ((k * 5 * free_list_refill / 8) mod free_list_refill)))
 
 (* Link the first [n] slots of [arr] (address order) into the global free
    list, in front of the current head. The list carries two structures at
@@ -108,7 +112,7 @@ let link_free_slots h arr n =
     done;
     let i = ref 0 and k = ref 0 in
     while !i < n do
-      let len = seg_len h !k (n - !i) in
+      let len = seg_len !k (n - !i) in
       let slot = arr.(!i) in
       let next_seg = if !i + len < n then arr.(!i + len) else old_head in
       Store.set h.store (slot + 2) (Value.vint next_seg);
@@ -131,7 +135,7 @@ let advance_frontier h ~chain addr =
   let fr = h.frontier and store = h.store in
   while fr.next <= addr && fr.next < fr.stop do
     let slot = fr.next in
-    let len = seg_len h fr.seg ((fr.stop - slot) / Layout.slot_cells) in
+    let len = seg_len fr.seg ((fr.stop - slot) / Layout.slot_cells) in
     let next_seg = slot + (len * Layout.slot_cells) in
     if chain then
       for i = 0 to len - 1 do
@@ -217,7 +221,7 @@ let create store htm (opts : Options.t) classes =
       gc_pause_hist = None;
     }
   in
-  if not opts.ephemeral_alloc then begin
+  if opts.alloc = Options.Slot_heap then begin
     (* reserve the boot arena and publish its head and count; its links are
        written as the allocator reaches them *)
     let n = opts.heap_slots in
@@ -253,9 +257,16 @@ let malloc_global h ~ctx n =
     base
   end
 
+(* Cells per thread-local malloc chunk. z/OS HEAPPOOLS (Section 5.2) still
+   leaves conflict points in malloc (Section 5.5): model it as much smaller
+   chunks, so the global bump pointer is touched far more often than on
+   Linux. *)
+let malloc_chunk h = if (Htm.machine h.htm).malloc_thread_local then 4096 else 256
+
 let malloc h (th : Vmthread.t) n =
   let ctx = th.ctx in
-  if h.opts.malloc_thread_local && n < h.opts.malloc_chunk then begin
+  let chunk = malloc_chunk h in
+  if h.opts.conflict_removal && n < chunk then begin
     let p = th.struct_base + Vmthread.st_malloc_ptr in
     let e = th.struct_base + Vmthread.st_malloc_end in
     let ptr = int_of (g_read h ~ctx p) in
@@ -265,9 +276,9 @@ let malloc h (th : Vmthread.t) n =
       ptr
     end
     else begin
-      let base = malloc_global h ~ctx h.opts.malloc_chunk in
+      let base = malloc_global h ~ctx chunk in
       g_write h ~ctx p (Value.vint (base + n));
-      g_write h ~ctx e (Value.vint (base + h.opts.malloc_chunk));
+      g_write h ~ctx e (Value.vint (base + chunk));
       base
     end
   end
@@ -521,12 +532,12 @@ let run_mark_phase h (th : Vmthread.t) =
 
 let rec alloc_slot h (th : Vmthread.t) ~class_id =
   h.allocs <- h.allocs + 1;
-  if h.opts.ephemeral_alloc then begin
+  if h.opts.alloc <> Options.Slot_heap then begin
     (* TLAB-style bump allocation, never collected (Figure 9 baselines) *)
     let slot = malloc h th Layout.slot_cells in
     let ctx = th.ctx in
     (* JRuby keeps shared object-space accounting; the JVM does not *)
-    if h.opts.alloc_coherence_counter then begin
+    if h.opts.alloc = Options.Tlab_counted then begin
       let c = int_of (g_read h ~ctx h.g_free_count) in
       g_write h ~ctx h.g_free_count (Value.vint (c + 1))
     end;
@@ -549,7 +560,7 @@ let rec alloc_slot h (th : Vmthread.t) ~class_id =
             in
             claim ()
       end
-      else if h.opts.thread_local_free_lists then
+      else if h.opts.conflict_removal then
         match pop_local h th with
         | Some s -> Some s
         | None -> if refill_local h th then pop_local h th else None
@@ -587,15 +598,14 @@ let rec alloc_slot h (th : Vmthread.t) ~class_id =
    generates the free-list and header traffic, and becomes garbage
    immediately. *)
 let alloc_box h (th : Vmthread.t) ~float_class_id v =
-  if h.opts.float_boxing then begin
-    if not h.opts.ephemeral_alloc then begin
+  match h.opts.alloc with
+  | Options.Slot_heap ->
       let slot = alloc_slot h th ~class_id:float_class_id in
       g_write h ~ctx:th.ctx (slot + 1) v
-    end
-    else if h.opts.alloc_coherence_counter then begin
+  | Tlab_counted ->
       (* JRuby boxes float results too, but from TLABs; its residual
          bottleneck is the shared object-space accounting it touches every
-         few allocations. The Java NPB uses primitive doubles: no boxing. *)
+         few allocations *)
       let ctx = th.ctx in
       let slot = malloc h th 2 in
       g_write h ~ctx slot v;
@@ -606,5 +616,4 @@ let alloc_box h (th : Vmthread.t) ~float_class_id v =
         let c = int_of (g_read h ~ctx h.g_free_count) in
         g_write h ~ctx h.g_free_count (Value.vint (c + 64))
       end
-    end
-  end
+  | Tlab -> (* the Java NPB uses primitive doubles: no boxing *) ()

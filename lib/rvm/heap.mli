@@ -1,7 +1,8 @@
 (** The guest heap: a slot arena with a global free list (the paper's second
-    conflict source), optional thread-local free lists with bulk segment
-    refills (Section 4.4), stop-the-world mark-and-sweep GC that always runs
-    with the GIL held, and a malloc area for array/string/hash payloads. *)
+    conflict source), thread-local free lists with bulk segment refills
+    under the Section 4.4 conflict removals, stop-the-world mark-and-sweep
+    GC that always runs with the GIL held, and a malloc area for
+    array/string/hash payloads. *)
 
 type frontier
 (** How far the boot arena has been linked. {!create} reserves the arena
@@ -49,19 +50,24 @@ val create :
     head (its first slot) and count; see {!frontier}. *)
 
 val malloc : t -> Vmthread.t -> int -> int
-(** Allocate [n] payload cells (array/string/hash data). Thread-local
-    chunked or a single global bump pointer per the options — the latter
-    models z/OS's conflict-prone allocator. *)
+(** Allocate [n] payload cells (array/string/hash data). Under the conflict
+    removals, requests smaller than a chunk come from a thread-local chunk
+    (4,096 cells, or 256 on a machine without [malloc_thread_local], where
+    z/OS HEAPPOOLS still conflicts); otherwise from the single global bump
+    pointer, the original allocator's conflict point. *)
 
 val alloc_slot : t -> Vmthread.t -> class_id:int -> int
-(** Allocate one object slot (8 cells) with its header initialised. Pops the
-    thread-local free list when enabled, refilling a whole segment from the
-    global list in bulk; triggers GC (under the GIL) when the heap is empty,
-    aborting to the GIL fallback first if called inside a transaction. *)
+(** Allocate one object slot (8 cells) with its header initialised. Under
+    the conflict removals it pops the thread-local free list, refilling a
+    whole segment from the global list in bulk; without them it pops the
+    global list. Triggers GC (under the GIL) when the heap is empty,
+    aborting to the GIL fallback first if called inside a transaction.
+    Under the TLAB models it bump-allocates from malloc instead. *)
 
 val alloc_box : t -> Vmthread.t -> float_class_id:int -> Value.t -> unit
 (** Allocation traffic for a boxed float result (CRuby 1.9 allocates a Float
-    object per float arithmetic result); the box is immediately garbage. *)
+    object per float arithmetic result); the box is immediately garbage.
+    JRuby boxes from its TLAB; the Java NPB does not box. *)
 
 val run_gc : t -> Vmthread.t -> int
 (** Full mark-and-sweep on behalf of a thread; returns and charges the cycle

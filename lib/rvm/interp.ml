@@ -231,13 +231,19 @@ let dispatch_slot vm (th : Vmthread.t) ~sym ~argc ~block ~slot =
             let already_filled = guard_cell <> VInt (-1) in
             (* Section 4.4: fill-once method caches avoid transactional
                cache-line ping-pong at polymorphic sites *)
-            if not (vm.Vm.opts.cache_fill_once && already_filled) then begin
+            if not (vm.Vm.opts.conflict_removal && already_filled) then begin
               wr vm th cache (vint guard);
               wr vm th (cache + 1) (encode_meth m')
             end
         | None -> ());
         invoke_meth vm th ~sym ~argc ~block ~recv m
   end
+
+(* Section 4.4: instance-variable caches guard on the ivar table, which a
+   subclass shares until it adds an ivar of its own; original CRuby guards
+   on the class. *)
+let ivar_cache_guard vm (k : Klass.t) =
+  if vm.Vm.opts.conflict_removal then k.ivar_tbl_id else k.id
 
 (* ---- operators ---------------------------------------------------------- *)
 
@@ -449,11 +455,7 @@ let rec step vm (th : Vmthread.t) : step_result =
       (match self with
       | VRef a ->
           let k = Vm.class_of vm self in
-          let guard =
-            match vm.Vm.opts.ivar_guard with
-            | Options.Class_equality -> k.id
-            | Options.Table_equality -> k.ivar_tbl_id
-          in
+          let guard = ivar_cache_guard vm k in
           let cache = Vm.cache_addr vm slot in
           let idx =
             match (rd vm th cache, rd vm th (cache + 1)) with
@@ -482,13 +484,8 @@ let rec step vm (th : Vmthread.t) : step_result =
             | Some i -> i
             | None -> assert false
           in
-          let guard =
-            match vm.Vm.opts.ivar_guard with
-            | Options.Class_equality -> k.id
-            | Options.Table_equality -> k.ivar_tbl_id
-          in
           let cache = Vm.cache_addr vm slot in
-          wr vm th cache (vint guard);
+          wr vm th cache (vint (ivar_cache_guard vm k));
           wr vm th (cache + 1) (vint idx);
           let v = pop vm th in
           wr vm th (a + idx) v
@@ -839,25 +836,13 @@ and defclass vm th (cd : class_def) =
   List.iter (fun (sym, code) -> Klass.define_method k sym (Klass.Bytecode code)) cd.cd_methods;
   List.iter
     (fun (sym, get_slot, set_slot) ->
-      let getter : code =
-        {
-          code_name = Sym.name sym;
-          uid = Value.fresh_code_uid ();
-          kind = Method;
-          arity = 0;
-          nlocals = 0;
-          insns = [| Getivar (sym, get_slot); Leave |];
-        }
+      let getter =
+        Compiler.make_code ~name:(Sym.name sym) ~kind:Method ~arity:0 ~nlocals:0
+          [| Getivar (sym, get_slot); Leave |]
       in
-      let setter : code =
-        {
-          code_name = Sym.name sym ^ "=";
-          uid = Value.fresh_code_uid ();
-          kind = Method;
-          arity = 1;
-          nlocals = 1;
-          insns = [| Getlocal (0, 0); Setivar (sym, set_slot); Getlocal (0, 0); Leave |];
-        }
+      let setter =
+        Compiler.make_code ~name:(Sym.name sym ^ "=") ~kind:Method ~arity:1 ~nlocals:1
+          [| Getlocal (0, 0); Setivar (sym, set_slot); Getlocal (0, 0); Leave |]
       in
       Klass.define_method k sym (Klass.Bytecode getter);
       Klass.define_method k (Sym.intern (Sym.name sym ^ "=")) (Klass.Bytecode setter))

@@ -1,29 +1,31 @@
-(** Run-time configuration of the VM: the conflict-removal switches of the
-    paper's Section 4.4 plus sizing knobs, each independently toggleable so
-    the Section 5.4 ablations can be reproduced. *)
+(** Run-time configuration of the VM: one switch for the paper's Section 4.4
+    conflict removals (the Section 5.4 ablation turns them off together),
+    the heap size, the allocation model and two variants the paper
+    argues about (Sections 5.6 and 7). *)
 
-type ivar_guard =
-  | Class_equality  (** original CRuby inline-cache guard *)
-  | Table_equality  (** the paper's fix: guard on the ivar-table identity *)
+type alloc =
+  | Slot_heap
+      (** CRuby: objects come off the free lists and the GC reclaims them;
+          boxed float results allocate a slot each *)
+  | Tlab
+      (** Figure 9's Java NPB: JVM-style bump allocation from the thread's
+          malloc chunk, never collected; float results stay unboxed *)
+  | Tlab_counted
+      (** Figure 9's JRuby: [Tlab] plus shared object-space accounting that
+          every allocation and every 64th boxed float touches *)
 
 type t = {
-  float_boxing : bool;
-      (** CRuby 1.9 allocates a Float object per float result — the dominant
-          allocation traffic in the NPB *)
-  thread_local_free_lists : bool;  (** Section 4.4 conflict removal #2 *)
-  free_list_refill : int;  (** objects moved from the global list in bulk *)
-  tls_current_thread : bool;  (** #1: running-thread globals moved to TLS *)
-  cache_fill_once : bool;  (** #4: method inline caches filled only once *)
-  ivar_guard : ivar_guard;  (** #4: instance-variable cache guard *)
-  padded_thread_structs : bool;  (** #5: thread structs on dedicated lines *)
-  heap_slots : int;  (** initial heap size (RUBY_HEAP_MIN_SLOTS analogue) *)
-  malloc_thread_local : bool;  (** HEAPPOOLS-style malloc *)
-  malloc_chunk : int;  (** cells per thread-local malloc chunk *)
-  stack_cells : int;  (** per-thread frame-stack region *)
-  ephemeral_alloc : bool;
-      (** Figure 9 baselines: TLAB-style allocation, GC never runs *)
-  alloc_coherence_counter : bool;
-      (** JRuby-style residual bottleneck: shared object-space accounting *)
+  conflict_removal : bool;
+      (** The Section 4.4 removals as one package: the running thread is
+          published in thread-local storage instead of a global (#1);
+          threads allocate from thread-local free lists refilled a segment
+          at a time (#2); method inline caches are filled only once and
+          instance-variable caches guard on the ivar table, not the class
+          (#4); small mallocs come from a thread-local chunk (HEAPPOOLS).
+          The enlarged heap (#3) is [heap_slots]. *)
+  heap_slots : int;
+      (** initial heap size in slots (RUBY_HEAP_MIN_SLOTS analogue) *)
+  alloc : alloc;  (** set by the scheme, see [Core.Scheme.adjust_options] *)
   refcount_writes : bool;
       (** CPython-style INCREF/DECREF on every dispatch: reproduces the
           paper's Section 7 point that reference counting defeats HTM GIL
@@ -35,8 +37,9 @@ type t = {
 }
 
 val default : t
-(** The paper's tuned configuration: all conflict removals on, enlarged
-    heap. *)
+(** The paper's tuned configuration: the conflict removals on, a
+    200,000-slot heap, slot allocation. *)
 
 val cruby_baseline : t
-(** Original CRuby 1.9.3: no conflict removals, small default heap. *)
+(** Original CRuby 1.9.3: [default] without the conflict removals and with
+    a 4,000-slot heap. *)

@@ -24,7 +24,11 @@ and code = {
   arity : int;
   nlocals : int;  (** parameters first, then other locals *)
   insns : insn array;
+  dcode : dcode;  (** decoded when the code is made *)
 }
+
+(* The runner's per-pc tables, see value.mli. *)
+and dcode = { cost : int array; yield_orig : Bytes.t; yield_ext : Bytes.t }
 
 and code_kind = Method | Block | Toplevel
 

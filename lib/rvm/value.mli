@@ -24,6 +24,18 @@ and code = {
   arity : int;
   nlocals : int;  (** parameters first, then other locals *)
   insns : insn array;
+  dcode : dcode;
+      (** decoded from [insns] when the code is made ([Compiler.make_code]) *)
+}
+
+(** What the runner consults before every instruction, per pc: the cost
+    class and membership in both yield-point sets. pcs are the bytecode
+    pcs, so txlen tables, abort attribution and yield decisions index the
+    instructions the interpreter executes. *)
+and dcode = {
+  cost : int array;  (** cost class, an index into [Compiler.cost_table] *)
+  yield_orig : Bytes.t;  (** '\001' where the original set yields *)
+  yield_ext : Bytes.t;  (** '\001' where the extended set yields *)
 }
 
 and code_kind = Method | Block | Toplevel

@@ -60,13 +60,6 @@ and t = {
   metrics : Obs.Metrics.t;
   m_cache_hits : Obs.Metrics.counter;
   m_cache_misses : Obs.Metrics.counter;
-  (* per-method decoded-code cache, read by the runner before every
-     instruction (yield points, cost class); indexed by [code.uid] with
-     [Compiler.dcode_dummy] holes; entries guard on the physical identity
-     of their source code object. A decoded form depends only on its
-     code's instructions, which never change after compilation, so
-     entries are never flushed. *)
-  mutable dcodes : Compiler.Dcode.t array;
 }
 
 (* Domain-local pool of a retired VM's store pages and HTM mark tables. A
@@ -93,8 +86,9 @@ let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine =
      stacks and one heap growth, so booting never grows the page table nor,
      with it, the engine's line tables *)
   let initial_cells =
-    if opts.Options.ephemeral_alloc then 1 lsl 16
-    else (1 lsl 16) + (2 * opts.Options.heap_slots * Layout.slot_cells)
+    match opts.Options.alloc with
+    | Slot_heap -> (1 lsl 16) + (2 * opts.heap_slots * Layout.slot_cells)
+    | Tlab | Tlab_counted -> 1 lsl 16
   in
   let p = Domain.DLS.get pool in
   let pages = p.pages and lines = p.lines in
@@ -184,7 +178,6 @@ let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine =
       metrics;
       m_cache_hits = Obs.Metrics.counter metrics "interp.method_cache_hits";
       m_cache_misses = Obs.Metrics.counter metrics "interp.method_cache_misses";
-      dcodes = Array.make 64 Compiler.dcode_dummy;
     }
   in
   vm
@@ -282,12 +275,9 @@ let live_count vm = match Store.get vm.store vm.g_live with Value.VInt n -> n | 
 
 (* Create a guest thread. [frame_filler] initialises its first frame. *)
 let new_thread vm ~code ~obj =
-  let stack_base = Store.reserve_aligned vm.store vm.opts.stack_cells in
-  let struct_base =
-    if vm.opts.padded_thread_structs then
-      Store.reserve_aligned vm.store Vmthread.struct_cells
-    else Store.reserve vm.store Vmthread.struct_cells
-  in
+  let stack_base = Store.reserve_aligned vm.store Vmthread.stack_cells in
+  (* the stack ends on a line boundary, so the struct starts a line *)
+  let struct_base = Store.reserve_aligned vm.store Vmthread.struct_cells in
   for i = 0 to Vmthread.struct_cells - 1 do
     Store.set vm.store (struct_base + i) (Value.vint 0)
   done;
@@ -295,7 +285,7 @@ let new_thread vm ~code ~obj =
   vm.n_threads <- tid + 1;
   let th =
     Vmthread.create ~tid ~stack_base
-      ~stack_limit:(stack_base + vm.opts.stack_cells)
+      ~stack_limit:(stack_base + Vmthread.stack_cells)
       ~struct_base ~obj ~code
   in
   vm.threads <- th :: vm.threads;
@@ -357,34 +347,5 @@ let load_program vm (prog : Value.program) =
   vm.n_caches <- n
 
 let cache_addr vm slot = vm.cache_base + (2 * slot)
-
-(* ---- the decoded-code cache --------------------------------------------- *)
-
-let dcode_fill vm (code : Value.code) =
-  let u = code.Value.uid in
-  if u >= Array.length vm.dcodes then begin
-    let n = ref (Array.length vm.dcodes) in
-    while u >= !n do
-      n := 2 * !n
-    done;
-    let bigger = Array.make !n Compiler.dcode_dummy in
-    Array.blit vm.dcodes 0 bigger 0 (Array.length vm.dcodes);
-    vm.dcodes <- bigger
-  end;
-  let d = Compiler.decode code in
-  vm.dcodes.(u) <- d;
-  d
-
-(* The decoded form of [code], tabulating it on first use. The hit path is
-   two loads and a physical-identity check ([uid]s are session-unique, the
-   [src] guard makes the cache robust even against reuse). *)
-let[@inline] dcode vm (code : Value.code) =
-  let u = code.Value.uid in
-  let a = vm.dcodes in
-  if u < Array.length a then begin
-    let d = Array.unsafe_get a u in
-    if d.Compiler.Dcode.src == code then d else dcode_fill vm code
-  end
-  else dcode_fill vm code
 
 let output vm = Buffer.contents vm.out

@@ -56,10 +56,6 @@ and t = {
       (** per-VM metrics registry; the runner folds it into run results *)
   m_cache_hits : Obs.Metrics.counter;  (** inline method-cache hits *)
   m_cache_misses : Obs.Metrics.counter;
-  mutable dcodes : Compiler.Dcode.t array;
-      (** pre-decoded code cache indexed by [code.uid]; holes hold
-          {!Compiler.dcode_dummy} and entries are guarded by physical
-          identity of [src], so stale uids can never alias *)
 }
 
 val create :
@@ -101,11 +97,5 @@ val load_program : t -> Value.program -> unit
 (** Reserve the inline-cache region for a compiled program. *)
 
 val cache_addr : t -> int -> int
-
-val dcode : t -> Value.code -> Compiler.Dcode.t
-(** The pre-decoded form of [code], tabulating it on first use. Hot path:
-    one bounds check + one physical-equality guard when cached. Entries
-    are never flushed: a decoded form depends only on its [code]'s
-    instructions, which never change after compilation. *)
 
 val output : t -> string

@@ -21,8 +21,9 @@ type status =
   | Finished
 
 (* Thread-struct cell offsets. The struct is written at every transaction
-   yield (the yield-point counter), so without padding adjacent structs
-   false-share cache lines — conflict source #5 in Section 4.4. *)
+   yield (the yield-point counter); each one follows its thread's
+   line-aligned stack, so adjacent structs never false-share a line
+   (conflict source #5 in Section 4.4). *)
 let st_interrupt = 0
 let st_yield_counter = 1
 let st_free_head = 2
@@ -32,6 +33,7 @@ let st_malloc_end = 5
 let st_tls_current = 6
 let st_spare = 7
 let struct_cells = 8
+let stack_cells = 32_768
 
 type t = {
   tid : int;

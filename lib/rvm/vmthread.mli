@@ -2,8 +2,9 @@
     thread structure" region in the simulated store. The thread structure
     holds the interrupt flag, the yield-point counter of Figure 2, the
     thread-local free list and the TLS cell — written at every transaction
-    yield, so without padding adjacent structs false-share cache lines
-    (conflict source #5 of Section 4.4). *)
+    yield. Each struct follows its thread's line-aligned stack, so no two
+    structs share a cache line (conflict source #5 of Section 4.4 never
+    arises). *)
 
 type block_reason =
   | On_mutex of int  (** mutex object slot address *)
@@ -31,6 +32,9 @@ val st_malloc_end : int
 val st_tls_current : int
 val st_spare : int
 val struct_cells : int
+
+val stack_cells : int
+(** Cells of each thread's frame-stack region. *)
 
 type t = {
   tid : int;

@@ -493,15 +493,12 @@ let commit t ~ctx =
    back up; both are O(1) on flat int rows. *)
 module Budget = struct
   let no_entry = min_int
+  let initial = 8
+  let min_budget = 1
 
-  type t = {
-    initial : int;
-    min_budget : int;
-    mutable entries : int array array;
-  }
+  type t = { mutable entries : int array array }
 
-  let create ?(initial = 8) ?(min_budget = 1) () =
-    { initial; min_budget; entries = Array.make 64 [||] }
+  let create () = { entries = Array.make 64 [||] }
 
   let ensure t uid pc =
     if uid >= Array.length t.entries then begin
@@ -521,17 +518,17 @@ module Budget = struct
   let allowed t ~uid ~pc =
     ensure t uid pc;
     let v = t.entries.(uid).(pc) in
-    if v = no_entry then t.initial else v
+    if v = no_entry then initial else v
 
   let punish t ~uid ~pc =
     ensure t uid pc;
     let v = allowed t ~uid ~pc in
-    t.entries.(uid).(pc) <- max t.min_budget (v / 2)
+    t.entries.(uid).(pc) <- max min_budget (v / 2)
 
   let reward t ~uid ~pc =
     ensure t uid pc;
     let v = allowed t ~uid ~pc in
-    if v < t.initial then t.entries.(uid).(pc) <- v + 1
+    if v < initial then t.entries.(uid).(pc) <- v + 1
 
   (* (fraction of touched sites at the minimum budget, mean budget). *)
   let stats t =
@@ -543,11 +540,11 @@ module Budget = struct
             if v <> no_entry then begin
               incr n;
               total := !total + v;
-              if v <= t.min_budget then incr at_min
+              if v <= min_budget then incr at_min
             end)
           row)
       t.entries;
-    if !n = 0 then (0.0, float_of_int t.initial)
+    if !n = 0 then (0.0, float_of_int initial)
     else
       ( float_of_int !at_min /. float_of_int !n,
         float_of_int !total /. float_of_int !n )

@@ -93,7 +93,9 @@ val stats_to_assoc : stats -> (string * int) list
 module Budget : sig
   type t
 
-  val create : ?initial:int -> ?min_budget:int -> unit -> t
+  val create : unit -> t
+  (** Every site starts with 8 retries; punishment floors at 1. *)
+
   val allowed : t -> uid:int -> pc:int -> int
   val punish : t -> uid:int -> pc:int -> unit
   val reward : t -> uid:int -> pc:int -> unit

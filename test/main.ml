@@ -1,4 +1,8 @@
-(* Test entry point: one alcotest run aggregating all suites. *)
+(* Test entry point: one alcotest run aggregating all suites.
+
+   Alcotest pads the suite column to the longest suite name and cuts each
+   test name to fit the line, so a suite name longer than 12 characters
+   shortens the printed name of every long test. Keep new names short. *)
 
 let () =
   Alcotest.run "htm_gil"
@@ -15,6 +19,7 @@ let () =
       ("inline-cache", Test_inline_cache.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("heap-gc", Test_heap.suite);
+      ("removals", Test_conflict_removal.suite);
       ("objects", Test_objects.suite);
       ("threads", Test_threads.suite);
       ("gil", Test_gil.suite);

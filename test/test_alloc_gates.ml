@@ -78,7 +78,7 @@ let per_insn ~scheme ~short ~long source =
     (w, Option.get !r)
   in
   ignore (run short);
-  (* warm: intern table, dcode cache *)
+  (* a warm-up run *)
   let w_short, r_short = run short in
   let w_long, r_long = run long in
   let insns (r : Core.Runner.result) = float_of_int r.total_insns in

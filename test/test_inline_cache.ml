@@ -1,6 +1,11 @@
 (* Inline-cache behaviour: the Section 4.4 changes (fill-once method caches,
-   ivar-table-equality guards) must preserve semantics at polymorphic sites
-   and across inheritance. *)
+   ivar-table-equality guards, both part of the conflict removals) must
+   preserve semantics at polymorphic sites and across inheritance. *)
+
+(* Both cache policies: the conflict removals' and original CRuby's
+   (refill on every miss, class-equality ivar guard). *)
+let policies =
+  [ ("removals", Rvm.Options.default); ("cruby baseline", Rvm.Options.cruby_baseline) ]
 
 let poly_src =
   {|class A
@@ -21,20 +26,15 @@ puts out|}
 
 let test_polymorphic_site () =
   List.iter
-    (fun opts ->
-      Alcotest.(check string) "alternating receivers" "ababa\n"
-        (Tutil.output ~opts poly_src))
-    [
-      Rvm.Options.default;
-      (* original CRuby: refill on every miss, class-equality guard *)
-      { Rvm.Options.default with cache_fill_once = false };
-      { Rvm.Options.default with ivar_guard = Rvm.Options.Class_equality };
-    ]
+    (fun (label, opts) ->
+      Alcotest.(check string) label "ababa\n" (Tutil.output ~opts poly_src))
+    policies
 
-let test_inherited_ivar_guard () =
+let test_inherited_ivars () =
   (* a subclass without its own ivars shares the parent's ivar table: the
      table-equality guard may reuse the cache, the class guard may not —
-     both must read the right slots *)
+     both must read the right slots. A subclass copies the ivars its
+     parent has when it is defined, so Derived comes after Base's @v. *)
   let src =
     {|class Base
   def initialize(v)
@@ -44,22 +44,18 @@ let test_inherited_ivar_guard () =
     @v
   end
 end
+first = Base.new(1)
 class Derived < Base
 end
-objs = [Base.new(1), Derived.new(2), Base.new(3), Derived.new(4)]
+objs = [first, Derived.new(2), Base.new(3), Derived.new(4)]
 total = 0
 objs.each { |o| total += o.v }
 puts total|}
   in
   List.iter
-    (fun guard ->
-      Alcotest.(check string)
-        (match guard with
-        | Rvm.Options.Class_equality -> "class guard"
-        | Rvm.Options.Table_equality -> "table guard")
-        "10\n"
-        (Tutil.output ~opts:{ Rvm.Options.default with ivar_guard = guard } src))
-    [ Rvm.Options.Class_equality; Rvm.Options.Table_equality ]
+    (fun (label, opts) ->
+      Alcotest.(check string) label "10\n" (Tutil.output ~opts src))
+    policies
 
 let test_subclass_with_own_ivars () =
   (* once the subclass adds an ivar the layouts diverge: the table guard
@@ -120,7 +116,7 @@ let suite =
   [
     Alcotest.test_case "polymorphic site, all cache policies" `Quick
       test_polymorphic_site;
-    Alcotest.test_case "inherited ivar guards" `Quick test_inherited_ivar_guard;
+    Alcotest.test_case "inherited ivar guards" `Quick test_inherited_ivars;
     Alcotest.test_case "diverged subclass layouts" `Quick
       test_subclass_with_own_ivars;
     Alcotest.test_case "concurrent cache fill under HTM" `Quick

@@ -448,7 +448,7 @@ puts V.new(2) + V.new(3)|};
     Alcotest.fail "expected division-by-zero failure"
   with Core.Runner.Guest_failure _ -> ()
 
-(* ---- pre-decode consistency: Dcode must mirror the tagged world ------- *)
+(* ---- pre-decode consistency: a code's tables mirror its instructions --- *)
 
 module C = Rvm.Compiler
 module Val = Rvm.Value
@@ -509,18 +509,21 @@ th.join|}
 let test_decode_consistency () =
   List.iter
     (fun (code : Val.code) ->
-      let d = C.decode code in
+      let d = code.Val.dcode in
+      Alcotest.(check bool)
+        (code.Val.code_name ^ ": the tables decode gives")
+        true (C.decode code = d);
       Array.iteri
         (fun pc insn ->
           let name = Printf.sprintf "%s@%d" code.Val.code_name pc in
           Alcotest.(check bool)
             (name ^ ": yield_orig")
             (C.yields_original insn)
-            (Bytes.get d.C.Dcode.yield_orig pc = '\001');
+            (Bytes.get d.Val.yield_orig pc = '\001');
           Alcotest.(check bool)
             (name ^ ": yield_ext")
             (C.yields_extended insn)
-            (Bytes.get d.C.Dcode.yield_ext pc = '\001'))
+            (Bytes.get d.Val.yield_ext pc = '\001'))
         code.Val.insns)
     (codes_of decode_corpus)
 
@@ -547,10 +550,9 @@ let test_runner_cost_tbl () =
       let seen = Array.map (fun _ -> false) tbl in
       List.iter
         (fun (code : Val.code) ->
-          let d = C.decode code in
           Array.iteri
             (fun pc insn ->
-              let cls = d.C.Dcode.cost.(pc) in
+              let cls = code.Val.dcode.cost.(pc) in
               seen.(cls) <- true;
               Alcotest.(check int)
                 (Printf.sprintf "%s: %s@%d" m.name code.Val.code_name pc)

@@ -119,7 +119,7 @@ let test_commit_bumps_clock () =
     (Stm.stats stm).Stm.read_only_commits
 
 let test_budget () =
-  let b = Stm.Budget.create ~initial:8 ~min_budget:1 () in
+  let b = Stm.Budget.create () in
   Alcotest.(check int) "initial allowance" 8
     (Stm.Budget.allowed b ~uid:3 ~pc:14);
   Stm.Budget.punish b ~uid:3 ~pc:14;

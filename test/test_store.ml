@@ -164,7 +164,7 @@ let test_thread_stacks_stay_unbacked () =
   let brk0 = Store.brk store and res0 = Store.resident_cells store in
   let r = Core.Runner.run t in
   Alcotest.(check string) "guest ran" "64\n" r.Core.Runner.output;
-  let stacks = 64 * Rvm.Options.default.Rvm.Options.stack_cells in
+  let stacks = 64 * Rvm.Vmthread.stack_cells in
   Alcotest.(check bool) "brk grew by 64 stacks" true
     (Store.brk store - brk0 >= stacks);
   let pages = (Store.resident_cells store - res0) / page_cells in

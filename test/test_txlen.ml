@@ -1,14 +1,8 @@
 (* Dynamic transaction-length adjustment (Figure 3) as a unit. *)
 
-let dummy_code () : Rvm.Value.code =
-  {
-    code_name = "test";
-    uid = Rvm.Value.fresh_code_uid ();
-    kind = Rvm.Value.Method;
-    arity = 0;
-    nlocals = 0;
-    insns = [| Rvm.Value.Nop |];
-  }
+let dummy_code () =
+  Rvm.Compiler.make_code ~name:"test" ~kind:Rvm.Value.Method ~arity:0 ~nlocals:0
+    [| Rvm.Value.Nop |]
 
 let params =
   {
