@@ -7,9 +7,10 @@
    ([Netsim.schedule] — identical to what a single open-loop socket would
    produce) and split round-robin: arrival i goes to shard i mod N. Each
    shard's [Netsim.Fed] socket receives its whole sub-schedule, carrying
-   the global timestamps, and its feed is closed before the shard runs, so
-   every shard is one [Core.Runner.run] and the shards run to completion
-   fully in parallel — the shared-nothing scaling path.
+   the global timestamps, and its feed is closed before the shard boots, so
+   every shard is one pool job (boot, one [Core.Runner.run], release) and
+   the shards run to completion fully in parallel — the shared-nothing
+   scaling path.
 
    Per-shard results merge deterministically in shard order: metric
    registries via [Obs.Metrics.merge] (latency histogram buckets sum,
@@ -260,11 +261,7 @@ type result = {
   r_session : session_stats option;
 }
 
-type shard_state = {
-  io : Netsim.t;
-  runner : Core.Runner.t;
-  mutable assigned : int;
-}
+type shard_state = { io : Netsim.t; mutable assigned : int }
 
 let sum_stm (dst : Stm.stats) (src : Stm.stats) =
   dst.Stm.begins <- dst.Stm.begins + src.Stm.begins;
@@ -297,9 +294,7 @@ let run ?jobs (cfg : config) : result =
       ~arrivals:p.arrivals ~mix:p.mix
   in
   let shards =
-    Array.init cfg.shards (fun _ ->
-        let io = make_io_fed () in
-        { io; runner = Exp.boot p ~io:(Some io); assigned = 0 })
+    Array.init cfg.shards (fun _ -> { io = make_io_fed (); assigned = 0 })
   in
   let n = cfg.shards in
   (* arrival i -> shard i mod N, assigned up front: every shard holds its
@@ -311,10 +306,16 @@ let run ?jobs (cfg : config) : result =
       sh.assigned <- sh.assigned + 1)
     entries;
   Array.iter (fun sh -> Netsim.close_feed sh.io) shards;
+  (* each job boots its shard, runs it and releases its VM, so at most
+     min(jobs, shards) VMs are live at once, and a worker's next shard
+     boots from the pages and line tables its last one handed back *)
   let run_all pool =
     Pool.map pool
       (fun sh ->
-        Core.Runner.run ~stop:(fun () -> Netsim.done_all sh.io) sh.runner)
+        let t = Exp.boot p ~io:(Some sh.io) in
+        let r = Core.Runner.run ~stop:(fun () -> Netsim.done_all sh.io) t in
+        Rvm.Vm.release t.Core.Runner.vm;
+        r)
       (Array.to_list shards)
   in
   let results =
@@ -394,8 +395,6 @@ let run ?jobs (cfg : config) : result =
       (fun acc (r : Core.Runner.result) -> max acc r.Core.Runner.wall_cycles)
       0 results
   in
-  (* the outcome keeps no reference into the simulated stores *)
-  Array.iter (fun sh -> Rvm.Vm.release sh.runner.Core.Runner.vm) shards;
   {
     r_shards = n;
     r_issued = total Netsim.issued;

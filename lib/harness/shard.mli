@@ -3,11 +3,12 @@
     interning context) behind a netsim load balancer that splits one
     globally-generated open-loop arrival schedule round-robin across
     per-shard [Netsim.Fed] sockets and merges the per-shard results
-    deterministically in shard order. Each shard is one {!Core.Runner.run}
-    over a socket that holds its whole sub-schedule; the shards run on the
-    [BENCH_JOBS] worker pool, and results are bit-identical at any worker
-    count, under any shard-to-domain placement, and across both
-    schedulers. *)
+    deterministically in shard order. Each shard is one pool job that
+    boots its VM, runs it once over a socket that holds its whole
+    sub-schedule, and releases it, so at most min(jobs, shards) VMs are live
+    at once. The shards run on the [BENCH_JOBS] worker pool, and results
+    are bit-identical at any worker count, under any shard-to-domain
+    placement, and across both schedulers. *)
 
 type policy =
   | Round_robin
@@ -105,7 +106,7 @@ type result = {
 }
 
 val run : ?jobs:int -> config -> result
-(** Generate the global schedule, boot the shards, split, serve, merge.
-    The shards run on the global {!Pool} ([BENCH_JOBS] workers); [jobs]
-    runs them on a pool of that many workers instead (tests compare
-    placements). *)
+(** Generate the global schedule, split it, then serve each shard in its
+    own job (boot, run, release), and merge. The shards run on the global
+    {!Pool} ([BENCH_JOBS] workers); [jobs] runs them on a pool of that many
+    workers instead (tests compare placements). *)

@@ -2,7 +2,10 @@
    statements) but are suppressed inside parentheses and brackets, and
    immediately after a token that cannot end an expression. *)
 
-type strpart = SLit of string | SExpr of string
+type strpart =
+  | SLit of string
+  | SExpr of string * int
+      (** an interpolated snippet and the line its [#{] opens on *)
 
 type token =
   | INT of int
@@ -158,6 +161,7 @@ let tokenize src =
                brace (no nested string literals with braces inside) *)
             parts := SLit (Buffer.contents buf) :: !parts;
             Buffer.clear buf;
+            let open_line = !line in
             i := !i + 2;
             let depth_braces = ref 1 in
             let expr = Buffer.create 16 in
@@ -177,7 +181,7 @@ let tokenize src =
               incr i
             done;
             i := !i - 1;
-            parts := SExpr (Buffer.contents expr) :: !parts
+            parts := SExpr (Buffer.contents expr, open_line) :: !parts
         | '\n' ->
             incr line;
             Buffer.add_char buf '\n'

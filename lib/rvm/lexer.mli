@@ -4,7 +4,11 @@
     recorded because Ruby's grammar is whitespace-sensitive around command
     calls ([foo (x).y] vs [foo(x).y]). *)
 
-type strpart = SLit of string | SExpr of string
+type strpart =
+  | SLit of string
+  | SExpr of string * int
+      (** an interpolated snippet and the line its [#{] opens on; the
+          parser shifts the snippet's front-end errors onto that line *)
 
 type token =
   | INT of int

@@ -574,11 +574,18 @@ and parse_primary st =
         (List.map
            (function
              | Lexer.SLit l -> Lit_part l
-             | Lexer.SExpr src -> (
-                 (* parse the embedded expression with a fresh sub-parser *)
+             | Lexer.SExpr (src, line) -> (
+                 (* parse the embedded expression with a fresh sub-parser,
+                    whose line 1 is the line the [#{] opens on *)
+                 let shift l = l + line - 1 in
                  match parse src with
                  | [ Expr_stmt e ] -> Expr_part e
-                 | _ -> err st "interpolation must be a single expression"))
+                 | _ ->
+                     raise
+                       (Error ("interpolation must be a single expression", line))
+                 | exception Lexer.Error (msg, l) ->
+                     raise (Lexer.Error (msg, shift l))
+                 | exception Error (msg, l) -> raise (Error (msg, shift l))))
            parts)
   | Lexer.SYMBOL s ->
       advance st;

@@ -13,16 +13,17 @@ type t = {
 }
 
 (* Make this session's interning and uid state the domain's active one.
-   The runner calls this when a run starts, so N shard sessions can be
-   booted on one domain and run on others without sharing state. *)
+   The runner calls this when a run starts, so a session runs on its own
+   state whichever sessions were booted or run on this domain since. *)
 let activate t =
   Sym.activate t.syms;
   Value.activate_uid_state t.uids
 
-(* The lines the prelude and its separating newline occupy ahead of the
-   user's source: front-end errors report lines of the user's source. *)
-let prelude_lines =
-  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 Prelude.source
+(* The prelude's syntax tree, parsed once per process when this module
+   initialises, before any domain spawns. The tree is immutable, so every
+   session on every domain shares it; only compilation, which assigns the
+   session's symbol ids and code uids, is per session. *)
+let prelude_ast = Parser.parse Prelude.source
 
 let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine ~source =
   (* A fresh per-session interning context and uid counter, activated for
@@ -36,11 +37,7 @@ let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine ~source 
   let vm = Vm.create ~opts ~htm_mode machine in
   Builtins.install vm;
   Vm.install_gc_hooks vm;
-  let program =
-    try Compiler.compile_string (Prelude.source ^ "\n" ^ source) with
-    | Lexer.Error (msg, line) -> raise (Lexer.Error (msg, line - prelude_lines))
-    | Parser.Error (msg, line) -> raise (Parser.Error (msg, line - prelude_lines))
-  in
+  let program = Compiler.compile_program (prelude_ast @ Parser.parse source) in
   Vm.load_program vm program;
   (* the toplevel self ("main"), allocated outside the guest heap *)
   let main_obj = Store.reserve_aligned vm.Vm.store Layout.slot_cells in

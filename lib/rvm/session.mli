@@ -12,9 +12,9 @@ type t = {
 
 val activate : t -> unit
 (** Make this session's interning context and uid counter the domain's
-    active ones. The runner calls it when a run starts, so several
-    sessions — e.g. N VM shards — can be booted on one domain and run on
-    others without sharing state. *)
+    active ones. The runner calls it when a run starts, so a session runs
+    on its own state whichever sessions were booted or run on this domain
+    since. *)
 
 val create :
   ?opts:Options.t ->
@@ -22,6 +22,7 @@ val create :
   Htm_sim.Machine.t ->
   source:string ->
   t
-(** Compile the prelude and [source] as one unit and boot the VM.
-    @raise Lexer.Error or Parser.Error with a line of [source] (the
-    prelude's lines are not counted), or Compiler.Error. *)
+(** Compile the prelude's syntax tree (parsed once per process) and
+    [source]'s as one unit and boot the VM.
+    @raise Lexer.Error or Parser.Error with a line of [source], or
+    Compiler.Error. *)

@@ -2,8 +2,7 @@
    by a VM session; the domain-local slot below only holds the *active*
    state, so what a session interns is a pure function of its own program —
    independent of which other sessions ran before it, on which domain, or
-   interleaved with it (the shard tier resumes several sessions on one
-   domain). [Session.create] builds a fresh state via {!fresh} and
+   interleaved with it. [Session.create] builds a fresh state via {!fresh} and
    re-{!activate}s it on every entry into the runner. That invariant is
    what makes parallel experiment sweeps bit-identical to sequential ones:
    symbol ids feed guest hash buckets, so they must not depend on

@@ -3,7 +3,7 @@
     {e active} state that {!intern}/{!name} consult, and the runner
     re-{!activate}s its session's state on entry. Ids a session assigns are
     therefore a pure function of its own program — the invariant that keeps
-    parallel (and interleaved, shard-tier) experiment sweeps bit-identical
+    parallel (and interleaved) experiment sweeps bit-identical
     to sequential ones (symbol ids feed guest hash buckets). *)
 
 type state

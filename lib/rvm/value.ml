@@ -126,7 +126,7 @@ let vint n =
 
 (* The uid counter is a first-class per-session cell; the domain-local slot
    holds the *active* one (parallel harness domains never race, and the
-   shard tier re-activates its session's cell on every runner entry), so
+   runner re-activates its session's cell on every entry), so
    uids are a pure function of the compiled program (they key the dynamic
    transaction-length tables). Runtime code also draws uids — [defclass]
    synthesizes accessor codes — so activation matters during runs, not just

@@ -63,11 +63,12 @@ and t = {
 }
 
 (* Domain-local pool of a retired VM's store pages and HTM mark tables. A
-   figure sweep boots a fresh VM per experiment point; handing the previous
-   point's pages and tables to the next one (points run sequentially within
-   a domain) saves allocating them again, and with it the major-GC work
-   that allocating them while the guest runs would pace. Purely a host-side
-   optimisation: addresses come from the bump pointer either way. *)
+   figure sweep boots a fresh VM per experiment point and per shard; handing
+   the previous VM's pages and tables to the next one (points and shards
+   run sequentially within a domain) saves allocating them again, and with
+   it the major-GC work that allocating them while the guest runs would
+   pace. Purely a host-side optimisation: addresses come from the bump
+   pointer either way. *)
 type pool = {
   mutable pages : Value.t array list;
   mutable lines : Htm.line_tables option;

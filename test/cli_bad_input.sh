@@ -67,6 +67,12 @@ printf 'x = $\nputs x.inspect\n' >"$tmp/gvar.rb"
 check 2 "$tmp/cvar.rb:1: @@ with no variable name" exec "$tmp/cvar.rb"
 check 2 "$tmp/ivar.rb:1: @ with no variable name" exec "$tmp/ivar.rb"
 check 2 "$tmp/gvar.rb:1: \$ with no variable name" exec "$tmp/gvar.rb"
+# an error inside #{...} reports the line the interpolation opens on
+printf 'puts 1\nputs 2\nputs "a#{x +}b"\n' >"$tmp/interp.rb"
+printf 'puts 1\nputs 2\nputs "a#{x @@ }b"\n' >"$tmp/interp_sigil.rb"
+check 2 "$tmp/interp.rb:3: unexpected token end of input" exec "$tmp/interp.rb"
+check 2 "$tmp/interp_sigil.rb:3: @@ with no variable name" \
+  exec "$tmp/interp_sigil.rb"
 check 3 "undefined method 'foo_undefined'" exec "$tmp/guest.rb"
 check 4 "deadlock" exec "$tmp/stuck.rb"
 # lazy-safe subscription runs on any machine

@@ -750,6 +750,23 @@ let test_guest_corpus () =
   Alcotest.(check string) "simulated-results digest" guest_corpus_digest
     (fnv64 (Buffer.contents runs))
 
+(* [Session] parses the prelude once per process and puts its tree ahead of
+   each program's. That must be the tree of the joined source it used to
+   parse, for every workload at test size and every corpus program. *)
+let test_prelude_parsed_apart () =
+  let prelude = Rvm.Parser.parse Rvm.Prelude.source in
+  let check name source =
+    if
+      prelude @ Rvm.Parser.parse source
+      <> Rvm.Parser.parse (Rvm.Prelude.source ^ "\n" ^ source)
+    then Alcotest.failf "%s: the split tree differs from the joined one" name
+  in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      check w.name (w.source ~threads:4 ~size:Workloads.Size.Test))
+    Workloads.Workload.all;
+  List.iter (fun (name, source, _) -> check name source) guest_corpus
+
 let suite =
   suite
   @ [
@@ -757,4 +774,6 @@ let suite =
       Alcotest.test_case "decode consistency" `Quick test_decode_consistency;
       Alcotest.test_case "runner cost table" `Quick test_runner_cost_tbl;
       Alcotest.test_case "guest corpus" `Quick test_guest_corpus;
+      Alcotest.test_case "prelude parsed apart" `Quick
+        test_prelude_parsed_apart;
     ]

@@ -76,6 +76,26 @@ let test_scaling () =
     true
     (four >= 3.0 *. one)
 
+(* Each job boots, runs and releases its shard, so at [jobs:1] every shard
+   boots from the store pages and HTM line tables its predecessor handed
+   back, and serving one stream with four shards allocates little more
+   major heap than with two. *)
+let test_shards_reuse_memory () =
+  let major_mb shards =
+    let w0 = (Gc.quick_stat ()).Gc.major_words in
+    ignore (Harness.Shard.run ~jobs:1 (shard_cfg ~shards ~requests:240 ()));
+    ((Gc.quick_stat ()).Gc.major_words -. w0) *. 8. /. 1e6
+  in
+  (* warm: this domain's page and line-table pool holds one VM's worth *)
+  ignore (major_mb 2);
+  let two = major_mb 2 in
+  let four = major_mb 4 in
+  Alcotest.(check bool)
+    (Printf.sprintf "4 shards' %.1f MB exceed 2 shards' %.1f MB by < half"
+       four two)
+    true
+    (four -. two < two /. 2.)
+
 let test_shared_session () =
   let cfg =
     shard_cfg ~shards:4 ~shared_session:true ~rate:9000.0 ()
@@ -222,6 +242,8 @@ let suite =
     Alcotest.test_case "round-robin split" `Quick test_round_robin_split;
     Alcotest.test_case "shared-nothing scaling" `Slow test_scaling;
     Alcotest.test_case "shared session store" `Quick test_shared_session;
+    Alcotest.test_case "shards reuse one VM's memory" `Quick
+      test_shards_reuse_memory;
     Alcotest.test_case "one shard is the single-VM run" `Quick
       test_one_shard_is_the_vm;
     Alcotest.test_case "mix: deterministic class draw" `Quick test_mix_draw;

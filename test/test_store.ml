@@ -152,9 +152,10 @@ end
 ths.each { |th| th.join }
 puts ths.size|}
 
-(* Measured: 66 pages for the 64 threads. Each thread writes the first
-   page of its stack; the thread structs share pages, and the blocks'
-   objects come from the boot arena, which is resident already. *)
+(* Measured: 68 pages of 1,024 cells for the 64 threads. Each thread
+   writes the first page of its stack; a thread's struct shares a page
+   with the next thread's first frame, and the blocks' objects come from
+   the boot arena, which is resident already. *)
 let max_pages_per_thread = 2
 
 let test_thread_stacks_stay_unbacked () =
