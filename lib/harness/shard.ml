@@ -308,7 +308,7 @@ let run ?jobs (cfg : config) : result =
   Array.iter (fun sh -> Netsim.close_feed sh.io) shards;
   (* each job boots its shard, runs it and releases its VM, so at most
      min(jobs, shards) VMs are live at once, and a worker's next shard
-     boots from the pages and line tables its last one handed back *)
+     boots from the store and line-table pages its last one handed back *)
   let run_all pool =
     Pool.map pool
       (fun sh ->

@@ -9,14 +9,19 @@
    rollback closure, and a pending-abort flag left for its scheme to handle
    at its next step.
 
-   Per-line metadata lives in dense flat arrays indexed by line id (line ids
-   are [addr / line_cells] over a bump-allocated store, so they are dense by
-   construction). The arrays grow in lockstep with the store via its
+   Per-line metadata lives in paged tables indexed by line id, paged the
+   way the store is: a page table of [line_page_lines]-line pages in which
+   every page nothing has marked is one shared clean page, never written,
+   and the first mark on a page gives it an array of its own. So, like the
+   hardware's read/write-set tracking, the tables hold memory for the
+   lines transactions touch, not for the store's whole span, which grows
+   with every thread a server spawns (a finished thread keeps its stack
+   reservation). The page tables grow in lockstep with the store via its
    [set_on_grow] hook, which keeps the hot path free of bounds checks, hash
-   lookups and allocation: a steady-state transactional access touches only
-   unboxed int arrays and the per-context scratch logs. The two mark tables
-   every engine keeps are clean whenever no transaction is live, so
-   [retire] can hand them to the next engine without a refill.
+   lookups and allocation: a steady-state transactional access touches
+   only unboxed int pages and the per-context scratch logs. Marked pages
+   are clean again whenever no transaction is live, so [retire] can hand
+   them to the next engine without a refill.
 
    A transaction undo-logs each address once: the line's writer word
    records which of its cells the owning window has already logged, so a
@@ -38,24 +43,30 @@ type 'a t = {
   machine : Machine.t;
   store : 'a Store.t;
   mode : mode;
-  (* flat per-line metadata, indexed by line id; each array covers at least
-     the store's full capacity (see [grow_line_tables]), recycled ones may
-     cover more. [last_writers] and [versions] exist only for the engines
-     that read them and are empty otherwise. *)
-  mutable readers : int array;  (** bitset of ctx ids with the line in a read set *)
-  mutable writers : int array;
-      (** writer word: -1, or the context with the line in its write set
-          plus the cells that context has undo-logged (see [owner]) *)
-  mutable last_writers : int array;
-      (** for the coherence cost model, or -1; [Coherent] engines only *)
-  mutable versions : int array;
+  (* paged per-line metadata: page tables indexed by [id lsr
+     line_page_shift], each covering the store's capacity (see
+     [grow_line_tables]). [last_writers] and [versions] exist only for the
+     engines that read them and are empty otherwise. *)
+  mutable marks : int array array;
+      (** the mark tables, interleaved so one page fetch answers both
+          checks: slot [reader_slot id] of a line's page is its reader
+          bitset (ctx ids with the line in a read set), the next slot its
+          writer word (-1, or the context with the line in its write set
+          plus the cells that context has undo-logged, see [owner]).
+          Unmarked pages are [clean_marks]. *)
+  mutable free : int array list;
+      (** clean mark pages from a retired engine, taken by first marks
+          before any page is allocated *)
+  mutable last_writers : int array array;
+      (** per line, for the coherence cost model: the last writing
+          context, or -1; [Coherent] engines only *)
+  mutable versions : int array array;
       (** per line: commit-clock stamp of the last committed write, the
           TL2-style versioned-lock table software transactions validate
           against. Allocated by {!set_software_hooks}; stamped only while a
           software transaction is live ([sw_mask <> 0]); earlier writes are
           covered by the snapshot rule (a version below the read version is
           always consistent). *)
-  mutable n_lines : int;  (** line ids below the store's capacity *)
   mutable commit_clock : int;
       (** global version clock: bumped by every committed write visible to
           software transactions (non-transactional writes and hardware
@@ -130,27 +141,69 @@ let[@inline] logged_bit t addr = 1 lsl (owner_bits + (addr land t.cell_mask))
 let[@inline] update_fast t =
   t.fast <- t.mode <> Coherent && t.active = 0 && t.sw_mask = 0
 
+(* Line-table pages hold [line_page_lines] consecutive line ids. The shift
+   is a constant, not derived from the machine's line size, so a page's
+   layout is the same on every machine and a retired engine's pages fit
+   the next engine whatever its lines. *)
+let line_page_shift = 7
+let line_page_lines = 1 lsl line_page_shift
+let line_page_mask = line_page_lines - 1
+
+(* The shared clean pages every untouched page-table slot points at.
+   Nothing writes them, so every engine on every domain shares them. *)
+let clean_marks =
+  Array.init (2 * line_page_lines) (fun i -> if i land 1 = 0 then 0 else -1)
+
+let zero_versions = Array.make line_page_lines 0
+let no_last_writers = Array.make line_page_lines (-1)
+
+let[@inline] marks_page t id = Array.unsafe_get t.marks (id lsr line_page_shift)
+
+(* A line's reader bitset within its marks page; its writer word follows. *)
+let[@inline] reader_slot id = (id land line_page_mask) lsl 1
+
+let[@inline] writer_word t id =
+  Array.unsafe_get (marks_page t id) (reader_slot id + 1)
+
+(* First write to page [i] of a table: give it a copy of the clean page.
+   Out of line so the mark and stamp sites stay small. *)
+let[@inline never] own_page pages clean i =
+  let page = Array.copy clean in
+  Array.unsafe_set pages i page;
+  page
+
+(* First mark on page [i]: a retired engine's clean page when there is
+   one, else a fresh copy. *)
+let[@inline never] own_marks t i =
+  match t.free with
+  | page :: rest ->
+      t.free <- rest;
+      Array.unsafe_set t.marks i page;
+      page
+  | [] -> own_page t.marks clean_marks i
+
 let grow_line_tables t cap_cells =
-  let n = Store.line_of t.store (max 1 cap_cells - 1) + 1 in
-  let grow a fill =
-    if Array.length a >= n then a
+  let lines = Store.line_of t.store (max 1 cap_cells - 1) + 1 in
+  let n = (lines + line_page_mask) lsr line_page_shift in
+  let grow pages clean =
+    let len = Array.length pages in
+    if len >= n then pages
     else begin
-      let b = Array.make n fill in
-      Array.blit a 0 b 0 (Array.length a);
+      let b = Array.make n clean in
+      Array.blit pages 0 b 0 len;
       b
     end
   in
-  t.readers <- grow t.readers 0;
-  t.writers <- grow t.writers (-1);
-  if t.mode = Coherent then t.last_writers <- grow t.last_writers (-1);
-  if Array.length t.versions > 0 then t.versions <- grow t.versions 0;
-  t.n_lines <- n
+  t.marks <- grow t.marks clean_marks;
+  if t.mode = Coherent then t.last_writers <- grow t.last_writers no_last_writers;
+  if Array.length t.versions > 0 then t.versions <- grow t.versions zero_versions
 
-(* Mark tables handed from a retired engine to a new one: clean (readers 0,
-   writers -1) over their whole length. *)
-type line_tables = int array * int array
+(* Mark pages handed from a retired engine to a new one, all clean. *)
+type line_tables = int array list
 
-let create ?(mode = Htm_mode) ?recycled machine store =
+let retired_pages tables = tables
+
+let create ?(mode = Htm_mode) ?(recycled = []) machine store =
   let n = max 1 (Machine.n_ctx machine) in
   if n > max_contexts then
     invalid_arg
@@ -163,20 +216,16 @@ let create ?(mode = Htm_mode) ?recycled machine store =
          "Htm.create: a %d-cell line exceeds the %d logged-cell bits of a \
           writer word"
          line_cells max_logged_cells);
-  let readers, writers =
-    match recycled with Some tables -> tables | None -> ([||], [||])
-  in
   let t =
     {
       machine;
       store;
       mode;
       subscription = Subscription.Eager;
-      readers;
-      writers;
+      marks = [||];
+      free = recycled;
       last_writers = [||];
       versions = [||];
-      n_lines = 0;
       commit_clock = 0;
       sw_mask = 0;
       sw_read = (fun _ _ -> invalid_arg "Htm.sw_read: no STM installed");
@@ -215,7 +264,18 @@ let stamp_epoch t = t.stamp_epoch
 (* ---- software-transaction plumbing -------------------------------------- *)
 
 let commit_clock t = t.commit_clock
-let line_version t id = Array.unsafe_get t.versions id
+let line_version t id =
+  Array.unsafe_get
+    (Array.unsafe_get t.versions (id lsr line_page_shift))
+    (id land line_page_mask)
+
+let[@inline] set_version t id v =
+  let i = id lsr line_page_shift in
+  let page = Array.unsafe_get t.versions i in
+  let page =
+    if page == zero_versions then own_page t.versions zero_versions i else page
+  in
+  Array.unsafe_set page (id land line_page_mask) v
 
 (* The GV5 failure-driven catch-up: advance the engine's version clock
    without touching any store cell. Readers whose snapshot lagged behind
@@ -225,7 +285,8 @@ let line_version t id = Array.unsafe_get t.versions id
 let clock_advance t = t.commit_clock <- t.commit_clock + 1
 
 let set_software_hooks t ~read ~write ~track_read ~abort =
-  if Array.length t.versions = 0 then t.versions <- Array.make t.n_lines 0;
+  if Array.length t.versions = 0 then
+    t.versions <- Array.make (Array.length t.marks) zero_versions;
   t.sw_read <- read;
   t.sw_write <- write;
   t.sw_track_read <- track_read;
@@ -290,16 +351,19 @@ let reset_step_cost t =
   t.step_extra_cycles <- 0;
   t.step_accesses <- 0
 
-(* Remove every mark this transaction left in the line tables. *)
+(* Remove every mark this transaction left in the line tables. A marked
+   line's page has an array of its own, so the clean page is never
+   written. *)
 let clear_marks t (txn : 'a Txn.t) =
   let mask = lnot (1 lsl txn.ctx) in
   let lines = txn.lines in
   for i = 0 to txn.lines_len - 1 do
     let id = Array.unsafe_get lines i in
-    let r = Array.unsafe_get t.readers id in
-    if r land mask <> r then Array.unsafe_set t.readers id (r land mask);
-    if owner (Array.unsafe_get t.writers id) = txn.ctx then
-      Array.unsafe_set t.writers id (-1)
+    let page = marks_page t id and o = reader_slot id in
+    let r = Array.unsafe_get page o in
+    if r land mask <> r then Array.unsafe_set page o (r land mask);
+    if owner (Array.unsafe_get page (o + 1)) = txn.ctx then
+      Array.unsafe_set page (o + 1) (-1)
   done;
   txn.lines_len <- 0
 
@@ -413,8 +477,7 @@ let tend t ~ctx =
     let c = t.commit_clock in
     for i = 0 to txn.lines_len - 1 do
       let id = Array.unsafe_get txn.lines i in
-      if owner (Array.unsafe_get t.writers id) = txn.ctx then
-        Array.unsafe_set t.versions id c
+      if owner (writer_word t id) = txn.ctx then set_version t id c
     done
   end;
   clear_marks t txn;
@@ -430,22 +493,31 @@ let tabort t ~ctx reason =
    reader bitset is re-read after each victim abort because [clear_marks]
    mutates it. *)
 let abort_conflicting t ~ctx ~id =
-  let w = Array.unsafe_get t.writers id in
+  let page = marks_page t id and o = reader_slot id in
+  let w = Array.unsafe_get page (o + 1) in
   if w >= 0 && owner w <> ctx then
     abort_txn ~line:id t t.txns.(owner w) Conflict;
-  if Array.unsafe_get t.readers id land lnot (1 lsl ctx) <> 0 then
+  if Array.unsafe_get page o land lnot (1 lsl ctx) <> 0 then
     for i = 0 to Array.length t.txns - 1 do
-      if i <> ctx && Array.unsafe_get t.readers id land (1 lsl i) <> 0 then
+      if i <> ctx && Array.unsafe_get page o land (1 lsl i) <> 0 then
         abort_txn ~line:id t t.txns.(i) Conflict
     done
 
 let charge_coherence t ~ctx ~id ~is_write =
-  let lw = Array.unsafe_get t.last_writers id in
+  let i = id lsr line_page_shift and o = id land line_page_mask in
+  let page = Array.unsafe_get t.last_writers i in
+  let lw = Array.unsafe_get page o in
   if lw >= 0 && lw <> ctx then begin
     t.step_extra_cycles <- t.step_extra_cycles + t.machine.costs.cyc_line_transfer;
     t.stats.coherence_transfers <- t.stats.coherence_transfers + 1
   end;
-  if is_write then Array.unsafe_set t.last_writers id ctx
+  if is_write then begin
+    let page =
+      if page == no_last_writers then own_page t.last_writers no_last_writers i
+      else page
+    in
+    Array.unsafe_set page o ctx
+  end
 
 (* Non-transactional read: aborts any hardware transaction that wrote the
    line (its speculative value sits in the store and must be rolled back
@@ -455,7 +527,7 @@ let charge_coherence t ~ctx ~id ~is_write =
 let nontxn_read_at t ~ctx ~id addr =
   t.stats.non_txn_accesses <- t.stats.non_txn_accesses + 1;
   if t.active > 0 then begin
-    let w = Array.unsafe_get t.writers id in
+    let w = writer_word t id in
     if w >= 0 && owner w <> ctx then
       abort_txn ~line:id t t.txns.(owner w) Conflict
   end;
@@ -477,7 +549,7 @@ let nontxn_write t ~ctx addr v =
   if t.sw_mask <> 0 then begin
     t.commit_clock <- t.commit_clock + 1;
     t.stamp_epoch <- t.stamp_epoch + 1;
-    Array.unsafe_set t.versions id t.commit_clock
+    set_version t id t.commit_clock
   end;
   Store.set_unsafe t.store addr v
 
@@ -495,9 +567,9 @@ let nontxn_write_lazy_stamp t ~ctx addr v =
   if t.mode = Coherent then charge_coherence t ~ctx ~id ~is_write:true;
   if t.sw_mask <> 0 then begin
     let stamp = t.commit_clock + 1 in
-    if Array.unsafe_get t.versions id < stamp then begin
+    if line_version t id < stamp then begin
       t.stamp_epoch <- t.stamp_epoch + 1;
-      Array.unsafe_set t.versions id stamp
+      set_version t id stamp
     end
   end;
   Store.set_unsafe t.store addr v
@@ -507,14 +579,19 @@ let nontxn_write_lazy_stamp t ~ctx addr v =
    our store buffer, so reading it is free of coherence interaction. Shared
    by guest reads and footprint-only touches. *)
 let[@inline] txn_read_line t (txn : 'a Txn.t) ~ctx ~id =
-  let w = Array.unsafe_get t.writers id in
+  let page = marks_page t id and o = reader_slot id in
+  let w = Array.unsafe_get page (o + 1) in
   if owner w <> ctx then begin
     if w >= 0 then abort_txn ~line:id t t.txns.(owner w) Conflict;
     let bit = 1 lsl ctx in
-    let r = Array.unsafe_get t.readers id in
+    let r = Array.unsafe_get page o in
     if r land bit = 0 then begin
       if txn.rs >= txn.rs_limit then tabort t ~ctx Overflow_read;
-      Array.unsafe_set t.readers id (r lor bit);
+      let page =
+        if page == clean_marks then own_marks t (id lsr line_page_shift)
+        else page
+      in
+      Array.unsafe_set page o (r lor bit);
       txn.rs <- txn.rs + 1;
       Txn.push_line txn id
     end
@@ -546,13 +623,14 @@ let write_slow t ~ctx addr v =
   if txn.active then begin
     t.stats.txn_accesses <- t.stats.txn_accesses + 1;
     let id = Store.line_of t.store addr in
-    let w = Array.unsafe_get t.writers id in
+    let page = marks_page t id and o = reader_slot id in
+    let w = Array.unsafe_get page (o + 1) in
     let bit = logged_bit t addr in
     if owner w = ctx then begin
       (* the line is in our write set: only a cell's first write this
          window pushes its old value *)
       if w land bit = 0 then begin
-        Array.unsafe_set t.writers id (w lor bit);
+        Array.unsafe_set page (o + 1) (w lor bit);
         Txn.push_undo txn addr (Store.get_unsafe t.store addr)
       end
     end
@@ -569,7 +647,11 @@ let write_slow t ~ctx addr v =
         && txn.ws >= txn.ws_limit / 2
         && Prng.float t.prng < t.suspicion.(ctx)
       then tabort t ~ctx Eager;
-      Array.unsafe_set t.writers id (ctx lor bit);
+      let page =
+        if page == clean_marks then own_marks t (id lsr line_page_shift)
+        else page
+      in
+      Array.unsafe_set page (o + 1) (ctx lor bit);
       txn.ws <- txn.ws + 1;
       Txn.push_line txn id;
       Txn.push_undo txn addr (Store.get_unsafe t.store addr)
@@ -601,7 +683,7 @@ let touch_read_range t ~ctx base len =
       if txn.active then txn_read_line t txn ~ctx ~id
       else begin
         if t.active > 0 then begin
-          let w = Array.unsafe_get t.writers id in
+          let w = writer_word t id in
           if w >= 0 && owner w <> ctx then
             abort_txn ~line:id t t.txns.(owner w) Conflict
         end;
@@ -632,12 +714,24 @@ let touch_write_range t ~ctx base len =
 
 let suspicion_level t ctx = t.suspicion.(ctx)
 
-(* Clear what live transactions still mark, so the mark tables are clean,
-   and neuter the engine: its tables now belong to the next owner. *)
+let marked_pages t =
+  let count pages clean =
+    Array.fold_left (fun n p -> if p == clean then n else n + 1) 0 pages
+  in
+  count t.marks clean_marks
+  + count t.versions zero_versions
+  + count t.last_writers no_last_writers
+
+(* Clear what live transactions still mark, so every marked page is clean,
+   and neuter the engine: its pages, and the recycled ones it never needed,
+   now belong to the next owner. *)
 let retire t =
   Array.iter (fun (txn : 'a Txn.t) -> if txn.active then clear_marks t txn) t.txns;
-  let tables = (t.readers, t.writers) in
-  t.readers <- [||];
-  t.writers <- [||];
-  t.n_lines <- 0;
-  tables
+  let pages =
+    Array.fold_left
+      (fun acc p -> if p == clean_marks then acc else p :: acc)
+      t.free t.marks
+  in
+  t.marks <- [||];
+  t.free <- [];
+  pages

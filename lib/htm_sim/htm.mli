@@ -23,7 +23,13 @@ type mode =
 type 'a t
 
 type line_tables
-(** The per-line read/write mark tables of a retired engine. *)
+(** The clean pages of a retired engine's per-line read/write mark tables.
+
+    The engine's per-line tables are paged: a page covers a fixed number
+    of consecutive line ids, whatever the machine's line size, and every
+    page no transaction has marked is one shared clean page. So the tables
+    hold memory for the lines transactions touch, not for the store's
+    whole span, and a retired engine's pages fit any later engine. *)
 
 val create :
   ?mode:mode ->
@@ -31,17 +37,28 @@ val create :
   Machine.t ->
   'a Store.t ->
   'a t
-(** [?recycled] are mark tables from {!retire}, reused (and grown if the
-    store needs more lines) instead of allocated afresh.
+(** [?recycled] are mark pages from {!retire}: first marks take them before
+    allocating fresh ones.
     @raise Invalid_argument when the machine has more contexts than the
     per-line reader bitset holds, or the store's lines have more cells than
     a writer word can mark as undo-logged (each address is logged once per
     transaction). *)
 
 val retire : 'a t -> line_tables
-(** Hand the mark tables back for a later [create ~recycled], cleared of
-    whatever live transactions still mark. The engine must not be used
-    afterwards. *)
+(** Hand every mark page the engine owns (marked ones and recycled ones it
+    never needed) back for a later [create ~recycled], cleared of whatever
+    live transactions still mark. The engine must not be used afterwards. *)
+
+val line_page_lines : int
+(** Consecutive line ids per page of the per-line tables. *)
+
+val retired_pages : line_tables -> int array list
+(** The pages themselves, so a check can tell a later engine reused them. *)
+
+val marked_pages : 'a t -> int
+(** Pages of the per-line tables that have an array of their own: mark
+    pages some transaction has marked, and version and last-writer pages
+    something has stamped. The twin of {!Store.resident_cells}. *)
 
 val stamp_epoch : 'a t -> int
 (** Bumped whenever any line's version stamp changes (hardware commit
@@ -164,7 +181,8 @@ val set_software_hooks :
     accesses from contexts flagged via {!set_software_active} are routed to
     them. [track_read] receives line ids from footprint-only touches;
     [abort] must roll the context's software transaction back and leave a
-    pending abort. The first call allocates the per-line version table. *)
+    pending abort. The first call allocates the per-line version table's
+    page table (its pages come with the first stamps). *)
 
 val set_software_active : 'a t -> int -> bool -> unit
 (** Flag (or unflag) the context as inside a software transaction.

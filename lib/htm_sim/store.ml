@@ -22,9 +22,11 @@
    threads' pages set the serving cells' peak memory; 512-cell pages
    save only 1.2-1.4% more of it than 1,024.
 
-   The HTM engine keeps per-line metadata in flat arrays sized from this
-   store's capacity (the page table's span); [set_on_grow] lets it grow
-   those tables in lockstep so its hot path never bounds-checks a line id. *)
+   The HTM engine pages its per-line metadata the same way, so its tables
+   too cost memory only for the lines transactions touch. Its page tables
+   cover this store's capacity (the page table's span); [set_on_grow] lets
+   it grow them in lockstep so its hot path never bounds-checks a line
+   id. *)
 
 let page_shift = 10
 let page_cells = 1 lsl page_shift
@@ -47,7 +49,7 @@ type 'a t = {
           access, so use a shift instead of a division *)
   mutable on_grow : int -> unit;
       (** called with the new capacity (in cells) after the page table
-          grows; single consumer (the HTM engine's line tables) *)
+          grows; single consumer (the HTM engine's line page tables) *)
 }
 
 let create ?(recycled = []) ~dummy ~line_cells initial =

@@ -36,9 +36,9 @@ val set_on_grow : 'a t -> (int -> unit) -> unit
 (** Install the capacity-growth hook and invoke it immediately with the
     current capacity (in cells); it is called again with the new span each
     time the page table grows. Single consumer: the HTM engine uses it to
-    grow its flat per-line metadata tables in lockstep with the store, so
-    its hot path never bounds-checks a line id. Installing a new hook
-    replaces the previous one. *)
+    grow the page tables of its paged per-line metadata in lockstep with
+    the store, so its hot path never bounds-checks a line id. Installing a
+    new hook replaces the previous one. *)
 
 val line_cells : 'a t -> int
 (** Cells per cache line. *)

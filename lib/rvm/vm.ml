@@ -62,13 +62,14 @@ and t = {
   m_cache_misses : Obs.Metrics.counter;
 }
 
-(* Domain-local pool of a retired VM's store pages and HTM mark tables. A
-   figure sweep boots a fresh VM per experiment point and per shard; handing
-   the previous VM's pages and tables to the next one (points and shards
-   run sequentially within a domain) saves allocating them again, and with
-   it the major-GC work that allocating them while the guest runs would
-   pace. Purely a host-side optimisation: addresses come from the bump
-   pointer either way. *)
+(* Domain-local pool of a retired VM's store pages and HTM mark-table
+   pages. A figure sweep boots a fresh VM per experiment point and per
+   shard; handing the previous VM's pages to the next one (points and
+   shards run sequentially within a domain) saves allocating them again,
+   and with it the major-GC work that allocating them while the guest runs
+   would pace. Neither kind of page depends on the machine, so any VM's
+   pages fit the next. Purely a host-side optimisation: addresses come from
+   the bump pointer either way. *)
 type pool = {
   mutable pages : Value.t array list;
   mutable lines : Htm.line_tables option;
@@ -84,8 +85,8 @@ let release vm =
 
 let create ?(opts = Options.default) ?(htm_mode = Htm.Htm_mode) machine =
   (* span the boot arena (heap_slots * slot_cells cells) plus headroom for
-     stacks and one heap growth, so booting never grows the page table nor,
-     with it, the engine's line tables *)
+     stacks and one heap growth, so booting never grows the store's page
+     table nor, with it, the engine's line page tables *)
   let initial_cells =
     match opts.Options.alloc with
     | Slot_heap -> (1 lsl 16) + (2 * opts.heap_slots * Layout.slot_cells)

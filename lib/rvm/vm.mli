@@ -62,7 +62,7 @@ val create :
   ?opts:Options.t -> ?htm_mode:Htm_sim.Htm.mode -> Htm_sim.Machine.t -> t
 
 val release : t -> unit
-(** Retire the VM's simulated store pages and HTM mark tables into a
+(** Retire the VM's simulated store pages and HTM mark-table pages into a
     domain-local pool so the next [create] on this domain reuses them
     instead of allocating fresh ones. Call only when the VM is finished
     with: any later access through it raises. Purely a host-side

@@ -28,8 +28,8 @@ let txns = 2_000
 let writes = 64
 
 (* [txns] windows of [writes] writes then [writes] reads, opened and closed
-   by [begin_] and [end_]; per-access minor words once the line tables and
-   scratch arrays are warm. *)
+   by [begin_] and [end_]; per-access minor words once the region's
+   line-table pages are marked and the scratch arrays are warm. *)
 let per_access htm region ~begin_ ~end_ =
   let loop () =
     for _ = 1 to txns do

@@ -3,9 +3,9 @@
 
 open Htm_sim
 
-let mk ?(machine = Machine.zec12) () =
+let mk ?(machine = Machine.zec12) ?recycled () =
   let store = Store.create ~dummy:0 ~line_cells:machine.line_cells 4096 in
-  let htm = Htm.create machine store in
+  let htm = Htm.create ?recycled machine store in
   (store, htm)
 
 let begin_ htm ctx =
@@ -252,11 +252,13 @@ let prop_counter_serializable =
       done;
       Store.get store cell = n_ctx * increments)
 
-(* Mark tables retired while transactions are still live come back clean:
-   a new engine reusing them sees no phantom reader or writer, so nothing
-   aborts, and no logged-cell bit makes a new window skip an undo entry. *)
-let test_recycled_tables_clean () =
-  let store, htm = mk () in
+(* Mark pages retired while transactions are still live come back clean,
+   whatever the line size of the machine that retires them and of the one
+   that reuses them: a new engine marking the same line ids sees no phantom
+   reader or writer, so nothing aborts, and no logged-cell bit makes a new
+   window skip an undo entry. *)
+let recycled_tables_clean ~from ~into =
+  let store, htm = mk ~machine:from () in
   let a = Store.reserve_aligned store 64 in
   let b = Store.reserve_aligned store 64 in
   begin_ htm 0;
@@ -265,14 +267,13 @@ let test_recycled_tables_clean () =
   Htm.write htm ~ctx:0 a 2;
   begin_ htm 1;
   ignore (Htm.read htm ~ctx:1 b);
-  let tables = Htm.retire htm in
-  let store = Store.create ~dummy:0 ~line_cells:Machine.zec12.line_cells 4096 in
-  let htm = Htm.create ~recycled:tables Machine.zec12 store in
-  let a' = Store.reserve_aligned store 64 in
-  let b' = Store.reserve_aligned store 64 in
-  Alcotest.(check (pair int int)) "same layout" (a, b) (a', b');
-  (* a stale writer mark on [a] would make ctx 1's read abort ctx 0, and a
-     stale reader mark on [b] would make ctx 0's write abort ctx 1 *)
+  let retired = Htm.retire htm in
+  let la = Store.line_of store a and lb = Store.line_of store b in
+  let store, htm = mk ~machine:into ~recycled:retired () in
+  ignore (Store.reserve store ((lb + 1) * into.Machine.line_cells));
+  let a = la * into.line_cells and b = lb * into.line_cells in
+  (* a stale writer mark on [a]'s line would make ctx 1's read abort ctx 0,
+     and a stale reader mark on [b]'s would make ctx 0's write abort ctx 1 *)
   begin_ htm 0;
   begin_ htm 1;
   ignore (Htm.read htm ~ctx:1 a);
@@ -282,12 +283,46 @@ let test_recycled_tables_clean () =
     (Htm.in_txn htm 0 && Htm.in_txn htm 1);
   Htm.tend htm ~ctx:0;
   Htm.tend htm ~ctx:1;
-  Store.set store (a' + 1) 7;
+  Store.set store (a + 1) 7;
   begin_ htm 0;
-  Htm.write htm ~ctx:0 (a' + 1) 8;
+  Htm.write htm ~ctx:0 (a + 1) 8;
   (try Htm.tabort htm ~ctx:0 Txn.Explicit with Htm.Abort_now _ -> ());
   Alcotest.(check int) "a cell logged before retire is logged again" 7
-    (Store.get store (a' + 1))
+    (Store.get store (a + 1));
+  let retired = Htm.retired_pages retired in
+  let again = Htm.retired_pages (Htm.retire htm) in
+  Alcotest.(check bool) "the marks went to a retired page, not a fresh one"
+    true
+    (again <> [] && List.for_all (fun p -> List.memq p retired) again)
+
+let test_recycled_tables_clean () =
+  List.iter
+    (fun (from, into) -> recycled_tables_clean ~from ~into)
+    Machine.[ (zec12, zec12); (zec12, xeon_e3); (xeon_e3, zec12) ]
+
+(* The line tables hold memory for the lines transactions touch, not for
+   the store's span: windows that each write one line of one of four
+   thread-stack reservations, out of 64, leave one private page per
+   touched reservation. *)
+let test_tables_follow_touched_lines () =
+  let store = Store.create ~dummy:0 ~line_cells:Machine.zec12.line_cells 0 in
+  let htm = Htm.create Machine.zec12 store in
+  let stacks =
+    Array.init 64 (fun _ -> Store.reserve_aligned store Rvm.Vmthread.stack_cells)
+  in
+  List.iter
+    (fun i ->
+      begin_ htm 0;
+      Htm.write htm ~ctx:0 stacks.(i) i;
+      Htm.tend htm ~ctx:0)
+    [ 0; 21; 42; 63 ];
+  let span_lines = Store.capacity store / Machine.zec12.line_cells in
+  let pages = Htm.marked_pages htm in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d private pages for 4 touched lines of a %d-line span"
+       pages span_lines)
+    true
+    (pages >= 1 && pages <= 4)
 
 let suite =
   [
@@ -306,6 +341,8 @@ let suite =
     Alcotest.test_case "stats accounting" `Quick test_stats;
     Alcotest.test_case "recycled mark tables are clean" `Quick
       test_recycled_tables_clean;
+    Alcotest.test_case "tables follow touched lines" `Quick
+      test_tables_follow_touched_lines;
     Alcotest.test_case "undo once: rollback to pre-window value" `Quick
       test_undo_once_rollback;
     Alcotest.test_case "undo once: logged cells cleared at commit" `Quick

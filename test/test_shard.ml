@@ -77,16 +77,17 @@ let test_scaling () =
     (four >= 3.0 *. one)
 
 (* Each job boots, runs and releases its shard, so at [jobs:1] every shard
-   boots from the store pages and HTM line tables its predecessor handed
-   back, and serving one stream with four shards allocates little more
-   major heap than with two. *)
+   boots from the store pages and HTM line-table pages its predecessor
+   handed back, and serving one stream with four shards allocates little
+   more major heap than with two. *)
 let test_shards_reuse_memory () =
   let major_mb shards =
     let w0 = (Gc.quick_stat ()).Gc.major_words in
     ignore (Harness.Shard.run ~jobs:1 (shard_cfg ~shards ~requests:240 ()));
     ((Gc.quick_stat ()).Gc.major_words -. w0) *. 8. /. 1e6
   in
-  (* warm: this domain's page and line-table pool holds one VM's worth *)
+  (* warm: this domain's store and line-table page pool holds one VM's
+     worth *)
   ignore (major_mb 2);
   let two = major_mb 2 in
   let four = major_mb 4 in
